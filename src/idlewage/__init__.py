@@ -36,18 +36,23 @@ from .objectives import Objective, evaluate, profit, select_equilibrium, welfare
 from .optimize import (
     BlockConstraint,
     DaySchedule,
+    DaySweepPoint,
     GridSpec,
     InfeasibleError,
     OptimResult,
     Regime,
     SweepPoint,
+    ValueTable,
     admissible_blocks,
     block_wage_max,
+    day_value_tables,
     optimize_day_fixed,
     optimize_day_flexible,
     optimize_min_wage,
     optimize_single_period,
+    sweep_day_idle_wage,
     sweep_idle_wage,
+    value_table,
     value_vs_tau,
 )
 from .scenario import (

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .model import _require_finite
+
 __all__ = [
     "TwoPeriodExample",
     "flexible_optimum",
@@ -33,6 +35,7 @@ class TwoPeriodExample:
     epsilon: float
 
     def __post_init__(self):
+        _require_finite(self, "epsilon")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
 
@@ -62,9 +65,12 @@ def flexible_optimum(ex: TwoPeriodExample) -> dict[str, float]:
 
     With a flexible J the platform sets tau = 1 and the per-period
     quadratics peak at 1/2 (high demand) and 1/8 (low demand), for any
-    risk premium.
+    risk premium; profit_high and profit_low are the periods' profits there.
     """
-    return {"J_high": 0.5, "J_low": 0.125}
+    J_high, J_low = 0.5, 0.125
+    return {"J_high": J_high, "J_low": J_low,
+            "profit_high": _profit_high(ex.epsilon, 1.0, J_high),
+            "profit_low": _profit_low(ex.epsilon, 1.0, J_low)}
 
 
 def case_a_idle_only(ex: TwoPeriodExample) -> dict[str, float]:

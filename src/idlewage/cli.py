@@ -9,6 +9,7 @@ files, progress and cell counts to stderr.  Runs are deterministic for any
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -28,6 +29,7 @@ from .optimize import (
     optimize_day_flexible,
     optimize_min_wage,
     optimize_single_period,
+    sweep_day_idle_wage,
     sweep_idle_wage,
     value_vs_tau,
 )
@@ -104,6 +106,16 @@ def _fmt6(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _columns(names, rows) -> dict[str, list]:
+    """Named CSV columns from rows of values in the order of names."""
+    return {name: [r[i] for r in rows] for i, name in enumerate(names)}
+
+
+def _write_csv(args, cfg: ScenarioConfig, cols: dict, regime: str, objective: str) -> None:
+    emit_table(ResultTable(cols, _meta(cfg, regime, objective)), args.out)
+    _progress(f"wrote {args.out}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -124,8 +136,7 @@ def _cmd_equilibrium(args, cfg: ScenarioConfig) -> int:
             "profit": [evaluate(Objective.PROFIT, s, eq) for eq in eqs],
             "welfare": [evaluate(Objective.WELFARE, s, eq) for eq in eqs],
         }
-        emit_table(ResultTable(cols, _meta(cfg, "equilibrium", "both")), args.out)
-        _progress(f"wrote {args.out}")
+        _write_csv(args, cfg, cols, "equilibrium", "both")
         return 0
     rows = []
     for eq in eqs:
@@ -162,16 +173,12 @@ def _cmd_sweep_j(args, cfg: ScenarioConfig) -> int:
         f"commissions x {g.p_values().size} prices"
     )
     curve = sweep_idle_wage(s, obj, j_vals, g, cfg.solver, threads=args.threads)
-    cols = {
-        "J": [pt.idle_wage for pt in curve],
-        "best_value": [pt.value for pt in curve],
-        "best_tau": [pt.best_tau for pt in curve],
-        "best_price": [pt.best_price for pt in curve],
-        "tau1_optimal": [pt.tau1_optimal for pt in curve],
-    }
+    cols = _columns(
+        ["J", "best_value", "best_tau", "best_price", "tau1_optimal"],
+        [(pt.idle_wage, pt.value, pt.best_tau, pt.best_price, pt.tau1_optimal) for pt in curve],
+    )
     if args.out:
-        emit_table(ResultTable(cols, _meta(cfg, "sweep-j", args.objective)), args.out)
-        _progress(f"wrote {args.out}")
+        _write_csv(args, cfg, cols, "sweep-j", args.objective)
     else:
         _print_table(list(cols), [[_fmt6(c) if not isinstance(c, bool) else int(c)
                                    for c in row] for row in zip(*cols.values())])
@@ -201,8 +208,7 @@ def _emit_schedule(args, cfg, d: DayScenario, res: OptimResult, regime: str) -> 
             "tau": [sch.commission] * len(d.periods),
             "value": [evaluate(res.objective, s, eq) for s, eq in zip(d.periods, res.equilibria)],
         }
-        emit_table(ResultTable(cols, _meta(cfg, regime, res.objective.value)), args.out)
-        _progress(f"wrote {args.out}")
+        _write_csv(args, cfg, cols, regime, res.objective.value)
     else:
         header, rows = _schedule_rows(d, res)
         _print_table(header, rows)
@@ -220,8 +226,7 @@ def _cmd_optimize(args, cfg: ScenarioConfig) -> int:
         if args.out:
             cols = {"hour": [args.hour], "price": [pol.price], "J": [pol.idle_wage],
                     "tau": [pol.commission], "value": [res.value]}
-            emit_table(ResultTable(cols, _meta(cfg, "single", args.objective)), args.out)
-            _progress(f"wrote {args.out}")
+            _write_csv(args, cfg, cols, "single", args.objective)
         print(
             f"hour {args.hour} {args.objective}: p*={pol.price:.6g} J*={pol.idle_wage:.6g} "
             f"tau*={pol.commission:.6g} value={res.value:.6f}"
@@ -251,22 +256,22 @@ def _cmd_value_vs_tau(args, cfg: ScenarioConfig) -> int:
     curve = value_vs_tau(d, obj, cfg.grid, cfg.solver, args.threads)
     cols = {"tau": [t for t, _ in curve], "total_value": [v for _, v in curve]}
     if args.out:
-        emit_table(ResultTable(cols, _meta(cfg, "value-vs-tau", args.objective)), args.out)
-        _progress(f"wrote {args.out}")
+        _write_csv(args, cfg, cols, "value-vs-tau", args.objective)
     else:
         _print_table(["tau", "total_value"], [[_fmt6(t), _fmt6(v)] for t, v in curve])
     return 0
 
 
-def _table2_grid(cfg: ScenarioConfig) -> GridSpec:
-    import dataclasses
-
-    return dataclasses.replace(cfg.grid, **TABLE2_GRID)
+def _table2_optimum(cfg: ScenarioConfig, b, a4, a19, obj, threads) -> tuple:
+    """(J, tau, value) of the shared-(J, tau) optimum of one two-period row."""
+    g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
+    res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g, cfg.solver, threads)
+    return res.best_schedule.idle_wages[0], res.best_schedule.commission, res.value
 
 
 def _cmd_table2(args, cfg: ScenarioConfig) -> int:
     obj = _objective(args.objective)
-    g = _table2_grid(cfg)
+    g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
     combos = (
         [(b, a4, a19) for b in TABLE2_BETAS for a4, a19 in TABLE2_AB]
         if args.all
@@ -275,51 +280,33 @@ def _cmd_table2(args, cfg: ScenarioConfig) -> int:
     _progress(f"table2: {len(combos)} rows, {g.j_values().size * g.tau_values().size} cells each")
     rows = []
     for b, a4, a19 in combos:
-        res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g, cfg.solver, args.threads)
-        sch = res.best_schedule
-        rows.append([b, a4, a19, sch.idle_wages[0], sch.commission, res.value])
-        _progress(f"  beta={b} A=({a4},{a19}): J={sch.idle_wages[0]} tau={sch.commission} "
-                  f"value={res.value:.4f}")
+        J, tau, value = _table2_optimum(cfg, b, a4, a19, obj, args.threads)
+        rows.append([b, a4, a19, J, tau, value])
+        _progress(f"  beta={b} A=({a4},{a19}): J={J} tau={tau} value={value:.4f}")
+    names = ["beta", "A4", "A19", "J", "tau", "value"]
     if args.out:
-        cols = {
-            "beta": [r[0] for r in rows], "A4": [r[1] for r in rows],
-            "A19": [r[2] for r in rows], "J": [r[3] for r in rows],
-            "tau": [r[4] for r in rows], "value": [r[5] for r in rows],
-        }
-        emit_table(ResultTable(cols, _meta(cfg, "table2", args.objective)), args.out)
-        _progress(f"wrote {args.out}")
+        _write_csv(args, cfg, _columns(names, rows), "table2", args.objective)
     else:
-        _print_table(
-            ["beta", "A4", "A19", "J", "tau", "value"],
-            [[_fmt6(c) for c in r] for r in rows],
-        )
+        _print_table(names, [[_fmt6(c) for c in r] for r in rows])
     return 0
 
 
 def _cmd_analytic(args, cfg: ScenarioConfig) -> int:
-    from .analytic import _profit_high, _profit_low
-
     ex = TwoPeriodExample(args.epsilon)
     flex = flexible_optimum(ex)
     a, b, c = case_a_idle_only(ex), case_b_no_idle(ex), case_c_joint(ex)
     # flexible rows report the per-period pieces; the other cases share (tau, J)
     rows = [
-        ("flexible_high", flex["J_high"], 1.0, _profit_high(ex.epsilon, 1.0, flex["J_high"])),
-        ("flexible_low", flex["J_low"], 1.0, _profit_low(ex.epsilon, 1.0, flex["J_low"])),
+        ("flexible_high", flex["J_high"], 1.0, flex["profit_high"]),
+        ("flexible_low", flex["J_low"], 1.0, flex["profit_low"]),
         ("a_idle_only", a["J"], 1.0, a["profit"]),
         ("b_no_idle", 0.0, b["tau"], b["profit"]),
         ("c_joint", c["J"], c["tau"], c["profit"]),
     ]
     if args.out:
-        cols = {
-            "epsilon": [args.epsilon] * len(rows),
-            "case": [r[0] for r in rows],
-            "J": [r[1] for r in rows],
-            "tau": [r[2] for r in rows],
-            "profit": [r[3] for r in rows],
-        }
-        emit_table(ResultTable(cols, _meta(cfg, "analytic", "profit")), args.out)
-        _progress(f"wrote {args.out}")
+        names = ["epsilon", "case", "J", "tau", "profit"]
+        _write_csv(args, cfg, _columns(names, [(args.epsilon, *r) for r in rows]), "analytic",
+                   "profit")
     else:
         print(f"epsilon = {args.epsilon}")
         _print_table(
@@ -330,119 +317,75 @@ def _cmd_analytic(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
-    import dataclasses
-
     os.makedirs(args.outdir, exist_ok=True)
     threads = args.threads
     g, solver = cfg.grid, cfg.solver
+    objectives = (Objective.WELFARE, Objective.PROFIT)
+    sweep_names = ("beta", "objective", "J", "best_value", "best_tau", "tau1_optimal")
 
-    def path(name):
-        return os.path.join(args.outdir, name)
+    def at_beta(b: float) -> ScenarioConfig:
+        return dataclasses.replace(cfg, risk_beta=b)
+
+    def emit(name: str, names, rows) -> None:
+        emit_table(ResultTable(_columns(names, rows), _meta(cfg, name, "both")),
+                   os.path.join(args.outdir, f"{name}.csv"))
 
     # fig1: single-period idle-wage sweep at the evening peak
     _progress("fig1: single-period sweep per beta and objective")
-    cols = {k: [] for k in ("beta", "objective", "J", "best_value", "best_tau", "tau1_optimal")}
-    for b in FIG1_BETAS:
-        s = cfg.period(19)
-        s = dataclasses.replace(s, supply=dataclasses.replace(s.supply, risk_beta=b))
-        for obj in (Objective.WELFARE, Objective.PROFIT):
-            curve = sweep_idle_wage(s, obj, g.j_values(), g, solver, threads)
-            for pt in curve:
-                cols["beta"].append(b)
-                cols["objective"].append(obj.value)
-                cols["J"].append(pt.idle_wage)
-                cols["best_value"].append(pt.value)
-                cols["best_tau"].append(pt.best_tau)
-                cols["tau1_optimal"].append(pt.tau1_optimal)
-    emit_table(ResultTable(cols, _meta(cfg, "fig1", "both")), path("fig1.csv"))
+    emit("fig1", sweep_names, [
+        (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
+        for b in FIG1_BETAS
+        for obj in objectives
+        for pt in sweep_idle_wage(at_beta(b).period(19), obj, g.j_values(), g, solver, threads)
+    ])
 
     # fig2: full-day value against the shared commission
     _progress("fig2: full-day value vs commission per beta and objective")
-    cols = {k: [] for k in ("beta", "objective", "tau", "total_value")}
-    for b in FIG2_BETAS:
-        day = dataclasses.replace(cfg, risk_beta=b).day()
-        for obj in (Objective.WELFARE, Objective.PROFIT):
-            for tau, v in value_vs_tau(day, obj, g, solver, threads):
-                cols["beta"].append(b)
-                cols["objective"].append(obj.value)
-                cols["tau"].append(tau)
-                cols["total_value"].append(v)
-    emit_table(ResultTable(cols, _meta(cfg, "fig2", "both")), path("fig2.csv"))
+    emit("fig2", ("beta", "objective", "tau", "total_value"), [
+        (b, obj.value, tau, v)
+        for b in FIG2_BETAS
+        for obj in objectives
+        for tau, v in value_vs_tau(at_beta(b).day(), obj, g, solver, threads)
+    ])
 
     # fig3: flexible per-hour idle wage (beta plays no role at tau = 1)
     _progress("fig3: flexible per-hour wages")
     day = cfg.day()
     flex_w = optimize_day_flexible(day, Objective.WELFARE, g, solver, threads)
     flex_p = optimize_day_flexible(day, Objective.PROFIT, g, solver, threads)
-    emit_table(
-        ResultTable(
-            {
-                "hour": list(range(1, 25)),
-                "J_welfare": list(flex_w.best_schedule.idle_wages),
-                "J_profit": list(flex_p.best_schedule.idle_wages),
-            },
-            _meta(cfg, "fig3", "both"),
-        ),
-        path("fig3.csv"),
-    )
+    emit("fig3", ("hour", "J_welfare", "J_profit"), list(zip(
+        range(1, 25), flex_w.best_schedule.idle_wages, flex_p.best_schedule.idle_wages
+    )))
 
     # fig4: fixed-day sweep over the shared idle wage
     _progress("fig4: fixed-day sweep per beta and objective")
-    cols = {k: [] for k in ("beta", "objective", "J", "best_value", "best_tau", "tau1_optimal")}
-    tau_vals, j_vals = g.tau_values(), g.j_values()
-    tau1 = int(np.nonzero(tau_vals == 1.0)[0][0])
-    from .optimize import _fixed_period_matrices, _parallel_map
-
-    for b in FIG4_BETAS:
-        day = dataclasses.replace(cfg, risk_beta=b).day()
-        for obj in (Objective.WELFARE, Objective.PROFIT):
-            mats = _parallel_map(
-                lambda s: _fixed_period_matrices(s, obj, g, solver)[0], list(day.periods), threads
-            )
-            total = np.sum(mats, axis=0)  # (n_tau, n_j)
-            for ji, J in enumerate(j_vals):
-                ti = int(np.argmax(total[:, ji]))
-                best = total[ti, ji]
-                cols["beta"].append(b)
-                cols["objective"].append(obj.value)
-                cols["J"].append(float(J))
-                cols["best_value"].append(float(best))
-                cols["best_tau"].append(float(tau_vals[ti]))
-                cols["tau1_optimal"].append(bool(total[tau1, ji] >= best - 1e-9 * max(1.0, abs(best))))
-    emit_table(ResultTable(cols, _meta(cfg, "fig4", "both")), path("fig4.csv"))
+    emit("fig4", sweep_names, [
+        (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
+        for b in FIG4_BETAS
+        for obj in objectives
+        for pt in sweep_day_idle_wage(at_beta(b).day(), obj, g, solver, threads)
+    ])
 
     # fig5: minimum-wage blocks vs the unconstrained flexible day
     _progress("fig5: minimum-wage sweep")
-    cols = {k: [] for k in ("objective", "j_min", "value", "value_unconstrained")}
-    day5 = dataclasses.replace(cfg, risk_beta=FIG5_BETA).day()
-    for obj in (Objective.WELFARE, Objective.PROFIT):
+    day5 = at_beta(FIG5_BETA).day()
+    rows = []
+    for obj in objectives:
         flex = optimize_day_flexible(day5, obj, g, solver, threads)
         for jm in FIG5_JMIN:
             c = BlockConstraint(cfg.blocks.b1, cfg.blocks.b2, jm)
             res = optimize_min_wage(day5, obj, g, c, solver, threads)
-            cols["objective"].append(obj.value)
-            cols["j_min"].append(jm)
-            cols["value"].append(res.value)
-            cols["value_unconstrained"].append(flex.value)
-    emit_table(ResultTable(cols, _meta(cfg, "fig5", "both")), path("fig5.csv"))
+            rows.append((obj.value, jm, res.value, flex.value))
+    emit("fig5", ("objective", "j_min", "value", "value_unconstrained"), rows)
 
     # table2: shared (J, tau) on the published two-period lattice
     _progress("table2: all beta x pool rows")
-    g2 = _table2_grid(cfg)
-    cols = {k: [] for k in ("beta", "A4", "A19", "objective", "J", "tau", "value")}
-    for b in TABLE2_BETAS:
-        for a4, a19 in TABLE2_AB:
-            for obj in (Objective.WELFARE, Objective.PROFIT):
-                res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g2, solver, threads)
-                sch = res.best_schedule
-                cols["beta"].append(b)
-                cols["A4"].append(a4)
-                cols["A19"].append(a19)
-                cols["objective"].append(obj.value)
-                cols["J"].append(sch.idle_wages[0])
-                cols["tau"].append(sch.commission)
-                cols["value"].append(res.value)
-    emit_table(ResultTable(cols, _meta(cfg, "table2", "both")), path("table2.csv"))
+    emit("table2", ("beta", "A4", "A19", "objective", "J", "tau", "value"), [
+        (b, a4, a19, obj.value, *_table2_optimum(cfg, b, a4, a19, obj, threads))
+        for b in TABLE2_BETAS
+        for a4, a19 in TABLE2_AB
+        for obj in objectives
+    ])
     _progress(f"wrote 6 files to {args.outdir}")
     return 0
 

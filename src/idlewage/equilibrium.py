@@ -29,6 +29,7 @@ import numpy as np
 
 from .model import (
     PeriodScenario,
+    _require_finite,
     demand,
     idle_from_time,
     supply,
@@ -56,6 +57,7 @@ class PolicyPoint:
     commission: float
 
     def __post_init__(self):
+        _require_finite(self, "price", "idle_wage", "commission")
         if self.price < 0:
             raise ValueError("price must be >= 0")
         if self.idle_wage < 0:
@@ -100,6 +102,7 @@ class SolverConfig:
     tol_eq: float = 1e-8
 
     def __post_init__(self):
+        _require_finite(self, "z_min", "z_max", "scan_points", "bisect_tol", "tol_eq")
         if not 0 < self.z_min < self.z_max:
             raise ValueError("need 0 < z_min < z_max")
         if self.scan_points < 2:
@@ -127,11 +130,8 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ValueError("pickup time z must be > 0")
-    Q = demand(s.demand, pol.price, z)
-    I = idle_from_time(s.pickup, z)
-    L1 = I + (s.trip_time + z) * Q
-    e = (1.0 - pol.commission) * pol.price * Q / L1
-    r = supply(s.supply, e, pol.idle_wage) - L1
+    _, _, _, L, e = equilibrium_components(s, pol.commission, pol.price, z)
+    r = supply(s.supply, e, pol.idle_wage) - L
     return float(r) if np.ndim(r) == 0 else r
 
 
@@ -152,6 +152,22 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 _MAX_BISECT_ITER = 160
 
 
+# The model formulas again, beside their reference (equilibrium_components):
+# the scan table needs demand as a separable exp-product over (price x z).
+def _kernel(s: PeriodScenario, p, z):
+    """(L1, G, H) at broadcast (p, z): labour L1(z), untaxed earnings base
+    p*Q/L1, and supply margin c*(L1/A)**(1/eps) with c = 1 + 1/eps."""
+    d, pk, sp = s.demand, s.pickup, s.supply
+    iz = np.power(z / pk.k_T, 1.0 / pk.alpha_T)
+    E = np.exp(d.beta_p * p) * np.exp(d.kappa + d.beta_T * z)
+    Q = d.lambda_max * (E / (1.0 + E))
+    L1 = iz + (s.trip_time + z) * Q
+    G = p * Q / L1
+    c = 1.0 + 1.0 / sp.elasticity
+    H = c * np.power(L1 / sp.pool_size, 1.0 / sp.elasticity)
+    return L1, G, H
+
+
 @dataclass
 class PeriodTables:
     """Scan tables for one period over a fixed price grid (read-only)."""
@@ -167,34 +183,21 @@ class PeriodTables:
     def build(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
         p = np.asarray(p, dtype=float)
         z = cfg.z_grid()
-        d, pk, sp = s.demand, s.pickup, s.supply
-        iz = np.power(z / pk.k_T, 1.0 / pk.alpha_T)
-        serve = s.trip_time + z
-        E = np.exp(d.beta_p * p)[:, None] * np.exp(d.kappa + d.beta_T * z)[None, :]
-        Q = d.lambda_max * (E / (1.0 + E))
-        L1 = iz[None, :] + serve[None, :] * Q
-        G = p[:, None] * Q / L1
-        c = 1.0 + 1.0 / sp.elasticity
-        H = c * np.power(L1 / sp.pool_size, 1.0 / sp.elasticity)
+        _, G, H = _kernel(s, p[:, None], z[None, :])
         return PeriodTables(s, cfg, p, z, G, H)
 
 
 def _margin_and_residual(s: PeriodScenario, coef: float, J, p, z):
     """Pointwise wage margin W and residual at (p, z) for earnings weight coef.
 
-    coef is risk_beta * (1 - tau); expressions mirror PeriodTables.build
-    element for element.
+    coef is risk_beta * (1 - tau); the kernel is the one PeriodTables.build
+    uses, so scan and refinement agree element for element.
     """
-    d, pk, sp = s.demand, s.pickup, s.supply
-    iz = np.power(z / pk.k_T, 1.0 / pk.alpha_T)
-    E = np.exp(d.beta_p * p) * np.exp(d.kappa + d.beta_T * z)
-    Q = d.lambda_max * (E / (1.0 + E))
-    L1 = iz + (s.trip_time + z) * Q
-    G = p * Q / L1
+    sp = s.supply
+    L1, G, H = _kernel(s, p, z)
     c = 1.0 + 1.0 / sp.elasticity
-    W = c * np.power(L1 / sp.pool_size, 1.0 / sp.elasticity) - coef * G
     resid = sp.pool_size * np.power((coef * G + J) / c, sp.elasticity) - L1
-    return W, resid
+    return H - coef * G, resid
 
 
 @dataclass

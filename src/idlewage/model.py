@@ -7,10 +7,19 @@ explicit (``T = inf`` means no service, ``I = 0`` means no idle drivers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
+
+
+def _require_finite(obj, *names) -> None:
+    """Raise ValueError naming the first field of obj holding a NaN or infinity."""
+    for name in names:
+        value = getattr(obj, name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,7 @@ class DemandParams:
     beta_T: float
 
     def __post_init__(self):
+        _require_finite(self, "lambda_max", "kappa", "beta_p", "beta_T")
         if self.lambda_max < 0:
             raise ValueError("lambda_max must be >= 0")
         if self.beta_p >= 0:
@@ -49,6 +59,7 @@ class PickupParams:
     alpha_T: float
 
     def __post_init__(self):
+        _require_finite(self, "k_T", "alpha_T")
         if self.k_T <= 0:
             raise ValueError("k_T must be > 0")
         if self.alpha_T >= 0:
@@ -69,6 +80,7 @@ class SupplyParams:
     elasticity: float
 
     def __post_init__(self):
+        _require_finite(self, "pool_size", "risk_beta", "elasticity")
         if self.pool_size <= 0:
             raise ValueError("pool_size must be > 0")
         if not 0 < self.risk_beta <= 1:
@@ -87,6 +99,7 @@ class PeriodScenario:
     trip_time: float
 
     def __post_init__(self):
+        _require_finite(self, "trip_time")
         if self.trip_time <= 0:
             raise ValueError("trip_time must be > 0")
 

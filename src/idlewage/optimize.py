@@ -5,18 +5,20 @@ per-hour idle wages (commission fixed at 1, where nothing is lost); a day
 with one shared (J, tau); and a day with per-hour idle wages subject to a
 minimum-wage constraint on a pair of cyclic hour blocks.
 
-Every grid cell is evaluated through the bracketing equilibrium solver,
-the objective-maximizing equilibrium is kept per cell, and ties between
-cells break lexicographically on ascending (p, J, tau), so results are
-deterministic for any degree of evaluation parallelism (grid cells are
-pure and independent; reduction order is fixed).
+Every regime reduces one object, a period's value table: the best value
+over the price grid at each (tau, J) cell, with the winning price and
+equilibrium.  Every grid cell is evaluated through the bracketing
+equilibrium solver and the objective-maximizing equilibrium is kept per
+cell.  Ties between cells break lexicographically through one helper,
+``_lex_first``, so results are deterministic for any degree of evaluation
+parallelism (grid cells are pure and independent; reduction order is fixed).
 """
 
 from __future__ import annotations
 
 import enum
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .equilibrium import (
     solve_slice,
     zero_equilibrium,
 )
-from .model import DayScenario, PeriodScenario
+from .model import DayScenario, PeriodScenario, _require_finite
 from .objectives import Objective, evaluate, profit_values, welfare_values
 
 __all__ = [
@@ -42,9 +44,14 @@ __all__ = [
     "Regime",
     "OptimResult",
     "SweepPoint",
+    "DaySweepPoint",
+    "ValueTable",
     "InfeasibleError",
+    "value_table",
+    "day_value_tables",
     "optimize_single_period",
     "sweep_idle_wage",
+    "sweep_day_idle_wage",
     "optimize_day_flexible",
     "value_vs_tau",
     "optimize_day_fixed",
@@ -52,6 +59,9 @@ __all__ = [
     "block_wage_max",
     "optimize_min_wage",
 ]
+
+# Relative tolerance within which tau = 1 counts as attaining a sweep maximum.
+_TIE_TOL = 1e-9
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -73,6 +83,7 @@ class GridSpec:
     tau_step: float = 0.05
 
     def __post_init__(self):
+        _require_finite(self, "p_min", "p_max", "p_step", "j_min", "j_max", "j_step", "tau_step")
         for name in ("p_step", "j_step", "tau_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -100,6 +111,7 @@ class DaySchedule:
     commission: float
 
     def __post_init__(self):
+        _require_finite(self, "prices", "idle_wages", "commission")
         if len(self.prices) != len(self.idle_wages):
             raise ValueError("prices and idle_wages must have equal length")
         if any(p < 0 for p in self.prices) or any(j < 0 for j in self.idle_wages):
@@ -117,6 +129,7 @@ class BlockConstraint:
     j_min: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "b1", "b2", "j_min")
         if self.b1 < 1 or self.b2 < 1:
             raise ValueError("block lengths must be >= 1")
         if self.b1 + self.b2 > 24:
@@ -152,6 +165,16 @@ class SweepPoint:
     tau1_optimal: bool
 
 
+@dataclass(frozen=True)
+class DaySweepPoint:
+    """Best day total at one shared idle wage, optimizing commission and prices."""
+
+    idle_wage: float
+    value: float
+    best_tau: float
+    tau1_optimal: bool
+
+
 class InfeasibleError(RuntimeError):
     """The min-wage constraint admits no schedule worth operating."""
 
@@ -163,27 +186,43 @@ def _parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _lex_first(*keys) -> int:
+    """Flat index of the lexicographically smallest key tuple.
+
+    keys[0] is compared first; the keys broadcast to one shape and the
+    index runs over it in C order.  Exact ties go to the first index.
+    """
+    keys = np.broadcast_arrays(*keys)
+    return int(np.lexsort([k.ravel() for k in reversed(keys)])[0])
+
+
+def _tau1_ties(values: np.ndarray, best: float) -> bool:
+    """Whether tau = 1, last in a tau column, attains best within _TIE_TOL relatively."""
+    return bool(values[-1] >= best - _TIE_TOL * max(1.0, abs(best)))
+
+
 # ---------------------------------------------------------------------------
-# Cell evaluation
+# The value table
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SliceBest:
-    """Per-idle-wage winners over the price grid, for one commission value.
+class ValueTable:
+    """Best value over the price grid per cell, with its price index and root.
 
-    z is the winning equilibrium's pickup-time root; NaN marks the
-    shutdown equilibrium (only possible at J = 0).
+    Arrays are (n_j,) for one commission and (n_tau, n_j) for a table.  z
+    is the winning equilibrium's pickup-time root; NaN marks the shutdown
+    equilibrium (only possible at J = 0).
     """
 
-    values: np.ndarray   # (n_j,)
-    p_idx: np.ndarray    # (n_j,)
-    z: np.ndarray        # (n_j,)
+    values: np.ndarray
+    p_idx: np.ndarray
+    z: np.ndarray
 
 
 def _best_over_prices(
     tables: PeriodTables, j_values: np.ndarray, tau: float, obj: Objective
-) -> SliceBest:
+) -> ValueTable:
     """Evaluate every (p, J) cell at one tau and keep the best price per J.
 
     Within a cell the objective-maximizing equilibrium is selected (ties:
@@ -225,7 +264,52 @@ def _best_over_prices(
 
     best_p = np.argmax(V, axis=1)
     rows = np.arange(n_j)
-    return SliceBest(V[rows, best_p], best_p, Z[rows, best_p])
+    return ValueTable(V[rows, best_p], best_p, Z[rows, best_p])
+
+
+def value_table(
+    s: PeriodScenario,
+    obj: Objective,
+    g: GridSpec = GridSpec(),
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    threads: int = 1,
+    tau_values=None,
+    j_values=None,
+) -> ValueTable:
+    """One period's (n_tau, n_j) table of the best value over g's price grid.
+
+    tau_values and j_values default to g's grids; the commissions are
+    evaluated in parallel.
+    """
+    taus = g.tau_values() if tau_values is None else tau_values
+    js = g.j_values() if j_values is None else np.asarray(j_values, dtype=float)
+    tables = PeriodTables.build(s, g.p_values(), cfg)
+    rows = _parallel_map(lambda tau: _best_over_prices(tables, js, tau, obj), list(taus), threads)
+    return ValueTable(
+        np.stack([r.values for r in rows]),
+        np.stack([r.p_idx for r in rows]),
+        np.stack([r.z for r in rows]),
+    )
+
+
+def day_value_tables(
+    d: DayScenario,
+    obj: Objective,
+    g: GridSpec = GridSpec(),
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    threads: int = 1,
+    tau_values=None,
+) -> list[ValueTable]:
+    """:func:`value_table` of every period of the day, in period order.
+
+    Each distinct period is evaluated once; periods run in parallel.
+    """
+    unique = list(dict.fromkeys(d.periods))
+    tables = _parallel_map(
+        lambda s: value_table(s, obj, g, cfg, tau_values=tau_values), unique, threads
+    )
+    by_period = dict(zip(unique, tables))
+    return [by_period[s] for s in d.periods]
 
 
 def _winner_equilibrium(
@@ -235,6 +319,17 @@ def _winner_equilibrium(
     if np.isnan(z):
         return zero_equilibrium(pol)
     return equilibrium_at(s, pol, z)
+
+
+def _day_result(regime: Regime, obj: Objective, d: DayScenario, eqs) -> OptimResult:
+    """The day schedule read off per-period winners sharing one commission."""
+    schedule = DaySchedule(
+        prices=tuple(eq.policy.price for eq in eqs),
+        idle_wages=tuple(eq.policy.idle_wage for eq in eqs),
+        commission=eqs[0].policy.commission,
+    )
+    value = float(sum(evaluate(obj, s, eq) for s, eq in zip(d.periods, eqs)))
+    return OptimResult(regime, obj, schedule, tuple(eqs), value)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +346,11 @@ def optimize_single_period(
 ) -> OptimResult:
     """Maximize the objective over the full (p, J, tau) grid for one period."""
     p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    tables = PeriodTables.build(s, p_vals, cfg)
-    slices = _parallel_map(
-        lambda tau: _best_over_prices(tables, j_vals, tau, obj), list(tau_vals), threads
+    t = value_table(s, obj, g, cfg, threads)
+    ti, ji = divmod(
+        _lex_first(-t.values, p_vals[t.p_idx], j_vals, tau_vals[:, None]), j_vals.size
     )
-    best_key, best = None, None
-    for ti, sl in enumerate(slices):
-        for ji in range(j_vals.size):
-            key = (-sl.values[ji], p_vals[sl.p_idx[ji]], j_vals[ji], tau_vals[ti])
-            if best_key is None or key < best_key:
-                best_key, best = key, (ti, ji)
-    ti, ji = best
-    sl = slices[ti]
-    eq = _winner_equilibrium(s, p_vals[sl.p_idx[ji]], j_vals[ji], tau_vals[ti], sl.z[ji])
+    eq = _winner_equilibrium(s, p_vals[t.p_idx[ti, ji]], j_vals[ji], tau_vals[ti], t.z[ti, ji])
     value = evaluate(obj, s, eq)
     return OptimResult(Regime.SINGLE_PERIOD, obj, eq.policy, (eq,), value)
 
@@ -275,58 +362,49 @@ def sweep_idle_wage(
     g: GridSpec = GridSpec(),
     cfg: SolverConfig = DEFAULT_SOLVER,
     threads: int = 1,
-    tie_tol: float = 1e-9,
 ) -> list[SweepPoint]:
     """Best value per idle wage when price and commission are optimized.
 
-    Each point is flagged when tau = 1 attains the per-J maximum within
-    ``tie_tol`` (relative to the value scale).
+    Each point is flagged when tau = 1 attains the per-J maximum within a
+    relative tolerance of 1e-9.
     """
     j_vals = np.asarray(J_values, dtype=float)
     if np.any(j_vals < g.j_min) or np.any(j_vals > g.j_max):
         raise ValueError("J_values must lie within the grid's idle-wage range")
     p_vals, tau_vals = g.p_values(), g.tau_values()
-    tables = PeriodTables.build(s, p_vals, cfg)
-    slices = _parallel_map(
-        lambda tau: _best_over_prices(tables, j_vals, tau, obj), list(tau_vals), threads
-    )
-    tau1 = int(np.nonzero(tau_vals == 1.0)[0][0])
+    t = value_table(s, obj, g, cfg, threads, j_values=j_vals)
     out = []
     for ji, J in enumerate(j_vals):
-        best_key = None
-        for ti in range(tau_vals.size):
-            sl = slices[ti]
-            # ties: smallest price, then smallest commission
-            key = (-sl.values[ji], p_vals[sl.p_idx[ji]], tau_vals[ti])
-            if best_key is None or key < best_key:
-                best_key = key
-        best_val = -best_key[0]
-        tol = tie_tol * max(1.0, abs(best_val))
-        out.append(
-            SweepPoint(
-                idle_wage=float(J),
-                value=float(best_val),
-                best_tau=float(best_key[2]),
-                best_price=float(best_key[1]),
-                tau1_optimal=bool(slices[tau1].values[ji] >= best_val - tol),
-            )
-        )
+        V, price = t.values[:, ji], p_vals[t.p_idx[:, ji]]
+        ti = _lex_first(-V, price, tau_vals)
+        out.append(SweepPoint(
+            float(J), float(V[ti]), float(tau_vals[ti]), float(price[ti]), _tau1_ties(V, V[ti])
+        ))
     return out
 
 
-def _flexible_period(
-    s: PeriodScenario, obj: Objective, g: GridSpec, cfg: SolverConfig
-) -> tuple[float, float, float, float]:
-    """Best (p, J) at tau = 1 for one period: (price, wage, z, value)."""
-    p_vals, j_vals = g.p_values(), g.j_values()
-    tables = PeriodTables.build(s, p_vals, cfg)
-    sl = _best_over_prices(tables, j_vals, 1.0, obj)
-    best_key, best_ji = None, None
-    for ji in range(j_vals.size):
-        key = (-sl.values[ji], p_vals[sl.p_idx[ji]], j_vals[ji])
-        if best_key is None or key < best_key:
-            best_key, best_ji = key, ji
-    return p_vals[sl.p_idx[best_ji]], j_vals[best_ji], sl.z[best_ji], -best_key[0]
+def sweep_day_idle_wage(
+    d: DayScenario,
+    obj: Objective,
+    g: GridSpec = GridSpec(),
+    cfg: SolverConfig = DEFAULT_SOLVER,
+    threads: int = 1,
+) -> list[DaySweepPoint]:
+    """Best day total per shared idle wage on g's wage grid.
+
+    The commission is shared by the day and every period's price is free;
+    ties go to the smallest commission.  Each point is flagged when tau = 1
+    attains the per-J maximum within the tolerance of
+    :func:`sweep_idle_wage`.
+    """
+    tau_vals = g.tau_values()
+    total = np.sum([t.values for t in day_value_tables(d, obj, g, cfg, threads)], axis=0)
+    out = []
+    for ji, J in enumerate(g.j_values()):
+        V = total[:, ji]
+        ti = _lex_first(-V, tau_vals)
+        out.append(DaySweepPoint(float(J), float(V[ti]), float(tau_vals[ti]), _tau1_ties(V, V[ti])))
+    return out
 
 
 def optimize_day_flexible(
@@ -342,20 +420,12 @@ def optimize_day_flexible(
     the idle wage is optimal, so each period is optimized independently
     over (p, J) at tau = 1.
     """
-    picks = _parallel_map(
-        lambda s: _flexible_period(s, obj, g, cfg), list(d.periods), threads
-    )
-    eqs = tuple(
-        _winner_equilibrium(s, p, J, 1.0, z)
-        for s, (p, J, z, _) in zip(d.periods, picks)
-    )
-    value = float(sum(evaluate(obj, s, eq) for s, eq in zip(d.periods, eqs)))
-    schedule = DaySchedule(
-        prices=tuple(float(p) for p, _, _, _ in picks),
-        idle_wages=tuple(float(J) for _, J, _, _ in picks),
-        commission=1.0,
-    )
-    return OptimResult(Regime.FLEXIBLE_J, obj, schedule, eqs, value)
+    p_vals, j_vals = g.p_values(), g.j_values()
+    eqs = []
+    for s, t in zip(d.periods, day_value_tables(d, obj, g, cfg, threads, tau_values=[1.0])):
+        ji = _lex_first(-t.values[0], p_vals[t.p_idx[0]], j_vals)
+        eqs.append(_winner_equilibrium(s, p_vals[t.p_idx[0, ji]], j_vals[ji], 1.0, t.z[0, ji]))
+    return _day_result(Regime.FLEXIBLE_J, obj, d, eqs)
 
 
 def value_vs_tau(
@@ -366,36 +436,9 @@ def value_vs_tau(
     threads: int = 1,
 ) -> list[tuple[float, float]]:
     """Total day value per commission, optimizing (p, J) per period."""
-    p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-
-    def period_curve(s: PeriodScenario) -> np.ndarray:
-        tables = PeriodTables.build(s, p_vals, cfg)
-        return np.array(
-            [
-                _best_over_prices(tables, j_vals, tau, obj).values.max()
-                for tau in tau_vals
-            ]
-        )
-
-    unique = list(dict.fromkeys(d.periods))
-    curves = dict(zip(unique, _parallel_map(period_curve, unique, threads)))
-    total = np.sum([curves[s] for s in d.periods], axis=0)
-    return [(float(t), float(v)) for t, v in zip(tau_vals, total)]
-
-
-def _fixed_period_matrices(
-    s: PeriodScenario, obj: Objective, g: GridSpec, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, price-index, z) matrices over (tau, J) cells for one period."""
-    p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    tables = PeriodTables.build(s, p_vals, cfg)
-    V = np.empty((tau_vals.size, j_vals.size))
-    P = np.empty_like(V, dtype=int)
-    Z = np.empty_like(V)
-    for ti, tau in enumerate(tau_vals):
-        sl = _best_over_prices(tables, j_vals, tau, obj)
-        V[ti], P[ti], Z[ti] = sl.values, sl.p_idx, sl.z
-    return V, P, Z
+    tables = day_value_tables(d, obj, g, cfg, threads)
+    total = np.sum([t.values.max(axis=1) for t in tables], axis=0)
+    return [(float(t), float(v)) for t, v in zip(g.tau_values(), total)]
 
 
 def optimize_day_fixed(
@@ -407,28 +450,14 @@ def optimize_day_fixed(
 ) -> OptimResult:
     """One (J, tau) shared by the whole day, per-period prices free."""
     p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    per_period = _parallel_map(
-        lambda s: _fixed_period_matrices(s, obj, g, cfg), list(d.periods), threads
-    )
-    total = np.sum([V for V, _, _ in per_period], axis=0)
-    best_key, best = None, None
-    for ti in range(tau_vals.size):
-        for ji in range(j_vals.size):
-            key = (-total[ti, ji], j_vals[ji], tau_vals[ti])
-            if best_key is None or key < best_key:
-                best_key, best = key, (ti, ji)
-    ti, ji = best
-    eqs = tuple(
-        _winner_equilibrium(s, p_vals[P[ti, ji]], j_vals[ji], tau_vals[ti], Z[ti, ji])
-        for s, (_, P, Z) in zip(d.periods, per_period)
-    )
-    value = float(sum(evaluate(obj, s, eq) for s, eq in zip(d.periods, eqs)))
-    schedule = DaySchedule(
-        prices=tuple(eq.policy.price for eq in eqs),
-        idle_wages=tuple(float(j_vals[ji]) for _ in eqs),
-        commission=float(tau_vals[ti]),
-    )
-    return OptimResult(Regime.FIXED_J_TAU, obj, schedule, eqs, value)
+    tables = day_value_tables(d, obj, g, cfg, threads)
+    total = np.sum([t.values for t in tables], axis=0)
+    ti, ji = divmod(_lex_first(-total, j_vals, tau_vals[:, None]), j_vals.size)
+    eqs = [
+        _winner_equilibrium(s, p_vals[t.p_idx[ti, ji]], j_vals[ji], tau_vals[ti], t.z[ti, ji])
+        for s, t in zip(d.periods, tables)
+    ]
+    return _day_result(Regime.FIXED_J_TAU, obj, d, eqs)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +472,12 @@ def _block_indices(h: int, b: int) -> list[int]:
 
 def admissible_blocks(b1: int, b2: int) -> set[tuple[int, int]]:
     """Start-hour pairs (h1, h2) whose cyclic blocks do not overlap."""
-    pairs = set()
-    for h1 in range(1, 25):
-        block1 = set(_block_indices(h1, b1))
-        for h2 in range(1, 25):
-            if block1.isdisjoint(_block_indices(h2, b2)):
-                pairs.add((h1, h2))
-    return pairs
+    return {
+        (h1, h2)
+        for h1 in range(1, 25)
+        for h2 in range(1, 25)
+        if set(_block_indices(h1, b1)).isdisjoint(_block_indices(h2, b2))
+    }
 
 
 def block_wage_max(J, b1: int = 4, b2: int = 4) -> tuple[float, tuple[int, int]]:
@@ -462,15 +490,15 @@ def block_wage_max(J, b1: int = 4, b2: int = 4) -> tuple[float, tuple[int, int]]
         raise ValueError("block_wage_max needs a 24-hour wage vector")
     if np.any(J < 0):
         raise ValueError("idle wages must be >= 0")
-    best_key = None
-    for h1, h2 in sorted(admissible_blocks(b1, b2)):
-        total = J[_block_indices(h1, b1)].sum() + J[_block_indices(h2, b2)].sum()
-        key = (-total, h1, h2)
-        if best_key is None or key < best_key:
-            best_key = key
-    if best_key is None:
+    pairs = sorted(admissible_blocks(b1, b2))
+    if not pairs:
         raise ValueError(f"no admissible block pair for lengths ({b1}, {b2})")
-    return -best_key[0], (best_key[1], best_key[2])
+    totals = np.array(
+        [J[_block_indices(h1, b1)].sum() + J[_block_indices(h2, b2)].sum() for h1, h2 in pairs]
+    )
+    h1s, h2s = np.array(pairs).T
+    i = _lex_first(-totals, h1s, h2s)
+    return totals[i], pairs[i]
 
 
 def optimize_min_wage(
@@ -502,9 +530,7 @@ def optimize_min_wage(
             raise InfeasibleError(
                 "optimize_min_wage: best constrained schedule is worth less than shutdown"
             )
-        return OptimResult(
-            Regime.MIN_WAGE_BLOCKS, obj, flex.best_schedule, flex.equilibria, flex.value
-        )
+        return replace(flex, regime=Regime.MIN_WAGE_BLOCKS)
 
     hours = _block_indices(pair[0], c.b1) + _block_indices(pair[1], c.b2)
     J_new = J0.copy()
@@ -519,13 +545,11 @@ def optimize_min_wage(
         J_new[hours] = c.j_min / len(hours)
 
     p_vals = g.p_values()
-    prices = list(flex.best_schedule.prices)
     eqs = list(flex.equilibria)
     for h in hours:
         s = d.periods[h]
-        tables = PeriodTables.build(s, p_vals, cfg)
         try:
-            sl = _best_over_prices(tables, np.array([J_new[h]]), 1.0, obj)
+            t = value_table(s, obj, g, cfg, tau_values=[1.0], j_values=[J_new[h]])
         except BracketingError as exc:
             # The scaled wage floods the market past the scan window's
             # million-drivers-at-instant-pickup end: certainly worth less
@@ -534,19 +558,13 @@ def optimize_min_wage(
                 f"optimize_min_wage: scaled block wage {J_new[h]:.3g} pushes the "
                 "equilibrium outside the economic range; constraint infeasible"
             ) from exc
-        prices[h] = float(p_vals[sl.p_idx[0]])
-        eqs[h] = _winner_equilibrium(s, prices[h], J_new[h], 1.0, sl.z[0])
+        eqs[h] = _winner_equilibrium(s, p_vals[t.p_idx[0, 0]], J_new[h], 1.0, t.z[0, 0])
 
-    value = float(sum(evaluate(obj, s, eq) for s, eq in zip(d.periods, eqs)))
-    if value < 0:
+    res = _day_result(Regime.MIN_WAGE_BLOCKS, obj, d, eqs)
+    if res.value < 0:
         raise InfeasibleError(
             "optimize_min_wage: best constrained schedule is worth less than shutdown"
         )
     certified, _ = block_wage_max(J_new, c.b1, c.b2)
     assert certified >= c.j_min
-    schedule = DaySchedule(
-        prices=tuple(prices),
-        idle_wages=tuple(float(j) for j in J_new),
-        commission=1.0,
-    )
-    return OptimResult(Regime.MIN_WAGE_BLOCKS, obj, schedule, tuple(eqs), value)
+    return res

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -153,6 +154,15 @@ def _build_section(cls, data: dict, section: str):
         raise ValidationError(f"{section}: {exc}") from exc
 
 
+def _finite_object(pairs: list) -> dict:
+    """JSON object hook rejecting NaN/Infinity literals and overflowing numbers."""
+    for key, value in pairs:
+        for v in value if isinstance(value, list) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValidationError(f"{key} must be finite, got {v}")
+    return dict(pairs)
+
+
 def load_config(path) -> ScenarioConfig:
     """Read a JSON config; absent keys fall back to the built-in defaults.
 
@@ -165,7 +175,7 @@ def load_config(path) -> ScenarioConfig:
     if not text.strip():
         return default_config()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_finite_object)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

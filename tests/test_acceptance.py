@@ -299,14 +299,8 @@ def test_criterion_08_sweep_shapes():
     day = iw.builtin_day(risk_beta=1.0)
     resp = iw.optimize_day_fixed(day, Objective.PROFIT, GRID, SOLVER, threads=THREADS)
     ok_p = resp.best_schedule.idle_wages[0] == 0.0
-    from idlewage.optimize import _fixed_period_matrices, _parallel_map
-
-    mats = _parallel_map(
-        lambda sc: _fixed_period_matrices(sc, Objective.WELFARE, GRID, SOLVER)[0],
-        list(day.periods), THREADS,
-    )
-    total = np.sum(mats, axis=0)
-    best_by_j = total.max(axis=0)
+    sweep = iw.sweep_day_idle_wage(day, Objective.WELFARE, GRID, SOLVER, threads=THREADS)
+    best_by_j = np.array([pt.value for pt in sweep])
     kw = int(np.argmax(best_by_j))
     delta_w = abs(best_by_j[kw] - best_by_j[max(kw - 1, 0)])
     ok_w = best_by_j[0] >= best_by_j[kw] - max(delta_w, 1e-9)

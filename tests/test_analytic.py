@@ -32,7 +32,9 @@ class TestFlexible:
     @pytest.mark.parametrize("eps", [0.5, 0.72, 2.0])
     def test_wages_are_premium_independent(self, eps):
         out = flexible_optimum(TwoPeriodExample(eps))
-        assert out == {"J_high": 0.5, "J_low": 0.125}
+        assert (out["J_high"], out["J_low"]) == (0.5, 0.125)
+        assert out["profit_high"] == pytest.approx((1 + eps) / 4, abs=TOL)
+        assert out["profit_low"] == pytest.approx((1 + eps) / 64, abs=TOL)
 
 
 class TestCaseA:

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
+import idlewage.cli
 from idlewage.cli import main
 
 COARSE_CONFIG = {
@@ -99,6 +102,33 @@ class TestUsageErrors:
     def test_bad_hour(self, capsys):
         rc = main(["equilibrium", "--hour", "25", "--p", "1", "--J", "0.5", "--tau", "1"])
         assert rc == 2
+
+    def test_non_finite_price_names_the_field(self, capsys):
+        rc = main(["equilibrium", "--hour", "19", "--p", "nan", "--J", "0.5", "--tau", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "price" in err and "scan window" not in err
+
+    def test_non_finite_config_value_names_the_key(self, tmp_path, capsys):
+        f = tmp_path / "nan.json"
+        f.write_text('{"grid": {"p_step": NaN}}')
+        rc = main(["optimize", "single", "--objective", "profit", "--config", str(f)])
+        assert rc == 2
+        assert "p_step" in capsys.readouterr().err
+
+
+class TestNoPrivateImports:
+    def test_cli_imports_only_public_idlewage_names(self):
+        tree = ast.parse(inspect.getsource(idlewage.cli))
+        private = [
+            f"line {node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "idlewage")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
+        assert not private, private
 
 
 class TestSweepCommand:

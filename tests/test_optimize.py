@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idlewage import (
     BlockConstraint,
@@ -14,6 +16,7 @@ from idlewage import (
     admissible_blocks,
     block_wage_max,
     builtin_day,
+    day_value_tables,
     find_equilibria,
     optimize_day_fixed,
     optimize_day_flexible,
@@ -21,17 +24,23 @@ from idlewage import (
     optimize_single_period,
     period_for_hour,
     select_equilibrium,
+    sweep_day_idle_wage,
     sweep_idle_wage,
     two_period_day,
     value_vs_tau,
 )
 from idlewage.objectives import evaluate
+from idlewage.optimize import _lex_first
 
 H19 = period_for_hour(19)
 
 # coarse but structurally faithful grid for fast optimizer tests
 COARSE = GridSpec(p_step=0.1, j_step=0.2, tau_step=0.25)
 FAST_SOLVER = SolverConfig(scan_points=1024)
+
+# the reproduce-all determinism config of acceptance criterion 10
+CRIT10 = GridSpec(p_step=0.25, j_step=0.7, tau_step=0.5)
+CRIT10_SOLVER = SolverConfig(scan_points=512)
 
 
 def zero_lambda_period():
@@ -205,6 +214,78 @@ class TestDayFixed:
         vfix = optimize_day_fixed(day, Objective.PROFIT, g, FAST_SOLVER).value
         v0 = optimize_day_fixed(day, Objective.PROFIT, g0, FAST_SOLVER).value
         assert vfix >= v0 - 1e-9
+
+
+# keys drawn from tiny sets so that every key position ties often; -0.0 and
+# 0.0 compare equal, as in a Python tuple comparison
+TIE_KEY = st.sampled_from([-1.5, -0.0, 0.0, 2.0])
+
+
+class TestLexFirst:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(TIE_KEY, TIE_KEY, TIE_KEY), min_size=1, max_size=30))
+    def test_matches_python_min_on_tuples(self, rows):
+        keys = [np.array(k) for k in zip(*rows)]
+        assert _lex_first(*keys) == min(range(len(rows)), key=lambda i: rows[i])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_broadcast_keys_run_in_c_order(self, n_tau, n_j, data):
+        # the single-period key (-V, p, J, tau) over an (n_tau, n_j) table
+        V = np.array(data.draw(st.lists(TIE_KEY, min_size=n_tau * n_j, max_size=n_tau * n_j)))
+        P = np.array(data.draw(st.lists(TIE_KEY, min_size=n_tau * n_j, max_size=n_tau * n_j)))
+        V, P = V.reshape(n_tau, n_j), P.reshape(n_tau, n_j)
+        js, taus = np.arange(n_j) % 2, np.arange(n_tau) % 2
+        flat = _lex_first(-V, P, js, taus[:, None])
+        cells = [(ti, ji) for ti in range(n_tau) for ji in range(n_j)]
+        want = min(cells, key=lambda c: (-V[c], P[c], js[c[1]], taus[c[0]]))
+        assert divmod(flat, n_j) == want
+
+
+class TestDayValueTable:
+    """Day regimes are reductions of the public day table (criterion-10 grid)."""
+
+    @pytest.mark.parametrize("obj", [Objective.PROFIT, Objective.WELFARE])
+    def test_fixed_is_lexicographic_reduction_of_summed_table(self, obj):
+        day = builtin_day()
+        p_vals, j_vals, tau_vals = CRIT10.p_values(), CRIT10.j_values(), CRIT10.tau_values()
+        tables = day_value_tables(day, obj, CRIT10, CRIT10_SOLVER)
+        total = np.sum([t.values for t in tables], axis=0)
+        cells = [(ti, ji) for ti in range(tau_vals.size) for ji in range(j_vals.size)]
+        ti, ji = min(cells, key=lambda c: (-total[c], j_vals[c[1]], tau_vals[c[0]]))
+        res = optimize_day_fixed(day, obj, CRIT10, CRIT10_SOLVER, threads=2)
+        sch = res.best_schedule
+        assert sch.commission == tau_vals[ti]
+        assert sch.idle_wages == (j_vals[ji],) * 24
+        assert sch.prices == tuple(p_vals[t.p_idx[ti, ji]] for t in tables)
+        assert res.value == pytest.approx(total[ti, ji], rel=1e-12)
+
+    @pytest.mark.parametrize("obj", [Objective.PROFIT, Objective.WELFARE])
+    def test_value_vs_tau_is_summed_per_period_max_over_j(self, obj):
+        day = builtin_day()
+        tables = day_value_tables(day, obj, CRIT10, CRIT10_SOLVER)
+        want = np.sum([t.values.max(axis=1) for t in tables], axis=0)
+        curve = value_vs_tau(day, obj, CRIT10, CRIT10_SOLVER, threads=2)
+        assert [t for t, _ in curve] == list(CRIT10.tau_values())
+        assert [v for _, v in curve] == list(want)
+
+    def test_day_sweep_is_per_j_max_of_summed_table(self):
+        day = builtin_day()
+        tables = day_value_tables(day, Objective.WELFARE, CRIT10, CRIT10_SOLVER)
+        total = np.sum([t.values for t in tables], axis=0)
+        sweep = sweep_day_idle_wage(day, Objective.WELFARE, CRIT10, CRIT10_SOLVER, threads=2)
+        tau_vals = CRIT10.tau_values()
+        assert [pt.idle_wage for pt in sweep] == list(CRIT10.j_values())
+        for ji, pt in enumerate(sweep):
+            ti = int(np.argmax(total[:, ji]))
+            assert (pt.value, pt.best_tau) == (total[ti, ji], tau_vals[ti])
+            tol = 1e-9 * max(1.0, abs(pt.value))
+            assert pt.tau1_optimal == bool(total[-1, ji] >= pt.value - tol)
+
+    def test_repeated_periods_share_one_table(self):
+        tables = day_value_tables(DayScenario((H19,) * 3), Objective.PROFIT, COARSE, FAST_SOLVER)
+        assert tables[0] is tables[1] is tables[2]
+        assert tables[0].values.shape == (COARSE.tau_values().size, COARSE.j_values().size)
 
 
 class TestDeterminism:
