@@ -20,7 +20,6 @@ from .equilibrium import BracketingError, PolicyPoint, find_equilibria
 from .model import DayScenario, demand, supply
 from .objectives import Objective, evaluate
 from .optimize import (
-    BlockConstraint,
     GridSpec,
     InfeasibleError,
     OptimResult,
@@ -69,18 +68,20 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _positive_int(text: str) -> int:
+    """A thread count from --threads or IDLEWAGE_THREADS."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _default_threads() -> int:
+    """IDLEWAGE_THREADS when set, else the CPU count."""
     env = os.environ.get("IDLEWAGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _objective(name: str) -> Objective:
-    return Objective.PROFIT if name == "profit" else Objective.WELFARE
+    try:
+        return _positive_int(env) if env else os.cpu_count() or 1
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"IDLEWAGE_THREADS {exc}") from None
 
 
 def _meta(cfg: ScenarioConfig, regime: str, objective: str) -> dict[str, str]:
@@ -165,7 +166,7 @@ def _cmd_equilibrium(args, cfg: ScenarioConfig) -> int:
 
 def _cmd_sweep_j(args, cfg: ScenarioConfig) -> int:
     s = cfg.period(args.hour)
-    obj = _objective(args.objective)
+    obj = Objective(args.objective)
     g = cfg.grid
     j_vals = g.j_values()
     _progress(
@@ -216,7 +217,7 @@ def _emit_schedule(args, cfg, d: DayScenario, res: OptimResult, regime: str) -> 
 
 
 def _cmd_optimize(args, cfg: ScenarioConfig) -> int:
-    obj = _objective(args.objective)
+    obj = Objective(args.objective)
     g, solver = cfg.grid, cfg.solver
     n_cells = g.p_values().size * g.j_values().size * g.tau_values().size
     if args.regime == "single":
@@ -240,7 +241,7 @@ def _cmd_optimize(args, cfg: ScenarioConfig) -> int:
         _progress(f"optimize fixed: 24 periods x {n_cells} cells")
         res = optimize_day_fixed(d, obj, g, solver, args.threads)
     else:
-        c = BlockConstraint(cfg.blocks.b1, cfg.blocks.b2, args.jmin)
+        c = cfg.blocks if args.jmin is None else dataclasses.replace(cfg.blocks, j_min=args.jmin)
         _progress(f"optimize minwage: blocks ({c.b1}, {c.b2}), floor {c.j_min}")
         res = optimize_min_wage(d, obj, g, c, solver, args.threads)
         m, pair = block_wage_max(res.best_schedule.idle_wages, c.b1, c.b2)
@@ -250,7 +251,7 @@ def _cmd_optimize(args, cfg: ScenarioConfig) -> int:
 
 
 def _cmd_value_vs_tau(args, cfg: ScenarioConfig) -> int:
-    obj = _objective(args.objective)
+    obj = Objective(args.objective)
     d = cfg.day()
     _progress(f"value-vs-tau: 24 periods x {cfg.grid.tau_values().size} commissions")
     curve = value_vs_tau(d, obj, cfg.grid, cfg.solver, args.threads)
@@ -270,7 +271,7 @@ def _table2_optimum(cfg: ScenarioConfig, b, a4, a19, obj, threads) -> tuple:
 
 
 def _cmd_table2(args, cfg: ScenarioConfig) -> int:
-    obj = _objective(args.objective)
+    obj = Objective(args.objective)
     g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
     combos = (
         [(b, a4, a19) for b in TABLE2_BETAS for a4, a19 in TABLE2_AB]
@@ -373,7 +374,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     for obj in objectives:
         flex = optimize_day_flexible(day5, obj, g, solver, threads)
         for jm in FIG5_JMIN:
-            c = BlockConstraint(cfg.blocks.b1, cfg.blocks.b2, jm)
+            c = dataclasses.replace(cfg.blocks, j_min=jm)
             res = optimize_min_wage(day5, obj, g, c, solver, threads)
             rows.append((obj.value, jm, res.value, flex.value))
     emit("fig5", ("objective", "j_min", "value", "value_unconstrained"), rows)
@@ -405,10 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, objective=True):
         p.add_argument("--config", help="JSON config file (defaults built in)")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="parallel evaluation threads (wall time only; results identical)")
-        p.add_argument("--seedless-deterministic", action="store_true",
-                       help="document that runs are deterministic without seeds (always on)")
+        p.add_argument("--threads", type=_positive_int,
+                       help="parallel evaluation threads (wall time only; results identical; "
+                            "default IDLEWAGE_THREADS, else the CPU count)")
         p.add_argument("--out", help="write machine-readable CSV here")
         if objective:
             p.add_argument("--objective", choices=["profit", "welfare"], required=True)
@@ -428,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("regime", choices=["single", "flexible", "fixed", "minwage"])
     common(p)
     p.add_argument("--hour", type=int, default=19, help="period for the single regime")
-    p.add_argument("--jmin", type=float, default=0.0, help="minimum block wage for minwage")
+    p.add_argument("--jmin", type=float,
+                   help="minimum block wage for minwage (default: the config's blocks.j_min)")
 
     p = sub.add_parser("value-vs-tau", help="full-day value per fixed commission")
     common(p)
@@ -468,6 +469,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.threads is None:
+            args.threads = _default_threads()
         cfg = load_config(args.config) if args.config else default_config()
         return _COMMANDS[args.command](args, cfg)
     except InfeasibleError as exc:

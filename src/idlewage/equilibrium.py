@@ -30,6 +30,7 @@ import numpy as np
 from .model import (
     PeriodScenario,
     _require_finite,
+    _require_int,
     demand,
     idle_from_time,
     supply,
@@ -103,6 +104,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_finite(self, "z_min", "z_max", "scan_points", "bisect_tol", "tol_eq")
+        _require_int(self, "scan_points")
         if not 0 < self.z_min < self.z_max:
             raise ValueError("need 0 < z_min < z_max")
         if self.scan_points < 2:
@@ -213,9 +215,11 @@ def solve_slice(tables: PeriodTables, j_values: np.ndarray, tau: float) -> RootS
     """Locate every labour-balance root for one commission value.
 
     Scans the margin table for cells whose value range straddles a wage
-    grid point, then bisects each bracket until the bracket is narrower
-    than ``bisect_tol`` and the true residual at the midpoint is within
-    half of ``tol_eq``.
+    grid point, then bisects each bracket, steered by the table's sign at
+    the bracket's low end.  A bracket ends when it is narrower than
+    ``bisect_tol`` with the residual at its midpoint within half of
+    ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
+    end); that midpoint is emitted only if its residual is within ``tol_eq``.
     """
     s, cfg = tables.scenario, tables.cfg
     j_values = np.asarray(j_values, dtype=float)
@@ -228,63 +232,46 @@ def solve_slice(tables: PeriodTables, j_values: np.ndarray, tau: float) -> RootS
     # Cells bracketing at least one wage grid point: J in [lo, hi).
     cand = (hi > j_values[0]) & (lo < hi) & (lo <= j_values[-1])
     rows, cells = np.nonzero(cand)
-    if rows.size:
-        ia = np.searchsorted(j_values, lo[rows, cells], side="left")
-        ib = np.searchsorted(j_values, hi[rows, cells], side="left")
-        counts = ib - ia
-        keep = counts > 0
-        rows, cells, ia, counts = rows[keep], cells[keep], ia[keep], counts[keep]
-    else:
-        ia = counts = rows
+    ia = np.searchsorted(j_values, lo[rows, cells], side="left")
+    counts = np.searchsorted(j_values, hi[rows, cells], side="left") - ia
 
-    if rows.size == 0:
-        return RootSet(np.empty(0, int), np.empty(0, int), np.empty(0))
-
-    p_idx = np.repeat(rows, counts)
-    cell_idx = np.repeat(cells, counts)
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    j_idx = np.repeat(ia, counts) + offsets
+    # One bracket per (cell, wage) pair; owner maps each to its candidate cell.
+    owner = np.repeat(np.arange(counts.size), counts)
+    p_idx, cell_idx = rows[owner], cells[owner]
+    j_idx = ia[owner] + np.arange(owner.size) - np.cumsum(counts)[owner] + counts[owner]
 
     p_arr = tables.p[p_idx]
     J_arr = j_values[j_idx]
     z_lo = tables.z[cell_idx]
     z_hi = tables.z[cell_idx + 1]
+    s_lo = W[p_idx, cell_idx] > J_arr
 
-    # Confirm each bracket pointwise (insurance against any scan/refine
-    # arithmetic mismatch) and keep the low-endpoint sign for bisection.
-    w_lo, _ = _margin_and_residual(s, coef, J_arr, p_arr, z_lo)
-    w_hi, _ = _margin_and_residual(s, coef, J_arr, p_arr, z_hi)
-    s_lo = w_lo > J_arr
-    crossing = s_lo != (w_hi > J_arr)
-    p_idx, j_idx, p_arr, J_arr = p_idx[crossing], j_idx[crossing], p_arr[crossing], J_arr[crossing]
-    z_lo, z_hi, s_lo = z_lo[crossing], z_hi[crossing], s_lo[crossing]
-    if p_arr.size == 0:
-        return RootSet(np.empty(0, int), np.empty(0, int), np.empty(0))
-
-    # Bisect until the bracket is narrow and the residual at the accepted
-    # midpoint is small; the accepted point itself is emitted.
+    # Bisect the live brackets; an accepted bracket records its midpoint
+    # and residual and leaves the live arrays.  The pass budget guards
+    # against a midpoint that cannot halve: its last pass accepts all.
     half_tol = 0.5 * cfg.tol_eq
-    z_root = np.full(p_arr.shape, np.nan)
-    settled = np.zeros(p_arr.shape, dtype=bool)
-    for _ in range(_MAX_BISECT_ITER):
+    live = np.arange(p_idx.size)
+    z_root = np.empty(p_idx.size)
+    r_root = np.empty(p_idx.size)
+    passes_left = _MAX_BISECT_ITER
+    while live.size:
+        passes_left -= 1
         mid = 0.5 * (z_lo + z_hi)
-        stalled = (mid == z_lo) | (mid == z_hi)   # float spacing exhausted
         w_mid, r_mid = _margin_and_residual(s, coef, J_arr, p_arr, mid)
-        ok = ((z_hi - z_lo) <= cfg.bisect_tol) & (np.abs(r_mid) <= half_tol)
-        newly = (ok | stalled) & ~settled
-        z_root[newly] = mid[newly]
-        settled |= newly
-        if np.all(settled):
-            break
+        narrow = ((z_hi - z_lo) <= cfg.bisect_tol) & (np.abs(r_mid) <= half_tol)
+        stalled = (mid == z_lo) | (mid == z_hi)   # float spacing exhausted
+        done = narrow | stalled | (passes_left == 0)
         toward_hi = (w_mid > J_arr) == s_lo
-        z_lo = np.where(toward_hi & ~settled, mid, z_lo)
-        z_hi = np.where(~toward_hi & ~settled, mid, z_hi)
+        z_lo = np.where(toward_hi, mid, z_lo)
+        z_hi = np.where(toward_hi, z_hi, mid)
+        if done.any():
+            z_root[live[done]] = mid[done]
+            r_root[live[done]] = r_mid[done]
+            go = ~done
+            live, p_arr, J_arr, s_lo = live[go], p_arr[go], J_arr[go], s_lo[go]
+            z_lo, z_hi = z_lo[go], z_hi[go]
 
-    unsettled = ~settled
-    if np.any(unsettled):
-        z_root[unsettled] = 0.5 * (z_lo[unsettled] + z_hi[unsettled])
-    _, r_final = _margin_and_residual(s, coef, J_arr, p_arr, z_root)
-    keep = np.abs(r_final) <= cfg.tol_eq
+    keep = np.abs(r_root) <= cfg.tol_eq
     p_idx, j_idx, z_root = p_idx[keep], j_idx[keep], z_root[keep]
 
     # Merge duplicate detections of the same root from adjacent cells.

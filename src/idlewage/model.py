@@ -22,6 +22,13 @@ def _require_finite(obj, *names) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _require_int(obj, *names) -> None:
+    """Raise ValueError naming the first field of obj that is not an integer."""
+    for name in names:
+        if not isinstance(getattr(obj, name), (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class DemandParams:
     """Logistic ride demand: ``lambda_max * sigma(kappa + beta_p*p + beta_T*T)``.

@@ -22,7 +22,7 @@ class Objective(enum.Enum):
 def profit(s: PeriodScenario, eq: Equilibrium) -> float:
     """Platform profit tau*p*Q - J*L in $/hour: commission minus idle-wage bill."""
     pol = eq.policy
-    return pol.commission * pol.price * eq.throughput - pol.idle_wage * eq.labour
+    return float(profit_values(pol.commission, pol.price, eq.throughput, pol.idle_wage, eq.labour))
 
 
 def welfare(s: PeriodScenario, eq: Equilibrium) -> float:
@@ -32,11 +32,7 @@ def welfare(s: PeriodScenario, eq: Equilibrium) -> float:
     does not enter; it affects welfare only through the induced equilibrium.
     """
     pol = eq.policy
-    return (
-        surplus(s.demand, pol.price, eq.pickup)
-        + pol.price * eq.throughput
-        - social_cost(s.supply, eq.labour)
-    )
+    return float(welfare_values(s, pol.price, eq.pickup, eq.throughput, eq.labour))
 
 
 def evaluate(obj: Objective, s: PeriodScenario, eq: Equilibrium) -> float:

@@ -34,7 +34,7 @@ from .equilibrium import (
     solve_slice,
     zero_equilibrium,
 )
-from .model import DayScenario, PeriodScenario, _require_finite
+from .model import DayScenario, PeriodScenario, _require_finite, _require_int
 from .objectives import Objective, evaluate, profit_values, welfare_values
 
 __all__ = [
@@ -130,6 +130,7 @@ class BlockConstraint:
 
     def __post_init__(self):
         _require_finite(self, "b1", "b2", "j_min")
+        _require_int(self, "b1", "b2")
         if self.b1 < 1 or self.b2 < 1:
             raise ValueError("block lengths must be >= 1")
         if self.b1 + self.b2 > 24:

@@ -80,6 +80,23 @@ class TestOptimizeCommand:
         assert rc == 3
         assert "infeasible" in err.lower()
 
+    def test_minwage_floor_defaults_to_config_blocks_j_min(self, tmp_path, capsys):
+        f = tmp_path / "floor.json"
+        f.write_text(json.dumps({
+            "grid": {"p_step": 0.25, "j_step": 0.7, "tau_step": 0.5},
+            "solver": {"scan_points": 512},
+            "blocks": {"j_min": 16},
+        }))
+        outs = []
+        for extra, name in (([], "config.csv"), (["--jmin", "16"], "flag.csv")):
+            out = tmp_path / name
+            rc = main(["optimize", "minwage", "--objective", "profit", "--config", str(f),
+                       "--threads", "2", "--out", str(out)] + extra)
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert ">= 16" in capsys.readouterr().err
+        assert outs[0] == outs[1]
+
 
 class TestUsageErrors:
     def test_missing_objective(self, capsys):
@@ -115,6 +132,36 @@ class TestUsageErrors:
         rc = main(["optimize", "single", "--objective", "profit", "--config", str(f)])
         assert rc == 2
         assert "p_step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, argv",
+        [
+            ({"solver": {"scan_points": 100.5}},
+             ["equilibrium", "--hour", "19", "--p", "1", "--J", "0.5", "--tau", "1"]),
+            ({"blocks": {"b1": 2.5}}, ["optimize", "minwage", "--objective", "profit"]),
+            ({"blocks": {"b2": 3.0}}, ["optimize", "minwage", "--objective", "profit"]),
+        ],
+    )
+    def test_non_integer_config_value_names_the_key(self, tmp_path, capsys, section, argv):
+        f = tmp_path / "frac.json"
+        f.write_text(json.dumps(section))
+        rc = main(argv + ["--config", str(f)])
+        assert rc == 2
+        (key,) = next(iter(section.values()))
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_threads_flag_is_named(self, capsys, value):
+        rc = main(["analytic", "--epsilon", "1", "--threads", value])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+    def test_bad_threads_env_is_named(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("IDLEWAGE_THREADS", value)
+        rc = main(["analytic", "--epsilon", "1"])
+        assert rc == 2
+        assert "IDLEWAGE_THREADS" in capsys.readouterr().err
 
 
 class TestNoPrivateImports:

@@ -3,6 +3,7 @@ import pytest
 
 from idlewage import (
     BracketingError,
+    GridSpec,
     Objective,
     PolicyPoint,
     SolverConfig,
@@ -14,7 +15,7 @@ from idlewage import (
     select_equilibrium,
     supply,
 )
-from idlewage.equilibrium import PeriodTables, solve_slice
+from idlewage.equilibrium import PeriodTables, _margin_and_residual, solve_slice
 from oracles import dense_scan_equilibria, random_instance
 
 H19 = period_for_hour(19)
@@ -153,6 +154,42 @@ class TestVectorizedKernelParity:
                 single = PeriodTables.build(H19, p_vals[pi : pi + 1], cfg)
                 sr = solve_slice(single, j_vals[ji : ji + 1], tau)
                 assert sorted(sr.z) == sorted(by_cell.get((pi, ji), []))
+
+    @pytest.mark.parametrize("hour", [4, 19])
+    def test_scan_margin_equals_pointwise_margin_at_bracket_ends(self, hour):
+        # solve_slice steers each bisection by the scan table's sign at the
+        # bracket's low end, so the table and the pointwise kernel must agree
+        s, g, cfg = period_for_hour(hour), GridSpec(), SolverConfig()
+        tables = PeriodTables.build(s, g.p_values(), cfg)
+        j_vals = g.j_values()
+        for tau in (0.0, 0.5, 1.0):
+            coef = s.supply.risk_beta * (1.0 - tau)
+            W = tables.H - coef * tables.G
+            a, b = W[:, :-1], W[:, 1:]
+            lo_j = np.searchsorted(j_vals, np.minimum(a, b))
+            hi_j = np.searchsorted(j_vals, np.maximum(a, b))
+            rows, cells = np.nonzero(lo_j < hi_j)
+            assert rows.size > 0
+            for end in (cells, cells + 1):
+                w, _ = _margin_and_residual(s, coef, 0.0, tables.p[rows], tables.z[end])
+                assert np.array_equal(w.view(np.int64), W[rows, end].view(np.int64))
+
+    def test_float_spacing_ends_every_bracket(self):
+        # no bracket can reach these tolerances, so each one bisects until
+        # its midpoint equals an end; only points within tol_eq are emitted
+        cfg = SolverConfig(bisect_tol=1e-300, tol_eq=1e-300)
+        p_vals = np.round(np.arange(0, 51) * 0.1, 10)
+        j_vals = np.round(np.arange(0, 8) * 0.4, 10)
+        tables = PeriodTables.build(H19, p_vals, cfg)
+        for tau in (0.0, 0.3, 1.0):
+            roots = solve_slice(tables, j_vals, tau)
+            coef = H19.supply.risk_beta * (1.0 - tau)
+            _, r = _margin_and_residual(
+                H19, coef, j_vals[roots.j_idx], p_vals[roots.p_idx], roots.z
+            )
+            assert roots.z.size > 0
+            assert np.all(np.abs(r) <= cfg.tol_eq)
+            assert np.all((roots.z >= cfg.z_min) & (roots.z <= cfg.z_max))
 
 
 class TestSelectEquilibrium:

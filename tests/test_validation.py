@@ -89,3 +89,17 @@ def test_config_non_finite_number_names_the_key(tmp_path, template, key, literal
     f.write_text(template % literal)
     with pytest.raises(iw.ValidationError, match=f"^{key} must be finite"):
         iw.load_config(f)
+
+
+@pytest.mark.parametrize(
+    "obj, name, bad",
+    [
+        (iw.SolverConfig(), "scan_points", 100.5),
+        (iw.SolverConfig(), "scan_points", 100.0),
+        (iw.BlockConstraint(), "b1", 2.5),
+        (iw.BlockConstraint(), "b2", 3.0),
+    ],
+)
+def test_non_integer_count_is_rejected_by_name(obj, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        dataclasses.replace(obj, **{name: bad})
