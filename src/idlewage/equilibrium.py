@@ -147,11 +147,18 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 #     W(p, z) = c * (L1/A)**(1/eps) - beta * e_z,    c = 1 + 1/eps
 #
 # which satisfies  residual > 0  <=>  J > W.  W is independent of J, so one
-# (price x z) table of W serves the whole idle-wage grid: the cells where
-# the residual changes sign for wage J are exactly the cells whose W-range
-# straddles J.
+# (price x z) table of W serves the whole (ascending) idle-wage grid.  The
+# count table k = searchsorted(j_values, W) holds how many wages lie below
+# each margin; J_i lies in the W-range [min, max) of two adjacent z points,
+# so the residual changes sign between them, exactly when
+# min(k) <= i < max(k).
 
 _MAX_BISECT_ITER = 160
+
+# Budget on the cells of any table the solver or optimizer allocates:
+# price x scan grid, price x wage grid, commission x wage grid.  The
+# default grids use 501 x 4096 = 2,052,096 cells, under 1/16 of it.
+_MAX_TABLE_CELLS = 2**25
 
 
 # The model formulas again, beside their reference (equilibrium_components):
@@ -184,6 +191,11 @@ class PeriodTables:
     @staticmethod
     def build(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
         p = np.asarray(p, dtype=float)
+        if p.size * cfg.scan_points > _MAX_TABLE_CELLS:
+            raise ValueError(
+                f"scan_points {cfg.scan_points} times a {p.size}-point price grid is "
+                f"{p.size * cfg.scan_points} table cells, over the budget of {_MAX_TABLE_CELLS}"
+            )
         z = cfg.z_grid()
         _, G, H = _kernel(s, p[:, None], z[None, :])
         return PeriodTables(s, cfg, p, z, G, H)
@@ -211,40 +223,49 @@ class RootSet:
     z: np.ndarray        # (m,) refined pickup times
 
 
+def _brackets(W: np.ndarray, j_values: np.ndarray):
+    """(p_idx, cell_idx, j_idx, s_lo) of every (scan cell, wage) bracket.
+
+    A cell (p, z_c..z_c+1) brackets wage J_i when i lies between the counts
+    k of wages below the margin at its two ends; W > J_i at the low end
+    exactly when the count falls across the cell.  Brackets come in
+    row-major cell order, ascending wage within a cell.  A NaN margin
+    (exp overflow) counts above every wage; a root from its brackets is
+    still emitted only if it passes the residual filter.
+    """
+    k = np.searchsorted(j_values, W)
+    rows, cells = np.nonzero(k[:, :-1] != k[:, 1:])
+    k_lo, k_hi = k[rows, cells], k[rows, cells + 1]
+    ia = np.minimum(k_lo, k_hi)
+    counts = np.abs(k_hi - k_lo)
+
+    # One bracket per (cell, wage) pair; owner maps each to its cell.
+    owner = np.repeat(np.arange(counts.size), counts)
+    j_idx = ia[owner] + np.arange(owner.size) - np.cumsum(counts)[owner] + counts[owner]
+    return rows[owner], cells[owner], j_idx, (k_lo > k_hi)[owner]
+
+
 def solve_slice(tables: PeriodTables, j_values: np.ndarray, tau: float) -> RootSet:
     """Locate every labour-balance root for one commission value.
 
-    Scans the margin table for cells whose value range straddles a wage
-    grid point, then bisects each bracket, steered by the table's sign at
-    the bracket's low end.  A bracket ends when it is narrower than
-    ``bisect_tol`` with the residual at its midpoint within half of
-    ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
-    end); that midpoint is emitted only if its residual is within ``tol_eq``.
+    Counts the (ascending) wages below each entry of the margin table; a
+    scan cell brackets exactly the wages its count steps over.  Each
+    bracket is bisected, steered by the table's sign at its low end.  A
+    bracket ends when it is narrower than ``bisect_tol`` with the residual
+    at its midpoint within half of ``tol_eq``, or when float spacing is
+    exhausted (the midpoint equals an end); that midpoint is emitted only
+    if its residual is within ``tol_eq``.
     """
     s, cfg = tables.scenario, tables.cfg
     j_values = np.asarray(j_values, dtype=float)
     coef = s.supply.risk_beta * (1.0 - tau)
     W = tables.H - coef * tables.G
-    a, b = W[:, :-1], W[:, 1:]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-
-    # Cells bracketing at least one wage grid point: J in [lo, hi).
-    cand = (hi > j_values[0]) & (lo < hi) & (lo <= j_values[-1])
-    rows, cells = np.nonzero(cand)
-    ia = np.searchsorted(j_values, lo[rows, cells], side="left")
-    counts = np.searchsorted(j_values, hi[rows, cells], side="left") - ia
-
-    # One bracket per (cell, wage) pair; owner maps each to its candidate cell.
-    owner = np.repeat(np.arange(counts.size), counts)
-    p_idx, cell_idx = rows[owner], cells[owner]
-    j_idx = ia[owner] + np.arange(owner.size) - np.cumsum(counts)[owner] + counts[owner]
+    p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
 
     p_arr = tables.p[p_idx]
     J_arr = j_values[j_idx]
     z_lo = tables.z[cell_idx]
     z_hi = tables.z[cell_idx + 1]
-    s_lo = W[p_idx, cell_idx] > J_arr
 
     # Bisect the live brackets; an accepted bracket records its midpoint
     # and residual and leaves the live arrays.  The pass budget guards

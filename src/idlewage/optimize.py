@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import (
+    _MAX_TABLE_CELLS,
     DEFAULT_SOLVER,
     BracketingError,
     Equilibrium,
@@ -64,10 +65,24 @@ __all__ = [
 _TIE_TOL = 1e-9
 
 
+def _grid_size(lo: float, hi: float, step: float) -> float:
+    """Number of points of _grid(lo, hi, step), as a float so huge counts compare."""
+    return np.floor((hi - lo) / step + 1e-9) + 1.0
+
+
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Inclusive decimal grid lo, lo+step, ... with canonical float values."""
-    n = int(np.floor((hi - lo) / step + 1e-9))
-    return np.round(lo + np.arange(n + 1) * step, 10)
+    return np.round(lo + np.arange(int(_grid_size(lo, hi, step))) * step, 10)
+
+
+def _wage_list(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError naming the argument unless finite and ascending."""
+    js = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(js)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(js) < 0):
+        raise ValueError(f"{name} must be in ascending order")
+    return js
 
 
 @dataclass(frozen=True)
@@ -89,6 +104,16 @@ class GridSpec:
                 raise ValueError(f"{name} must be > 0")
         if self.p_max < self.p_min or self.j_max < self.j_min:
             raise ValueError("grid ranges must be nonempty")
+        n_j = _grid_size(self.j_min, self.j_max, self.j_step)
+        for names, n in (
+            ("p_step and j_step", _grid_size(self.p_min, self.p_max, self.p_step)),
+            ("tau_step and j_step", _grid_size(0.0, 1.0, self.tau_step)),
+        ):
+            if n * n_j > _MAX_TABLE_CELLS:
+                raise ValueError(
+                    f"{names} give a {n:.3g} x {n_j:.3g} table, over the budget of "
+                    f"{_MAX_TABLE_CELLS} cells"
+                )
         if self.tau_values()[-1] != 1.0:
             raise ValueError("tau grid must cover [0, 1] inclusive of both endpoints")
 
@@ -279,11 +304,11 @@ def value_table(
 ) -> ValueTable:
     """One period's (n_tau, n_j) table of the best value over g's price grid.
 
-    tau_values and j_values default to g's grids; the commissions are
-    evaluated in parallel.
+    tau_values and j_values default to g's grids; j_values must be finite
+    and ascending.  The commissions are evaluated in parallel.
     """
     taus = g.tau_values() if tau_values is None else tau_values
-    js = g.j_values() if j_values is None else np.asarray(j_values, dtype=float)
+    js = g.j_values() if j_values is None else _wage_list(j_values, "j_values")
     tables = PeriodTables.build(s, g.p_values(), cfg)
     rows = _parallel_map(lambda tau: _best_over_prices(tables, js, tau, obj), list(taus), threads)
     return ValueTable(
@@ -366,10 +391,10 @@ def sweep_idle_wage(
 ) -> list[SweepPoint]:
     """Best value per idle wage when price and commission are optimized.
 
-    Each point is flagged when tau = 1 attains the per-J maximum within a
-    relative tolerance of 1e-9.
+    J_values must be finite and ascending.  Each point is flagged when
+    tau = 1 attains the per-J maximum within a relative tolerance of 1e-9.
     """
-    j_vals = np.asarray(J_values, dtype=float)
+    j_vals = _wage_list(J_values, "J_values")
     if np.any(j_vals < g.j_min) or np.any(j_vals > g.j_max):
         raise ValueError("J_values must lie within the grid's idle-wage range")
     p_vals, tau_vals = g.p_values(), g.tau_values()

@@ -150,6 +150,23 @@ class TestUsageErrors:
         (key,) = next(iter(section.values()))
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, argv",
+        [
+            ({"grid": {"p_step": 1e-12}}, ["optimize", "single", "--objective", "profit"]),
+            ({"grid": {"tau_step": 1e-12}}, ["optimize", "single", "--objective", "profit"]),
+            ({"solver": {"scan_points": 10**13}},
+             ["equilibrium", "--hour", "19", "--p", "1", "--J", "0.5", "--tau", "1"]),
+        ],
+    )
+    def test_grid_over_budget_names_the_key(self, tmp_path, capsys, section, argv):
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(section))
+        rc = main(argv + ["--config", str(f)])
+        assert rc == 2
+        (key,) = next(iter(section.values()))
+        assert f"{key} " in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_bad_threads_flag_is_named(self, capsys, value):
         rc = main(["analytic", "--epsilon", "1", "--threads", value])

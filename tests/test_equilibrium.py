@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,21 @@ from idlewage import (
     select_equilibrium,
     supply,
 )
-from idlewage.equilibrium import PeriodTables, _margin_and_residual, solve_slice
+from idlewage.equilibrium import PeriodTables, _brackets, _margin_and_residual, solve_slice
 from oracles import dense_scan_equilibria, random_instance
 
 H19 = period_for_hour(19)
 TOL_EQ = 1e-8
+
+
+def lo_hi_cells(W, j_vals):
+    """Scan cells whose margin range [lo, hi) holds a wage: rows, cells,
+    first wage index and wage count, straight from the definition."""
+    a, b = W[:, :-1], W[:, 1:]
+    lo_j = np.searchsorted(j_vals, np.minimum(a, b))
+    hi_j = np.searchsorted(j_vals, np.maximum(a, b))
+    rows, cells = np.nonzero(lo_j < hi_j)
+    return rows, cells, lo_j[rows, cells], (hi_j - lo_j)[rows, cells]
 
 
 def eq_residuals(s, pol, eq):
@@ -110,6 +122,10 @@ class TestFindEquilibria:
                 for r in eq_residuals(H19, pol, eq):
                     assert abs(r) <= TOL_EQ
 
+    def test_scan_table_over_budget_names_scan_points(self):
+        with pytest.raises(ValueError, match="scan_points"):
+            find_equilibria(H19, PolicyPoint(1.0, 0.5, 1.0), SolverConfig(scan_points=10**13))
+
     def test_window_too_narrow_is_diagnosed(self):
         # at tau = 1 supply is pinned by J alone; a J below the idle-only
         # margin at z_max leaves no crossing inside the window
@@ -165,14 +181,49 @@ class TestVectorizedKernelParity:
         for tau in (0.0, 0.5, 1.0):
             coef = s.supply.risk_beta * (1.0 - tau)
             W = tables.H - coef * tables.G
-            a, b = W[:, :-1], W[:, 1:]
-            lo_j = np.searchsorted(j_vals, np.minimum(a, b))
-            hi_j = np.searchsorted(j_vals, np.maximum(a, b))
-            rows, cells = np.nonzero(lo_j < hi_j)
+            rows, cells, _, _ = lo_hi_cells(W, j_vals)
             assert rows.size > 0
             for end in (cells, cells + 1):
                 w, _ = _margin_and_residual(s, coef, 0.0, tables.p[rows], tables.z[end])
                 assert np.array_equal(w.view(np.int64), W[rows, end].view(np.int64))
+
+    @pytest.mark.parametrize("hour", [4, 19])
+    def test_count_table_brackets_equal_lo_hi_definition(self, hour):
+        s, g, cfg = period_for_hour(hour), GridSpec(), SolverConfig()
+        tables = PeriodTables.build(s, g.p_values(), cfg)
+        j_vals = g.j_values()
+        for tau in (0.0, 0.5, 1.0):
+            W = tables.H - s.supply.risk_beta * (1.0 - tau) * tables.G
+            rows, cells, first, count = lo_hi_cells(W, j_vals)
+            p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_vals)
+            owner = np.repeat(np.arange(count.size), count)
+            assert np.array_equal(p_idx, rows[owner])
+            assert np.array_equal(cell_idx, cells[owner])
+            wages = [np.arange(f, f + c) for f, c in zip(first, count)]
+            assert np.array_equal(j_idx, np.concatenate(wages))
+            assert np.array_equal(s_lo, W[p_idx, cell_idx] > j_vals[j_idx])
+
+    def test_overflowing_margins_emit_only_feasible_roots(self):
+        # exp overflows for kappa > ~709, so most of the margin table is NaN.
+        # The count table puts NaN above every wage, so cells next to NaN
+        # become brackets; any root from them must still pass the filter.
+        s = dataclasses.replace(H19, demand=dataclasses.replace(H19.demand, kappa=720.0))
+        cfg = SolverConfig()
+        p_vals = GridSpec().p_values()
+        j_vals = np.geomspace(0.05, 1e8, 60)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = PeriodTables.build(s, p_vals, cfg)
+            W = tables.H - s.supply.risk_beta * tables.G
+            p_idx, cell_idx, _, _ = _brackets(W, j_vals)
+            assert np.isnan(W[p_idx, cell_idx]).any()
+            roots = solve_slice(tables, j_vals, 0.0)
+            _, r = _margin_and_residual(
+                s, s.supply.risk_beta, j_vals[roots.j_idx], p_vals[roots.p_idx], roots.z
+            )
+            assert roots.z.size > 0
+            assert np.all(np.abs(r) <= cfg.tol_eq)
+            with pytest.raises(BracketingError):
+                find_equilibria(s, PolicyPoint(1.0, 0.5, 0.5), cfg)
 
     def test_float_spacing_ends_every_bracket(self):
         # no bracket can reach these tolerances, so each one bisects until

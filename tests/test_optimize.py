@@ -27,8 +27,10 @@ from idlewage import (
     sweep_day_idle_wage,
     sweep_idle_wage,
     two_period_day,
+    value_table,
     value_vs_tau,
 )
+from idlewage.equilibrium import _MAX_TABLE_CELLS
 from idlewage.objectives import evaluate
 from idlewage.optimize import _lex_first
 
@@ -69,6 +71,18 @@ class TestGridSpec:
     def test_steps_positive(self):
         with pytest.raises(ValueError):
             GridSpec(p_step=0.0)
+
+    @pytest.mark.parametrize("field", ["p_step", "j_step", "tau_step"])
+    def test_grid_over_budget_names_the_field(self, field):
+        # counted before any grid is allocated: 1e-12 steps mean TiB-scale grids
+        with pytest.raises(ValueError, match=field):
+            GridSpec(**{field: 1e-12})
+
+    def test_default_grids_fit_the_budget_sixteen_times(self):
+        g = GridSpec()
+        n_p, n_j, n_tau = g.p_values().size, g.j_values().size, g.tau_values().size
+        largest = max(n_p * SolverConfig().scan_points, n_p * n_j, n_tau * n_j)
+        assert 16 * largest <= _MAX_TABLE_CELLS
 
 
 class TestSinglePeriod:
@@ -122,6 +136,20 @@ class TestSweep:
     def test_out_of_range_wages_rejected(self):
         with pytest.raises(ValueError):
             sweep_idle_wage(H19, Objective.PROFIT, [99.0], COARSE, FAST_SOLVER)
+
+    @pytest.mark.parametrize(
+        "wages, problem",
+        [([2.0, 1.2, 0.4], "ascending"), ([np.nan], "finite"), ([0.4, np.inf], "finite")],
+    )
+    def test_bad_wage_list_rejected_by_name(self, wages, problem):
+        with pytest.raises(ValueError, match=f"J_values must be .*{problem}"):
+            sweep_idle_wage(H19, Objective.PROFIT, wages, COARSE, FAST_SOLVER)
+        with pytest.raises(ValueError, match=f"j_values must be .*{problem}"):
+            value_table(H19, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages)
+
+    def test_repeated_wages_allowed(self):
+        a, b = sweep_idle_wage(H19, Objective.PROFIT, [0.4, 0.4], COARSE, FAST_SOLVER)
+        assert a == b
 
     def test_inverted_u_for_risk_averse_drivers(self):
         s = period_for_hour(19, risk_beta=0.2)
