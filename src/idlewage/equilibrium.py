@@ -151,9 +151,12 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # count table k = searchsorted(j_values, W) holds how many wages lie below
 # each margin; J_i lies in the W-range [min, max) of two adjacent z points,
 # so the residual changes sign between them, exactly when
-# min(k) <= i < max(k).
+# min(k) <= i < max(k).  Refinement takes coef = beta * (1 - tau) per
+# bracket, elementwise, so a period's commissions bisect together in chunks
+# of _MAX_BATCH brackets or more (a default-grid slice fills one alone).
 
 _MAX_BISECT_ITER = 160
+_MAX_BATCH = 2**15
 
 # Budget on the cells of any table the solver or optimizer allocates:
 # price x scan grid, price x wage grid, commission x wage grid.  The
@@ -168,12 +171,14 @@ def _kernel(s: PeriodScenario, p, z):
     p*Q/L1, and supply margin c*(L1/A)**(1/eps) with c = 1 + 1/eps."""
     d, pk, sp = s.demand, s.pickup, s.supply
     iz = np.power(z / pk.k_T, 1.0 / pk.alpha_T)
-    E = np.exp(d.beta_p * p) * np.exp(d.kappa + d.beta_T * z)
-    Q = d.lambda_max * (E / (1.0 + E))
+    Q = np.exp(d.beta_p * p) * np.exp(d.kappa + d.beta_T * z)
+    Q /= 1.0 + Q   # in place, so a table build holds fewer full-size temporaries
+    Q *= d.lambda_max
     L1 = iz + (s.trip_time + z) * Q
     G = p * Q / L1
-    c = 1.0 + 1.0 / sp.elasticity
-    H = c * np.power(L1 / sp.pool_size, 1.0 / sp.elasticity)
+    H = L1 / sp.pool_size
+    np.power(H, 1.0 / sp.elasticity, out=H)
+    H *= 1.0 + 1.0 / sp.elasticity
     return L1, G, H
 
 
@@ -201,23 +206,25 @@ class PeriodTables:
         return PeriodTables(s, cfg, p, z, G, H)
 
 
-def _margin_and_residual(s: PeriodScenario, coef: float, J, p, z):
+def _margin_and_residual(s: PeriodScenario, coef, J, p, z):
     """Pointwise wage margin W and residual at (p, z) for earnings weight coef.
 
-    coef is risk_beta * (1 - tau); the kernel is the one PeriodTables.build
-    uses, so scan and refinement agree element for element.
+    coef is risk_beta * (1 - tau), shared or per point; the kernel is the
+    one PeriodTables.build uses, so scan and refinement agree elementwise.
     """
     sp = s.supply
     L1, G, H = _kernel(s, p, z)
     c = 1.0 + 1.0 / sp.elasticity
-    resid = sp.pool_size * np.power((coef * G + J) / c, sp.elasticity) - L1
-    return H - coef * G, resid
+    cG = coef * G
+    resid = sp.pool_size * np.power((cG + J) / c, sp.elasticity) - L1
+    return H - cG, resid
 
 
 @dataclass
 class RootSet:
-    """All bracketed equilibria of one (tau x price grid x wage grid) slice."""
+    """All bracketed equilibria of a chunk of (tau x price grid x wage grid) slices."""
 
+    t_idx: np.ndarray    # (m,) index into the commission list
     p_idx: np.ndarray    # (m,) index into the price grid
     j_idx: np.ndarray    # (m,) index into the wage grid
     z: np.ndarray        # (m,) refined pickup times
@@ -245,35 +252,42 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
     return rows[owner], cells[owner], j_idx, (k_lo > k_hi)[owner]
 
 
-def solve_slice(tables: PeriodTables, j_values: np.ndarray, tau: float) -> RootSet:
-    """Locate every labour-balance root for one commission value.
+def solve_slices(tables: PeriodTables, j_values: np.ndarray, taus):
+    """Locate every labour-balance root for each commission in taus.
 
-    Counts the (ascending) wages below each entry of the margin table; a
-    scan cell brackets exactly the wages its count steps over.  Each
-    bracket is bisected, steered by the table's sign at its low end.  A
-    bracket ends when it is narrower than ``bisect_tol`` with the residual
-    at its midpoint within half of ``tol_eq``, or when float spacing is
-    exhausted (the midpoint equals an end); that midpoint is emitted only
-    if its residual is within ``tol_eq``.
+    Yields ``(rows, roots)`` per chunk: the range of consecutive indices
+    into taus and their roots.  A scan cell brackets exactly the (ascending)
+    wages its count steps over.  A chunk closes at ``_MAX_BATCH`` brackets
+    or the last commission; its brackets bisect together, each steered by
+    the table's sign at its low end.  A bracket ends when it is narrower
+    than ``bisect_tol`` with the residual at its midpoint within half of
+    ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
+    end); that midpoint is emitted only if its residual is within ``tol_eq``.
     """
-    s, cfg = tables.scenario, tables.cfg
     j_values = np.asarray(j_values, dtype=float)
-    coef = s.supply.risk_beta * (1.0 - tau)
-    W = tables.H - coef * tables.G
-    p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
+    chunk, start = [], 0
+    for t, tau in enumerate(taus):
+        coef = tables.scenario.supply.risk_beta * (1.0 - tau)
+        p_idx, cell_idx, j_idx, s_lo = _brackets(tables.H - coef * tables.G, j_values)
+        n = p_idx.size
+        chunk.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef)))
+        if sum(c[1].size for c in chunk) >= _MAX_BATCH or t == len(taus) - 1:
+            yield range(start, t + 1), _refine(tables, j_values, *map(np.concatenate, zip(*chunk)))
+            chunk, start = [], t + 1
 
-    p_arr = tables.p[p_idx]
-    J_arr = j_values[j_idx]
-    z_lo = tables.z[cell_idx]
-    z_hi = tables.z[cell_idx + 1]
+
+def _refine(tables: PeriodTables, j_values, t_idx, p_idx, cell_idx, j_idx, s_lo, coef) -> RootSet:
+    """Bisect a chunk's brackets, filter by tol_eq and merge duplicates."""
+    s, cfg = tables.scenario, tables.cfg
+    p_arr, J_arr = tables.p[p_idx], j_values[j_idx]
+    z_lo, z_hi = tables.z[cell_idx], tables.z[cell_idx + 1]
 
     # Bisect the live brackets; an accepted bracket records its midpoint
     # and residual and leaves the live arrays.  The pass budget guards
     # against a midpoint that cannot halve: its last pass accepts all.
     half_tol = 0.5 * cfg.tol_eq
     live = np.arange(p_idx.size)
-    z_root = np.empty(p_idx.size)
-    r_root = np.empty(p_idx.size)
+    z_root, r_root = np.empty((2, p_idx.size))
     passes_left = _MAX_BISECT_ITER
     while live.size:
         passes_left -= 1
@@ -289,26 +303,22 @@ def solve_slice(tables: PeriodTables, j_values: np.ndarray, tau: float) -> RootS
             z_root[live[done]] = mid[done]
             r_root[live[done]] = r_mid[done]
             go = ~done
-            live, p_arr, J_arr, s_lo = live[go], p_arr[go], J_arr[go], s_lo[go]
+            live, p_arr, J_arr, s_lo, coef = live[go], p_arr[go], J_arr[go], s_lo[go], coef[go]
             z_lo, z_hi = z_lo[go], z_hi[go]
 
     keep = np.abs(r_root) <= cfg.tol_eq
-    p_idx, j_idx, z_root = p_idx[keep], j_idx[keep], z_root[keep]
+    t_idx, p_idx, j_idx, z_root = t_idx[keep], p_idx[keep], j_idx[keep], z_root[keep]
 
     # Merge duplicate detections of the same root from adjacent cells.
     if z_root.size > 1:
-        order = np.lexsort((z_root, j_idx, p_idx))
-        p_idx, j_idx, z_root = p_idx[order], j_idx[order], z_root[order]
-        Q = demand(s.demand, tables.p[p_idx], z_root)
-        same = (
-            (p_idx[1:] == p_idx[:-1])
-            & (j_idx[1:] == j_idx[:-1])
-            & (np.abs(Q[1:] - Q[:-1]) <= cfg.tol_eq)
-        )
-        keep = np.concatenate(([True], ~same))
-        p_idx, j_idx, z_root = p_idx[keep], j_idx[keep], z_root[keep]
+        cell = (t_idx * tables.p.size + p_idx) * j_values.size + j_idx
+        order = np.lexsort((z_root, cell))   # by (t, p, j, z)
+        Q = demand(s.demand, tables.p[p_idx[order]], z_root[order])
+        same = (np.diff(cell[order]) == 0) & (np.abs(np.diff(Q)) <= cfg.tol_eq)
+        sel = order[np.concatenate(([True], ~same))]
+        t_idx, p_idx, j_idx, z_root = t_idx[sel], p_idx[sel], j_idx[sel], z_root[sel]
 
-    return RootSet(p_idx, j_idx, z_root)
+    return RootSet(t_idx, p_idx, j_idx, z_root)
 
 
 def equilibrium_components(s: PeriodScenario, tau: float, p, z):
@@ -343,7 +353,7 @@ def find_equilibria(
     window never passes silently.
     """
     tables = PeriodTables.build(s, np.array([pol.price]), cfg)
-    roots = solve_slice(tables, np.array([pol.idle_wage]), pol.commission)
+    _, roots = next(solve_slices(tables, np.array([pol.idle_wage]), [pol.commission]))
     eqs = [equilibrium_at(s, pol, z) for z in roots.z]
     if pol.idle_wage == 0:
         eqs.append(zero_equilibrium(pol))

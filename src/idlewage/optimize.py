@@ -29,10 +29,11 @@ from .equilibrium import (
     Equilibrium,
     PeriodTables,
     PolicyPoint,
+    RootSet,
     SolverConfig,
     equilibrium_at,
     equilibrium_components,
-    solve_slice,
+    solve_slices,
     zero_equilibrium,
 )
 from .model import DayScenario, PeriodScenario, _require_finite, _require_int
@@ -247,50 +248,46 @@ class ValueTable:
 
 
 def _best_over_prices(
-    tables: PeriodTables, j_values: np.ndarray, tau: float, obj: Objective
-) -> ValueTable:
-    """Evaluate every (p, J) cell at one tau and keep the best price per J.
+    tables: PeriodTables, j_values: np.ndarray, taus: np.ndarray, rows: range,
+    roots: RootSet, obj: Objective,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, p_idx, z) of the best price per (tau, J) cell of taus[rows].
 
     Within a cell the objective-maximizing equilibrium is selected (ties:
     smallest throughput, then smallest labour); across prices ties go to
     the smallest price.
     """
-    s = tables.scenario
-    roots = solve_slice(tables, j_values, tau)
-    n_p, n_j = tables.p.size, j_values.size
-    V = np.full((n_j, n_p), -np.inf)
-    Z = np.full((n_j, n_p), np.nan)
+    s, n_p, n_j = tables.scenario, tables.p.size, j_values.size
+    V = np.full((len(rows), n_j, n_p), -np.inf)
+    Z = np.full(V.shape, np.nan)
     if roots.z.size:
-        p_arr = tables.p[roots.p_idx]
+        tau, p_arr = taus[roots.t_idx], tables.p[roots.p_idx]
         T, I, Q, L, e = equilibrium_components(s, tau, p_arr, roots.z)
         if obj is Objective.PROFIT:
             vals = profit_values(tau, p_arr, Q, j_values[roots.j_idx], L)
         else:
             vals = welfare_values(s, p_arr, T, Q, L)
-        cell = roots.j_idx * n_p + roots.p_idx
+        cell = ((roots.t_idx - rows.start) * n_j + roots.j_idx) * n_p + roots.p_idx
         order = np.lexsort((L, Q, -vals, cell))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = cell[order][1:] != cell[order][:-1]
-        sel = order[first]
+        sel = order[np.diff(cell[order], prepend=-1) != 0]   # first root of each cell
         V.flat[cell[sel]] = vals[sel]
         Z.flat[cell[sel]] = roots.z[sel]
 
-    for j in np.nonzero(j_values == 0.0)[0]:
-        # The shutdown equilibrium is feasible at J = 0 and wins value ties
-        # (its throughput 0 is minimal).
-        zero_wins = V[j] <= 0.0
-        V[j, zero_wins] = 0.0
-        Z[j, zero_wins] = np.nan
+    # The shutdown equilibrium is feasible at J = 0 and wins value ties
+    # (its throughput 0 is minimal).
+    zero_wins = (V <= 0.0) & (j_values == 0.0)[:, None]
+    V[zero_wins] = 0.0
+    Z[zero_wins] = np.nan
 
-    if np.any(np.isinf(V[j_values > 0.0])):
+    if np.any(np.isinf(V[:, j_values > 0.0])):
         raise BracketingError(
             "grid evaluation: a cell with J > 0 produced no equilibrium in the "
             "scan window; widen SolverConfig.z_min/z_max"
         )
 
-    best_p = np.argmax(V, axis=1)
-    rows = np.arange(n_j)
-    return ValueTable(V[rows, best_p], best_p, Z[rows, best_p])
+    best_p = np.argmax(V, axis=2)
+    t, j = np.indices(best_p.shape)
+    return V[t, j, best_p], best_p, Z[t, j, best_p]
 
 
 def value_table(
@@ -304,18 +301,21 @@ def value_table(
 ) -> ValueTable:
     """One period's (n_tau, n_j) table of the best value over g's price grid.
 
-    tau_values and j_values default to g's grids; j_values must be finite
-    and ascending.  The commissions are evaluated in parallel.
+    tau_values and j_values default to g's grids; tau_values must be a
+    nonempty list of commissions in [0, 1], j_values finite and ascending.
+    The commissions are split into contiguous groups evaluated in parallel.
     """
-    taus = g.tau_values() if tau_values is None else tau_values
+    taus = g.tau_values() if tau_values is None else np.asarray(tau_values, dtype=float)
+    if taus.ndim != 1 or not taus.size or not np.all((taus >= 0.0) & (taus <= 1.0)):
+        raise ValueError("tau_values must be a nonempty list of commissions in [0, 1]")
     js = g.j_values() if j_values is None else _wage_list(j_values, "j_values")
     tables = PeriodTables.build(s, g.p_values(), cfg)
-    rows = _parallel_map(lambda tau: _best_over_prices(tables, js, tau, obj), list(taus), threads)
-    return ValueTable(
-        np.stack([r.values for r in rows]),
-        np.stack([r.p_idx for r in rows]),
-        np.stack([r.z for r in rows]),
-    )
+
+    def group(ts):  # stream the group's chunks: reduce each, then drop its roots
+        return [_best_over_prices(tables, js, ts, *c, obj) for c in solve_slices(tables, js, ts)]
+
+    parts = _parallel_map(group, np.array_split(taus, min(threads, taus.size)), threads)
+    return ValueTable(*map(np.concatenate, zip(*(c for part in parts for c in part))))
 
 
 def day_value_tables(

@@ -17,8 +17,6 @@ import pytest
 
 import idlewage as iw
 from idlewage import Objective
-from idlewage.equilibrium import PeriodTables
-from idlewage.optimize import _best_over_prices
 from oracles import dense_scan_equilibria, quad_social_cost, quad_surplus, random_instance
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -127,19 +125,18 @@ def test_criterion_02_table2_reproduction():
 
 def test_criterion_03_value_function_monotone():
     s = iw.period_for_hour(19)
-    tables = PeriodTables.build(s, GRID.p_values(), SOLVER)
     taus, jv = GRID.tau_values(), GRID.j_values()
     ok = True
     detail = []
     for obj in (Objective.PROFIT, Objective.WELFARE):
+        table = iw.value_table(s, obj, GRID, SOLVER, threads=THREADS).values
         v = np.empty(taus.size)
         res = np.empty(taus.size)
-        for ti, tau in enumerate(taus):
-            sl = _best_over_prices(tables, jv, tau, obj)
-            ji = int(np.argmax(sl.values))
-            v[ti] = sl.values[ji]
+        for ti, sl in enumerate(table):
+            ji = int(np.argmax(sl))
+            v[ti] = sl[ji]
             # one-grid-step value resolution at the winner, price re-optimized
-            neigh = [sl.values[j] for j in (ji - 1, ji + 1) if 0 <= j < jv.size]
+            neigh = [sl[j] for j in (ji - 1, ji + 1) if 0 <= j < jv.size]
             res[ti] = max(abs(v[ti] - x) for x in neigh)
         viol = v[:-1] - v[1:]
         tol = np.maximum(res[:-1], res[1:]) + 1e-9
@@ -162,9 +159,8 @@ def test_criterion_04_large_pool_collapse():
         s = dataclasses.replace(
             s0, supply=dataclasses.replace(s0.supply, pool_size=45.0 * scale)
         )
-        tables = PeriodTables.build(s, GRID.p_values(), SOLVER)
-        sl = _best_over_prices(tables, GRID.j_values(), 0.75, Objective.PROFIT)
-        jstars.append(float(GRID.j_values()[int(np.argmax(sl.values))]))
+        sl = iw.value_table(s, Objective.PROFIT, GRID, SOLVER, tau_values=[0.75])
+        jstars.append(float(GRID.j_values()[int(np.argmax(sl.values[0]))]))
     ok = all(a >= b for a, b in zip(jstars, jstars[1:])) and jstars[-1] == 0.0
     assert report(4, ok, f"J* per pool scale x1,x10,x100,x1000: {jstars}")
 
@@ -268,7 +264,6 @@ def test_criterion_07_integral_closed_forms():
 def test_criterion_08_sweep_shapes():
     s = iw.period_for_hour(19, risk_beta=0.2)
     jv = GRID.j_values()
-    tables = PeriodTables.build(s, GRID.p_values(), SOLVER)
     ok = True
     detail = []
     for obj in (Objective.WELFARE, Objective.PROFIT):
@@ -276,7 +271,7 @@ def test_criterion_08_sweep_shapes():
         F = np.array([pt.value for pt in curve])
         flags = np.array([pt.tau1_optimal for pt in curve])
         # grid-tie scale: one J-step value resolution of the tau=1 curve
-        v1 = _best_over_prices(tables, jv, 1.0, obj).values
+        v1 = iw.value_table(s, obj, GRID, SOLVER, tau_values=[1.0]).values[0]
         k1 = int(np.argmax(v1))
         delta = max(abs(v1[k1] - v1[max(k1 - 1, 0)]), abs(v1[k1] - v1[min(k1 + 1, jv.size - 1)]))
         tied = np.nonzero(F >= F.max() - delta)[0]
@@ -331,8 +326,7 @@ def test_criterion_09_risk_neutral_min_wage():
     )
     # one-grid-step tolerance: value change from one J step in one period
     s0 = day.periods[18]
-    tables = PeriodTables.build(s0, GRID.p_values(), SOLVER)
-    v = _best_over_prices(tables, GRID.j_values(), 1.0, Objective.PROFIT).values
+    v = iw.value_table(s0, Objective.PROFIT, GRID, SOLVER, tau_values=[1.0]).values[0]
     k = int(np.argmax(v))
     step_res = abs(v[k] - v[max(k - 1, 0)])
     ok = abs(res.value - flex.value) <= max(step_res, 1e-9)

@@ -17,7 +17,8 @@ from idlewage import (
     select_equilibrium,
     supply,
 )
-from idlewage.equilibrium import PeriodTables, _brackets, _margin_and_residual, solve_slice
+from idlewage import equilibrium
+from idlewage.equilibrium import PeriodTables, _brackets, _margin_and_residual, solve_slices
 from oracles import dense_scan_equilibria, random_instance
 
 H19 = period_for_hour(19)
@@ -32,6 +33,13 @@ def lo_hi_cells(W, j_vals):
     hi_j = np.searchsorted(j_vals, np.maximum(a, b))
     rows, cells = np.nonzero(lo_j < hi_j)
     return rows, cells, lo_j[rows, cells], (hi_j - lo_j)[rows, cells]
+
+
+def solve_one(tables, j_vals, tau):
+    """The roots of one commission: solve_slices over [tau] yields one chunk."""
+    ((rows, roots),) = solve_slices(tables, j_vals, [tau])
+    assert rows == range(1)
+    return roots
 
 
 def eq_residuals(s, pol, eq):
@@ -159,7 +167,7 @@ class TestVectorizedKernelParity:
         cfg = SolverConfig()
         for tau in (0.0, 0.3, 1.0):
             tables = PeriodTables.build(H19, p_vals, cfg)
-            roots = solve_slice(tables, j_vals, tau)
+            roots = solve_one(tables, j_vals, tau)
             by_cell = {}
             for pi, ji, z in zip(roots.p_idx, roots.j_idx, roots.z):
                 by_cell.setdefault((pi, ji), []).append(z)
@@ -168,12 +176,12 @@ class TestVectorizedKernelParity:
                 pi = int(rng.integers(0, p_vals.size))
                 ji = int(rng.integers(0, j_vals.size))
                 single = PeriodTables.build(H19, p_vals[pi : pi + 1], cfg)
-                sr = solve_slice(single, j_vals[ji : ji + 1], tau)
+                sr = solve_one(single, j_vals[ji : ji + 1], tau)
                 assert sorted(sr.z) == sorted(by_cell.get((pi, ji), []))
 
     @pytest.mark.parametrize("hour", [4, 19])
     def test_scan_margin_equals_pointwise_margin_at_bracket_ends(self, hour):
-        # solve_slice steers each bisection by the scan table's sign at the
+        # solve_slices steers each bisection by the scan table's sign at the
         # bracket's low end, so the table and the pointwise kernel must agree
         s, g, cfg = period_for_hour(hour), GridSpec(), SolverConfig()
         tables = PeriodTables.build(s, g.p_values(), cfg)
@@ -216,7 +224,7 @@ class TestVectorizedKernelParity:
             W = tables.H - s.supply.risk_beta * tables.G
             p_idx, cell_idx, _, _ = _brackets(W, j_vals)
             assert np.isnan(W[p_idx, cell_idx]).any()
-            roots = solve_slice(tables, j_vals, 0.0)
+            roots = solve_one(tables, j_vals, 0.0)
             _, r = _margin_and_residual(
                 s, s.supply.risk_beta, j_vals[roots.j_idx], p_vals[roots.p_idx], roots.z
             )
@@ -233,7 +241,7 @@ class TestVectorizedKernelParity:
         j_vals = np.round(np.arange(0, 8) * 0.4, 10)
         tables = PeriodTables.build(H19, p_vals, cfg)
         for tau in (0.0, 0.3, 1.0):
-            roots = solve_slice(tables, j_vals, tau)
+            roots = solve_one(tables, j_vals, tau)
             coef = H19.supply.risk_beta * (1.0 - tau)
             _, r = _margin_and_residual(
                 H19, coef, j_vals[roots.j_idx], p_vals[roots.p_idx], roots.z
@@ -241,6 +249,41 @@ class TestVectorizedKernelParity:
             assert roots.z.size > 0
             assert np.all(np.abs(r) <= cfg.tol_eq)
             assert np.all((roots.z >= cfg.z_min) & (roots.z <= cfg.z_max))
+
+
+    @pytest.mark.parametrize("hour", [4, 19])
+    @pytest.mark.parametrize("batch", [1, None, 10**9])
+    def test_batched_commissions_equal_one_at_a_time(self, hour, batch, monkeypatch):
+        # coef enters the refinement elementwise, so the chunk boundaries
+        # (each slice alone, the default, all 21 slices in one chunk) leave
+        # every root's bits unchanged
+        s, g, cfg = period_for_hour(hour), GridSpec(), SolverConfig()
+        tables = PeriodTables.build(s, g.p_values(), cfg)
+        j_vals, taus = g.j_values(), g.tau_values()
+        want = []
+        for t, tau in enumerate(taus):
+            r = solve_one(tables, j_vals, tau)
+            want.append((r.t_idx + t, r.p_idx, r.j_idx, r.z.view(np.int64)))
+        if batch is not None:
+            monkeypatch.setattr(equilibrium, "_MAX_BATCH", batch)
+        chunks = list(solve_slices(tables, j_vals, taus))
+        assert [t for rows, _ in chunks for t in rows] == list(range(taus.size))
+        if batch == 10**9:
+            assert len(chunks) == 1
+        else:
+            assert len(chunks) == taus.size   # a default-grid slice fills a chunk
+        got = [(r.t_idx, r.p_idx, r.j_idx, r.z.view(np.int64)) for _, r in chunks]
+        for a, b in zip(zip(*want), zip(*got)):
+            assert np.array_equal(np.concatenate(a), np.concatenate(b))
+
+    def test_empty_chunk_keeps_index_and_root_dtypes(self):
+        # at tau = 1 the margin is the positive supply margin, so the wage
+        # grid [0] holds no bracket
+        tables = PeriodTables.build(H19, np.array([0.5, 1.0]), SolverConfig())
+        roots = solve_one(tables, np.array([0.0]), 1.0)
+        assert roots.z.size == 0
+        assert roots.t_idx.dtype == roots.p_idx.dtype == roots.j_idx.dtype == np.int64
+        assert roots.z.dtype == np.float64
 
 
 class TestSelectEquilibrium:

@@ -147,6 +147,16 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"j_values must be .*{problem}"):
             value_table(H19, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages)
 
+    @pytest.mark.parametrize("taus", [[np.nan], [np.inf], [1.5], [-0.5], [0.5, 2.0], []])
+    def test_bad_commission_list_rejected_by_name(self, taus):
+        with pytest.raises(ValueError, match="tau_values"):
+            value_table(H19, Objective.PROFIT, COARSE, FAST_SOLVER, tau_values=taus)
+
+    def test_day_tables_reject_commission_outside_unit_interval(self):
+        with pytest.raises(ValueError, match="tau_values"):
+            day_value_tables(DayScenario((H19,)), Objective.PROFIT, COARSE, FAST_SOLVER,
+                             tau_values=[2.0])
+
     def test_repeated_wages_allowed(self):
         a, b = sweep_idle_wage(H19, Objective.PROFIT, [0.4, 0.4], COARSE, FAST_SOLVER)
         assert a == b
@@ -326,6 +336,18 @@ class TestDeterminism:
         ra = optimize_single_period(H19, Objective.PROFIT, COARSE, FAST_SOLVER, threads=1)
         rb = optimize_single_period(H19, Objective.PROFIT, COARSE, FAST_SOLVER, threads=3)
         assert ra.best_schedule == rb.best_schedule and ra.value == rb.value
+
+
+    @pytest.mark.parametrize("obj", [Objective.PROFIT, Objective.WELFARE])
+    def test_commission_groups_do_not_change_the_table(self, obj):
+        # 3 commissions split into 1, 2, 3 and (capped) 3 contiguous groups
+        want = value_table(H19, obj, CRIT10, CRIT10_SOLVER, threads=1)
+        assert want.values.shape == (3, CRIT10.j_values().size)
+        for threads in (2, 3, 5):
+            got = value_table(H19, obj, CRIT10, CRIT10_SOLVER, threads=threads)
+            for a, b in ((want.values, got.values), (want.p_idx, got.p_idx), (want.z, got.z)):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestAdmissibleBlocks:
