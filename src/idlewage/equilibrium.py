@@ -166,19 +166,19 @@ _MAX_TABLE_CELLS = 2**25
 
 # The model formulas again, beside their reference (equilibrium_components):
 # the scan table needs demand as a separable exp-product over (price x z).
-def _kernel(s: PeriodScenario, p, z):
+def _kernel(s: PeriodScenario, p, z, ep=None):
     """(L1, G, H) at broadcast (p, z): labour L1(z), untaxed earnings base
-    p*Q/L1, and supply margin c*(L1/A)**(1/eps) with c = 1 + 1/eps."""
+    p*Q/L1, and supply margin c*(L1/A)**(1/eps); ep = exp(beta_p*p) if held."""
     d, pk, sp = s.demand, s.pickup, s.supply
     iz = np.power(z / pk.k_T, 1.0 / pk.alpha_T)
-    Q = np.exp(d.beta_p * p) * np.exp(d.kappa + d.beta_T * z)
-    Q /= 1.0 + Q   # in place, so a table build holds fewer full-size temporaries
-    Q *= d.lambda_max
+    Q = (np.exp(d.beta_p * p) if ep is None else ep) * np.exp(d.kappa + d.beta_T * z)
+    np.divide(Q, 1.0 + Q, out=Q)   # in place: a table build holds fewer temporaries
+    np.multiply(Q, d.lambda_max, out=Q)
     L1 = iz + (s.trip_time + z) * Q
     G = p * Q / L1
-    H = L1 / sp.pool_size
+    H = L1 / sp.pool_size   # ufunc calls below: in-place operators cost more on tiny arrays
     np.power(H, 1.0 / sp.elasticity, out=H)
-    H *= 1.0 + 1.0 / sp.elasticity
+    np.multiply(H, 1.0 + 1.0 / sp.elasticity, out=H)
     return L1, G, H
 
 
@@ -206,14 +206,14 @@ class PeriodTables:
         return PeriodTables(s, cfg, p, z, G, H)
 
 
-def _margin_and_residual(s: PeriodScenario, coef, J, p, z):
+def _margin_and_residual(s: PeriodScenario, coef, J, p, z, ep=None):
     """Pointwise wage margin W and residual at (p, z) for earnings weight coef.
 
     coef is risk_beta * (1 - tau), shared or per point; the kernel is the
     one PeriodTables.build uses, so scan and refinement agree elementwise.
     """
     sp = s.supply
-    L1, G, H = _kernel(s, p, z)
+    L1, G, H = _kernel(s, p, z, ep)
     c = 1.0 + 1.0 / sp.elasticity
     cG = coef * G
     resid = sp.pool_size * np.power((cG + J) / c, sp.elasticity) - L1
@@ -265,37 +265,37 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, taus):
     end); that midpoint is emitted only if its residual is within ``tol_eq``.
     """
     j_values = np.asarray(j_values, dtype=float)
-    chunk, start = [], 0
+    chunk, start, size = [], 0, 0
     for t, tau in enumerate(taus):
         coef = tables.scenario.supply.risk_beta * (1.0 - tau)
         p_idx, cell_idx, j_idx, s_lo = _brackets(tables.H - coef * tables.G, j_values)
-        n = p_idx.size
+        size += (n := p_idx.size)
         chunk.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef)))
-        if sum(c[1].size for c in chunk) >= _MAX_BATCH or t == len(taus) - 1:
-            yield range(start, t + 1), _refine(tables, j_values, *map(np.concatenate, zip(*chunk)))
-            chunk, start = [], t + 1
+        if size >= _MAX_BATCH or t == len(taus) - 1:
+            cols = (c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*chunk))
+            yield range(start, t + 1), _refine(tables, j_values, *cols)
+            chunk, start, size = [], t + 1, 0
 
 
 def _refine(tables: PeriodTables, j_values, t_idx, p_idx, cell_idx, j_idx, s_lo, coef) -> RootSet:
     """Bisect a chunk's brackets, filter by tol_eq and merge duplicates."""
     s, cfg = tables.scenario, tables.cfg
-    p_arr, J_arr = tables.p[p_idx], j_values[j_idx]
+    p_arr, J_arr, ep = tables.p[p_idx], j_values[j_idx], np.exp(s.demand.beta_p * tables.p)[p_idx]
     z_lo, z_hi = tables.z[cell_idx], tables.z[cell_idx + 1]
 
     # Bisect the live brackets; an accepted bracket records its midpoint
     # and residual and leaves the live arrays.  The pass budget guards
     # against a midpoint that cannot halve: its last pass accepts all.
-    half_tol = 0.5 * cfg.tol_eq
+    half_tol, passes_left = 0.5 * cfg.tol_eq, _MAX_BISECT_ITER
     live = np.arange(p_idx.size)
     z_root, r_root = np.empty((2, p_idx.size))
-    passes_left = _MAX_BISECT_ITER
     while live.size:
         passes_left -= 1
         mid = 0.5 * (z_lo + z_hi)
-        w_mid, r_mid = _margin_and_residual(s, coef, J_arr, p_arr, mid)
+        w_mid, r_mid = _margin_and_residual(s, coef, J_arr, p_arr, mid, ep)
         narrow = ((z_hi - z_lo) <= cfg.bisect_tol) & (np.abs(r_mid) <= half_tol)
         stalled = (mid == z_lo) | (mid == z_hi)   # float spacing exhausted
-        done = narrow | stalled | (passes_left == 0)
+        done = narrow | stalled if passes_left else np.ones(live.size, dtype=bool)
         toward_hi = (w_mid > J_arr) == s_lo
         z_lo = np.where(toward_hi, mid, z_lo)
         z_hi = np.where(toward_hi, z_hi, mid)
@@ -303,8 +303,8 @@ def _refine(tables: PeriodTables, j_values, t_idx, p_idx, cell_idx, j_idx, s_lo,
             z_root[live[done]] = mid[done]
             r_root[live[done]] = r_mid[done]
             go = ~done
-            live, p_arr, J_arr, s_lo, coef = live[go], p_arr[go], J_arr[go], s_lo[go], coef[go]
-            z_lo, z_hi = z_lo[go], z_hi[go]
+            live, p_arr, ep, J_arr, s_lo, coef, z_lo, z_hi = (
+                a[go] for a in (live, p_arr, ep, J_arr, s_lo, coef, z_lo, z_hi))
 
     keep = np.abs(r_root) <= cfg.tol_eq
     t_idx, p_idx, j_idx, z_root = t_idx[keep], p_idx[keep], j_idx[keep], z_root[keep]
