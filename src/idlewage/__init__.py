@@ -42,9 +42,11 @@ from .optimize import (
     OptimResult,
     Regime,
     SweepPoint,
+    TableRequest,
     ValueTable,
     admissible_blocks,
     block_wage_max,
+    day_requests,
     day_value_tables,
     optimize_day_fixed,
     optimize_day_flexible,
@@ -53,6 +55,7 @@ from .optimize import (
     sweep_day_idle_wage,
     sweep_idle_wage,
     value_table,
+    value_tables,
     value_vs_tau,
 )
 from .scenario import (

@@ -23,13 +23,16 @@ from .optimize import (
     GridSpec,
     InfeasibleError,
     OptimResult,
+    TableRequest,
     block_wage_max,
+    day_requests,
     optimize_day_fixed,
     optimize_day_flexible,
     optimize_min_wage,
     optimize_single_period,
     sweep_day_idle_wage,
     sweep_idle_wage,
+    value_tables,
     value_vs_tau,
 )
 from .analytic import (
@@ -263,10 +266,10 @@ def _cmd_value_vs_tau(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _table2_optimum(cfg: ScenarioConfig, b, a4, a19, obj, threads) -> tuple:
+def _table2_optimum(cfg: ScenarioConfig, b, a4, a19, obj, threads, tables=None) -> tuple:
     """(J, tau, value) of the shared-(J, tau) optimum of one two-period row."""
     g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
-    res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g, cfg.solver, threads)
+    res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g, cfg.solver, threads, tables)
     return res.best_schedule.idle_wages[0], res.best_schedule.commission, res.value
 
 
@@ -321,6 +324,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     threads = args.threads
     g, solver = cfg.grid, cfg.solver
+    g2 = dataclasses.replace(g, **TABLE2_GRID)
     objectives = (Objective.WELFARE, Objective.PROFIT)
     sweep_names = ("beta", "objective", "J", "best_value", "best_tau", "tau1_optimal")
 
@@ -331,13 +335,31 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
         emit_table(ResultTable(_columns(names, rows), _meta(cfg, name, "both")),
                    os.path.join(args.outdir, f"{name}.csv"))
 
+    # Every figure's value tables in one plan, so each distinct slice is
+    # refined once; the figures below reduce them.  fig5's re-priced block
+    # hours are off the wage grid and solve on their own.
+    day, day5 = cfg.day(), at_beta(FIG5_BETA).day()
+    requests = [
+        *(TableRequest.of(at_beta(b).period(19), obj, g, solver)
+          for b in FIG1_BETAS for obj in objectives),
+        *(r for b in FIG2_BETAS + FIG4_BETAS for obj in objectives
+          for r in day_requests(at_beta(b).day(), obj, g, solver)),
+        *(r for d in (day, day5) for obj in objectives
+          for r in day_requests(d, obj, g, solver, tau_values=[1.0])),
+        *(r for b in TABLE2_BETAS for a4, a19 in TABLE2_AB for obj in objectives
+          for r in day_requests(two_period_day(b, a4, a19), obj, g2, solver)),
+    ]
+    _progress(f"plan: {len(set(requests))} value tables")
+    tables = value_tables(requests, threads)
+
     # fig1: single-period idle-wage sweep at the evening peak
     _progress("fig1: single-period sweep per beta and objective")
     emit("fig1", sweep_names, [
         (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
         for b in FIG1_BETAS
         for obj in objectives
-        for pt in sweep_idle_wage(at_beta(b).period(19), obj, g.j_values(), g, solver, threads)
+        for pt in sweep_idle_wage(
+            at_beta(b).period(19), obj, g.j_values(), g, solver, threads, tables)
     ])
 
     # fig2: full-day value against the shared commission
@@ -346,14 +368,13 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
         (b, obj.value, tau, v)
         for b in FIG2_BETAS
         for obj in objectives
-        for tau, v in value_vs_tau(at_beta(b).day(), obj, g, solver, threads)
+        for tau, v in value_vs_tau(at_beta(b).day(), obj, g, solver, threads, tables)
     ])
 
     # fig3: flexible per-hour idle wage (beta plays no role at tau = 1)
     _progress("fig3: flexible per-hour wages")
-    day = cfg.day()
-    flex_w = optimize_day_flexible(day, Objective.WELFARE, g, solver, threads)
-    flex_p = optimize_day_flexible(day, Objective.PROFIT, g, solver, threads)
+    flex_w = optimize_day_flexible(day, Objective.WELFARE, g, solver, threads, tables)
+    flex_p = optimize_day_flexible(day, Objective.PROFIT, g, solver, threads, tables)
     emit("fig3", ("hour", "J_welfare", "J_profit"), list(zip(
         range(1, 25), flex_w.best_schedule.idle_wages, flex_p.best_schedule.idle_wages
     )))
@@ -364,18 +385,17 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
         (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
         for b in FIG4_BETAS
         for obj in objectives
-        for pt in sweep_day_idle_wage(at_beta(b).day(), obj, g, solver, threads)
+        for pt in sweep_day_idle_wage(at_beta(b).day(), obj, g, solver, threads, tables)
     ])
 
     # fig5: minimum-wage blocks vs the unconstrained flexible day
     _progress("fig5: minimum-wage sweep")
-    day5 = at_beta(FIG5_BETA).day()
     rows = []
     for obj in objectives:
         values = []
         for jm in FIG5_JMIN:
             c = dataclasses.replace(cfg.blocks, j_min=jm)
-            values.append(optimize_min_wage(day5, obj, g, c, solver, threads).value)
+            values.append(optimize_min_wage(day5, obj, g, c, solver, threads, tables).value)
         # FIG5_JMIN[0] is 0, a floor every schedule meets, so its value is
         # the unconstrained flexible day's.
         rows += [(obj.value, jm, v, values[0]) for jm, v in zip(FIG5_JMIN, values)]
@@ -384,7 +404,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     # table2: shared (J, tau) on the published two-period lattice
     _progress("table2: all beta x pool rows")
     emit("table2", ("beta", "A4", "A19", "objective", "J", "tau", "value"), [
-        (b, a4, a19, obj.value, *_table2_optimum(cfg, b, a4, a19, obj, threads))
+        (b, a4, a19, obj.value, *_table2_optimum(cfg, b, a4, a19, obj, threads, tables))
         for b in TABLE2_BETAS
         for a4, a19 in TABLE2_AB
         for obj in objectives

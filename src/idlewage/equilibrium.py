@@ -152,8 +152,8 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # each margin; J_i lies in the W-range [min, max) of two adjacent z points,
 # so the residual changes sign between them, exactly when
 # min(k) <= i < max(k).  Refinement takes coef = beta * (1 - tau) per
-# bracket, elementwise, so a period's commissions bisect together in chunks
-# of _MAX_BATCH brackets or more (a default-grid slice fills one alone).
+# bracket, elementwise, so a period's earnings weights bisect together in
+# chunks of _MAX_BATCH brackets or more (a default-grid slice fills one alone).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**15
@@ -175,7 +175,9 @@ def _kernel(s: PeriodScenario, p, z, ep=None):
     np.divide(Q, 1.0 + Q, out=Q)   # in place: a table build holds fewer temporaries
     np.multiply(Q, d.lambda_max, out=Q)
     L1 = iz + (s.trip_time + z) * Q
+    del iz   # names are dropped once used, so a pass holds few temporaries
     G = p * Q / L1
+    del Q
     H = L1 / sp.pool_size   # ufunc calls below: in-place operators cost more on tiny arrays
     np.power(H, 1.0 / sp.elasticity, out=H)
     np.multiply(H, 1.0 + 1.0 / sp.elasticity, out=H)
@@ -216,15 +218,24 @@ def _margin_and_residual(s: PeriodScenario, coef, J, p, z, ep=None):
     L1, G, H = _kernel(s, p, z, ep)
     c = 1.0 + 1.0 / sp.elasticity
     cG = coef * G
-    resid = sp.pool_size * np.power((cG + J) / c, sp.elasticity) - L1
-    return H - cG, resid
+    del G   # as in _kernel; out= aliasing an input costs more on tiny arrays
+    W = H - cG
+    del H
+    x = cG + J
+    del cG
+    x = np.power(x / c, sp.elasticity)
+    x = sp.pool_size * x
+    return W, x - L1
 
 
 @dataclass
 class RootSet:
-    """All bracketed equilibria of a chunk of (tau x price grid x wage grid) slices."""
+    """All bracketed equilibria of a chunk of (weight x price grid x wage grid) slices.
 
-    t_idx: np.ndarray    # (m,) index into the commission list
+    Roots come in ascending t_idx, so each slice's roots are one run.
+    """
+
+    t_idx: np.ndarray    # (m,) index into the earnings-weight list
     p_idx: np.ndarray    # (m,) index into the price grid
     j_idx: np.ndarray    # (m,) index into the wage grid
     z: np.ndarray        # (m,) refined pickup times
@@ -252,72 +263,96 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
     return rows[owner], cells[owner], j_idx, (k_lo > k_hi)[owner]
 
 
-def solve_slices(tables: PeriodTables, j_values: np.ndarray, taus):
-    """Locate every labour-balance root for each commission in taus.
+def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, batch: int | None = None):
+    """Locate every labour-balance root for each earnings weight in coefs.
 
-    Yields ``(rows, roots)`` per chunk: the range of consecutive indices
-    into taus and their roots.  A scan cell brackets exactly the (ascending)
-    wages its count steps over.  A chunk closes at ``_MAX_BATCH`` brackets
-    or the last commission; its brackets bisect together, each steered by
-    the table's sign at its low end.  A bracket ends when it is narrower
-    than ``bisect_tol`` with the residual at its midpoint within half of
+    A weight is risk_beta * (1 - tau); the roots depend on the commission
+    and the risk weight only through it.  Yields ``(rows, roots)`` per
+    chunk: the range of consecutive indices into coefs and their roots.  A
+    scan cell brackets exactly the (ascending) wages its count steps over.
+    A chunk closes at ``batch`` brackets (default ``_MAX_BATCH``) or the
+    last weight; its brackets bisect together, each steered by the table's
+    sign at its low end.  A bracket ends when it is narrower than
+    ``bisect_tol`` with the residual at its midpoint within half of
     ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
     end); that midpoint is emitted only if its residual is within ``tol_eq``.
     """
     j_values = np.asarray(j_values, dtype=float)
+    batch = _MAX_BATCH if batch is None else batch
+    W = np.empty_like(tables.H)   # the margin H - coef*G, one buffer for every weight
     chunk, start, size = [], 0, 0
-    for t, tau in enumerate(taus):
-        coef = tables.scenario.supply.risk_beta * (1.0 - tau)
-        p_idx, cell_idx, j_idx, s_lo = _brackets(tables.H - coef * tables.G, j_values)
+    for t, coef in enumerate(coefs):
+        np.multiply(tables.G, coef, out=W)
+        np.subtract(tables.H, W, out=W)
+        p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
         size += (n := p_idx.size)
-        chunk.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef)))
-        if size >= _MAX_BATCH or t == len(taus) - 1:
-            cols = (c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*chunk))
-            yield range(start, t + 1), _refine(tables, j_values, *cols)
-            chunk, start, size = [], t + 1, 0
+        chunk.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef, dtype=float)))
+        if size >= batch or t == len(coefs) - 1:
+            cols = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*chunk)]
+            chunk.clear()
+            yield range(start, t + 1), _refine(tables, j_values, cols)
+            start, size = t + 1, 0
 
 
-def _refine(tables: PeriodTables, j_values, t_idx, p_idx, cell_idx, j_idx, s_lo, coef) -> RootSet:
-    """Bisect a chunk's brackets, filter by tol_eq and merge duplicates."""
+def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
+    """Bisect a chunk's brackets, filter by tol_eq and merge duplicates.
+
+    cols holds the bracket columns (t_idx, p_idx, cell_idx, j_idx, s_lo,
+    coef) and is emptied: only the live brackets' state stays held, since
+    a chunk's arrays are its peak memory.
+    """
     s, cfg = tables.scenario, tables.cfg
+    n_p, n_j = tables.p.size, j_values.size
+    t_idx, p_idx, cell_idx, j_idx, s_lo, coef = cols
+    cols.clear()
+    cell = (t_idx * n_p + p_idx) * n_j + j_idx   # the (t, p, j) cell of each bracket
+    del t_idx
     p_arr, J_arr, ep = tables.p[p_idx], j_values[j_idx], np.exp(s.demand.beta_p * tables.p)[p_idx]
     z_lo, z_hi = tables.z[cell_idx], tables.z[cell_idx + 1]
+    del p_idx, cell_idx, j_idx
 
-    # Bisect the live brackets; an accepted bracket records its midpoint
-    # and residual and leaves the live arrays.  The pass budget guards
-    # against a midpoint that cannot halve: its last pass accepts all.
+    # Bisect the live brackets; an accepted bracket records its cell, its
+    # midpoint and whether its residual is within tol_eq, and leaves the
+    # live arrays.  The pass budget guards against a midpoint that cannot
+    # halve: its last pass accepts all.
     half_tol, passes_left = 0.5 * cfg.tol_eq, _MAX_BISECT_ITER
-    live = np.arange(p_idx.size)
-    z_root, r_root = np.empty((2, p_idx.size))
-    while live.size:
+    found = [(np.empty(0, dtype=cell.dtype), np.empty(0), np.empty(0, dtype=bool))]
+    while cell.size:
         passes_left -= 1
         mid = 0.5 * (z_lo + z_hi)
         w_mid, r_mid = _margin_and_residual(s, coef, J_arr, p_arr, mid, ep)
         narrow = ((z_hi - z_lo) <= cfg.bisect_tol) & (np.abs(r_mid) <= half_tol)
         stalled = (mid == z_lo) | (mid == z_hi)   # float spacing exhausted
-        done = narrow | stalled if passes_left else np.ones(live.size, dtype=bool)
+        done = narrow | stalled if passes_left else np.ones(cell.size, dtype=bool)
         toward_hi = (w_mid > J_arr) == s_lo
         z_lo = np.where(toward_hi, mid, z_lo)
         z_hi = np.where(toward_hi, z_hi, mid)
         if done.any():
-            z_root[live[done]] = mid[done]
-            r_root[live[done]] = r_mid[done]
-            go = ~done
-            live, p_arr, ep, J_arr, s_lo, coef, z_lo, z_hi = (
-                a[go] for a in (live, p_arr, ep, J_arr, s_lo, coef, z_lo, z_hi))
+            found.append((cell[done], mid[done], np.abs(r_mid[done]) <= cfg.tol_eq))
+            go = ~done   # compact one array at a time: each old one is freed at once
+            cell = cell[go]
+            p_arr = p_arr[go]
+            ep = ep[go]
+            J_arr = J_arr[go]
+            s_lo = s_lo[go]
+            coef = coef[go]
+            z_lo = z_lo[go]
+            z_hi = z_hi[go]
+        del mid, w_mid, r_mid, narrow, stalled, done, toward_hi   # not held into the next pass
 
-    keep = np.abs(r_root) <= cfg.tol_eq
-    t_idx, p_idx, j_idx, z_root = t_idx[keep], p_idx[keep], j_idx[keep], z_root[keep]
+    cell, z_root, ok = (np.concatenate(c) for c in zip(*found))
+    cell, z_root = cell[ok], z_root[ok]
 
     # Merge duplicate detections of the same root from adjacent cells.
     if z_root.size > 1:
-        cell = (t_idx * tables.p.size + p_idx) * j_values.size + j_idx
         order = np.lexsort((z_root, cell))   # by (t, p, j, z)
-        Q = demand(s.demand, tables.p[p_idx[order]], z_root[order])
+        Q = demand(s.demand, tables.p[cell[order] // n_j % n_p], z_root[order])
         same = (np.diff(cell[order]) == 0) & (np.abs(np.diff(Q)) <= cfg.tol_eq)
         sel = order[np.concatenate(([True], ~same))]
-        t_idx, p_idx, j_idx, z_root = t_idx[sel], p_idx[sel], j_idx[sel], z_root[sel]
+        cell, z_root = cell[sel], z_root[sel]
 
+    t_idx, pj = np.divmod(cell, n_p * n_j)
+    p_idx, j_idx = np.divmod(pj, n_j)
     return RootSet(t_idx, p_idx, j_idx, z_root)
 
 
@@ -353,7 +388,8 @@ def find_equilibria(
     window never passes silently.
     """
     tables = PeriodTables.build(s, np.array([pol.price]), cfg)
-    _, roots = next(solve_slices(tables, np.array([pol.idle_wage]), [pol.commission]))
+    coef = s.supply.risk_beta * (1.0 - pol.commission)
+    _, roots = next(solve_slices(tables, np.array([pol.idle_wage]), [coef]))
     eqs = [equilibrium_at(s, pol, z) for z in roots.z]
     if pol.idle_wage == 0:
         eqs.append(zero_equilibrium(pol))

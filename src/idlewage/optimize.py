@@ -10,8 +10,18 @@ over the price grid at each (tau, J) cell, with the winning price and
 equilibrium.  Every grid cell is evaluated through the bracketing
 equilibrium solver and the objective-maximizing equilibrium is kept per
 cell.  Ties between cells break lexicographically through one helper,
-``_lex_first``, so results are deterministic for any degree of evaluation
-parallelism (grid cells are pure and independent; reduction order is fixed).
+``_lex_first``.
+
+Tables come from one planner, :func:`value_tables`.  A
+:class:`TableRequest` names a table by everything it depends on; requests
+that share a slice key (the period without its risk weight, the price and
+wage grids, the solver config) share one scan table, and each distinct
+earnings weight beta * (1 - tau) among them is refined once.  The planner
+splits its work once: by group, or by parts of each group's weights when
+there are fewer groups than threads.  Regimes take an optional mapping
+from requests to tables, so a caller can plan several regimes' tables in
+one call.  Results are deterministic for any degree of parallelism (slices
+are pure and independent; reduction order is fixed).
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import (
+    _MAX_BATCH,
     _MAX_TABLE_CELLS,
     DEFAULT_SOLVER,
     BracketingError,
@@ -48,8 +59,11 @@ __all__ = [
     "SweepPoint",
     "DaySweepPoint",
     "ValueTable",
+    "TableRequest",
     "InfeasibleError",
+    "value_tables",
     "value_table",
+    "day_requests",
     "day_value_tables",
     "optimize_single_period",
     "sweep_idle_wage",
@@ -77,8 +91,11 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _wage_list(values, name: str) -> np.ndarray:
-    """values as a float array; ValueError naming the argument unless finite and ascending."""
+    """values as a float array; ValueError naming the argument unless a finite,
+    ascending, one-dimensional list."""
     js = np.asarray(values, dtype=float)
+    if js.ndim != 1:
+        raise ValueError(f"{name} must be a one-dimensional list")
     if not np.all(np.isfinite(js)):
         raise ValueError(f"{name} must be finite")
     if np.any(np.diff(js) < 0):
@@ -100,6 +117,9 @@ class GridSpec:
 
     def __post_init__(self):
         _require_finite(self, "p_min", "p_max", "p_step", "j_min", "j_max", "j_step", "tau_step")
+        for name in ("p_min", "j_min"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("p_step", "j_step", "tau_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -237,9 +257,8 @@ def _tau1_ties(values: np.ndarray, best: float) -> bool:
 class ValueTable:
     """Best value over the price grid per cell, with its price index and root.
 
-    Arrays are (n_j,) for one commission and (n_tau, n_j) for a table.  z
-    is the winning equilibrium's pickup-time root; NaN marks the shutdown
-    equilibrium (only possible at J = 0).
+    Arrays are (n_tau, n_j).  z is the winning equilibrium's pickup-time
+    root; NaN marks the shutdown equilibrium (only possible at J = 0).
     """
 
     values: np.ndarray
@@ -247,18 +266,58 @@ class ValueTable:
     z: np.ndarray
 
 
-def _best_over_prices(
-    tables: PeriodTables, j_values: np.ndarray, taus: np.ndarray, rows: range,
-    roots: RootSet, obj: Objective,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, p_idx, z) of the best price per (tau, J) cell of taus[rows].
+@dataclass(frozen=True)
+class TableRequest:
+    """One period's value table, named by everything the table depends on.
 
-    Within a cell the objective-maximizing equilibrium is selected (ties:
-    smallest throughput, then smallest labour); across prices ties go to
-    the smallest price.
+    Equal requests have equal tables, so a mapping from requests to tables
+    never returns a table computed for other inputs.  Build one with
+    :meth:`of`, which validates the commission and wage lists.
+    """
+
+    period: PeriodScenario
+    obj: Objective
+    prices: tuple[float, ...]
+    taus: tuple[float, ...]
+    wages: tuple[float, ...]
+    cfg: SolverConfig
+
+    @staticmethod
+    def of(
+        s: PeriodScenario, obj: Objective, g: GridSpec = GridSpec(),
+        cfg: SolverConfig = DEFAULT_SOLVER, tau_values=None, j_values=None,
+    ) -> "TableRequest":
+        """The table of s over g's price grid at tau_values x j_values.
+
+        tau_values and j_values default to g's grids; tau_values must be a
+        nonempty list of commissions in [0, 1], j_values finite and ascending.
+        """
+        taus = g.tau_values() if tau_values is None else np.asarray(tau_values, dtype=float)
+        if taus.ndim != 1 or not taus.size or not np.all((taus >= 0.0) & (taus <= 1.0)):
+            raise ValueError("tau_values must be a nonempty list of commissions in [0, 1]")
+        js = g.j_values() if j_values is None else _wage_list(j_values, "j_values")
+        return TableRequest(s, obj, *(tuple(a.tolist()) for a in (g.p_values(), taus, js)), cfg)
+
+    def slice_key(self) -> tuple:
+        """What the roots depend on besides the weight beta * (1 - tau): the
+        period without its risk weight, the price and wage grids, the solver."""
+        s = self.period
+        no_beta = replace(s, supply=replace(s.supply, risk_beta=1.0))
+        return no_beta, self.prices, self.wages, self.cfg
+
+
+def _best_over_prices(
+    tables: PeriodTables, j_values: np.ndarray, taus: np.ndarray, roots: RootSet,
+    obj: Objective,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, p_idx, z) of the best price per (tau, J) cell, one row per tau.
+
+    roots.t_idx indexes taus.  Within a cell the objective-maximizing
+    equilibrium is selected (ties: smallest throughput, then smallest
+    labour); across prices ties go to the smallest price.
     """
     s, n_p, n_j = tables.scenario, tables.p.size, j_values.size
-    V = np.full((len(rows), n_j, n_p), -np.inf)
+    V = np.full((taus.size, n_j, n_p), -np.inf)
     Z = np.full(V.shape, np.nan)
     if roots.z.size:
         tau, p_arr = taus[roots.t_idx], tables.p[roots.p_idx]
@@ -267,7 +326,7 @@ def _best_over_prices(
             vals = profit_values(tau, p_arr, Q, j_values[roots.j_idx], L)
         else:
             vals = welfare_values(s, p_arr, T, Q, L)
-        cell = ((roots.t_idx - rows.start) * n_j + roots.j_idx) * n_p + roots.p_idx
+        cell = (roots.t_idx * n_j + roots.j_idx) * n_p + roots.p_idx
         order = np.lexsort((L, Q, -vals, cell))
         sel = order[np.diff(cell[order], prepend=-1) != 0]   # first root of each cell
         V.flat[cell[sel]] = vals[sel]
@@ -290,6 +349,115 @@ def _best_over_prices(
     return V[t, j, best_p], best_p, Z[t, j, best_p]
 
 
+def _roots_of(roots: RootSet, rows: range, k: np.ndarray) -> RootSet:
+    """The roots of the slices k (indices into the chunk's weights, all in
+    rows), each renumbered to its position in k; a repeated slice repeats."""
+    bounds = np.searchsorted(roots.t_idx, np.arange(rows.start, rows.stop + 1))
+    lo, counts = bounds[k - rows.start], np.diff(bounds)[k - rows.start]
+    owner = np.repeat(np.arange(k.size), counts)
+    take = lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    return RootSet(owner, roots.p_idx[take], roots.j_idx[take], roots.z[take])
+
+
+@dataclass
+class _Group:
+    """Requests sharing one slice key, and the distinct weights they need."""
+
+    requests: list[TableRequest]
+    coefs: np.ndarray           # distinct beta * (1 - tau), ascending
+    coef_idx: list[np.ndarray]  # per request: index into coefs of each tau
+    tables: PeriodTables | None = None
+    out: dict | None = None
+
+    def cells(self) -> int:
+        """(weight, price, wage) cells the group refines."""
+        r = self.requests[0]
+        return self.coefs.size * len(r.prices) * len(r.wages)
+
+    def build(self) -> PeriodTables:
+        s, prices, _, cfg = self.requests[0].slice_key()
+        return PeriodTables.build(s, np.array(prices), cfg)
+
+    def outputs(self) -> dict[TableRequest, ValueTable]:
+        """An unfilled table per request; the group's chunks fill every cell."""
+        out = {}
+        for r in self.requests:
+            shape = (len(r.taus), len(r.wages))
+            out[r] = ValueTable(np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
+        return out
+
+
+def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
+    """The value table of every request, each distinct slice refined once.
+
+    Requests group by :meth:`TableRequest.slice_key`.  A group builds one
+    scan table and streams its distinct weights beta * (1 - tau), compared
+    as exact floats, through one :func:`solve_slices` call; each chunk's
+    roots are reduced into every request that uses them, then dropped.
+    The work items are the groups, largest first, or, when there are fewer
+    groups than threads, contiguous parts of each group's weights.  A group
+    holds its scan table and tables only while it runs, unless it is split.
+    ``_MAX_BATCH`` bounds the brackets in flight over all threads: each of
+    the k streams that run at once closes its chunks at ``_MAX_BATCH // k``.
+    """
+    by_key: dict[tuple, list[TableRequest]] = {}
+    for r in dict.fromkeys(requests):
+        by_key.setdefault(r.slice_key(), []).append(r)
+    groups = []
+    for reqs in by_key.values():
+        weights = [r.period.supply.risk_beta * (1.0 - np.array(r.taus)) for r in reqs]
+        coefs, inverse = np.unique(np.concatenate(weights), return_inverse=True)
+        ends = np.cumsum([len(r.taus) for r in reqs])
+        groups.append(_Group(reqs, coefs, np.split(inverse, ends[:-1])))
+    groups.sort(key=_Group.cells, reverse=True)
+
+    parts = -(-threads // len(groups)) if 0 < len(groups) < threads else 1
+    if parts > 1:   # the parts of a group share its scan table and tables
+        for grp, tables in zip(groups, _parallel_map(_Group.build, groups, threads)):
+            grp.tables, grp.out = tables, grp.outputs()
+    items = [
+        (grp, part) for grp in groups
+        for part in np.array_split(np.arange(grp.coefs.size), min(parts, grp.coefs.size))
+    ]
+
+    batch = _MAX_BATCH // max(1, min(threads, len(items)))
+
+    def run(item):  # stream the part's chunks: reduce each, then drop its roots
+        grp, part = item
+        tables, out = grp.tables or grp.build(), grp.out or grp.outputs()
+        wages = np.array(grp.requests[0].wages)
+        for rows, roots in solve_slices(tables, wages, grp.coefs[part], batch):
+            lo, hi = part[0] + rows.start, part[0] + rows.stop
+            for r, idx in zip(grp.requests, grp.coef_idx):
+                mine = np.flatnonzero((idx >= lo) & (idx < hi))
+                if mine.size:
+                    taus, k = np.array(r.taus)[mine], idx[mine] - part[0]
+                    res = _best_over_prices(tables, wages, taus, _roots_of(roots, rows, k), r.obj)
+                    for dst, src in zip((out[r].values, out[r].p_idx, out[r].z), res):
+                        dst[mine] = src
+            del roots   # before the next chunk refines
+        return out
+
+    return {r: t for out in _parallel_map(run, items, threads) for r, t in out.items()}
+
+
+def _tables_for(requests, tables, threads: int) -> list[ValueTable]:
+    """The table of each request: from the tables mapping when it holds
+    one, else computed in one :func:`value_tables` call."""
+    have = tables or {}
+    new = value_tables([r for r in requests if r not in have], threads)
+    return [have[r] if r in have else new[r] for r in requests]
+
+
+def day_requests(
+    d: DayScenario, obj: Objective, g: GridSpec = GridSpec(),
+    cfg: SolverConfig = DEFAULT_SOLVER, tau_values=None,
+) -> list[TableRequest]:
+    """The :class:`TableRequest` of every period of the day, in period order."""
+    first = TableRequest.of(d.periods[0], obj, g, cfg, tau_values)
+    return [replace(first, period=s) for s in d.periods]   # the periods share one set of grids
+
+
 def value_table(
     s: PeriodScenario,
     obj: Objective,
@@ -301,21 +469,11 @@ def value_table(
 ) -> ValueTable:
     """One period's (n_tau, n_j) table of the best value over g's price grid.
 
-    tau_values and j_values default to g's grids; tau_values must be a
-    nonempty list of commissions in [0, 1], j_values finite and ascending.
-    The commissions are split into contiguous groups evaluated in parallel.
+    The table of ``TableRequest.of(s, obj, g, cfg, tau_values, j_values)``
+    from :func:`value_tables`.
     """
-    taus = g.tau_values() if tau_values is None else np.asarray(tau_values, dtype=float)
-    if taus.ndim != 1 or not taus.size or not np.all((taus >= 0.0) & (taus <= 1.0)):
-        raise ValueError("tau_values must be a nonempty list of commissions in [0, 1]")
-    js = g.j_values() if j_values is None else _wage_list(j_values, "j_values")
-    tables = PeriodTables.build(s, g.p_values(), cfg)
-
-    def group(ts):  # stream the group's chunks: reduce each, then drop its roots
-        return [_best_over_prices(tables, js, ts, *c, obj) for c in solve_slices(tables, js, ts)]
-
-    parts = _parallel_map(group, np.array_split(taus, min(threads, taus.size)), threads)
-    return ValueTable(*map(np.concatenate, zip(*(c for part in parts for c in part))))
+    req = TableRequest.of(s, obj, g, cfg, tau_values, j_values)
+    return value_tables([req], threads)[req]
 
 
 def day_value_tables(
@@ -328,14 +486,10 @@ def day_value_tables(
 ) -> list[ValueTable]:
     """:func:`value_table` of every period of the day, in period order.
 
-    Each distinct period is evaluated once; periods run in parallel.
+    One :func:`value_tables` call: equal periods share one table object,
+    and periods equal but for the risk weight share their slices.
     """
-    unique = list(dict.fromkeys(d.periods))
-    tables = _parallel_map(
-        lambda s: value_table(s, obj, g, cfg, tau_values=tau_values), unique, threads
-    )
-    by_period = dict(zip(unique, tables))
-    return [by_period[s] for s in d.periods]
+    return _tables_for(day_requests(d, obj, g, cfg, tau_values), None, threads)
 
 
 def _winner_equilibrium(
@@ -388,17 +542,20 @@ def sweep_idle_wage(
     g: GridSpec = GridSpec(),
     cfg: SolverConfig = DEFAULT_SOLVER,
     threads: int = 1,
+    tables=None,
 ) -> list[SweepPoint]:
     """Best value per idle wage when price and commission are optimized.
 
     J_values must be finite and ascending.  Each point is flagged when
     tau = 1 attains the per-J maximum within a relative tolerance of 1e-9.
+    tables maps :class:`TableRequest` to tables already computed, as
+    returned by :func:`value_tables`; a request it lacks is computed here.
     """
     j_vals = _wage_list(J_values, "J_values")
     if np.any(j_vals < g.j_min) or np.any(j_vals > g.j_max):
         raise ValueError("J_values must lie within the grid's idle-wage range")
     p_vals, tau_vals = g.p_values(), g.tau_values()
-    t = value_table(s, obj, g, cfg, threads, j_values=j_vals)
+    (t,) = _tables_for([TableRequest.of(s, obj, g, cfg, j_values=j_vals)], tables, threads)
     out = []
     for ji, J in enumerate(j_vals):
         V, price = t.values[:, ji], p_vals[t.p_idx[:, ji]]
@@ -415,16 +572,18 @@ def sweep_day_idle_wage(
     g: GridSpec = GridSpec(),
     cfg: SolverConfig = DEFAULT_SOLVER,
     threads: int = 1,
+    tables=None,
 ) -> list[DaySweepPoint]:
     """Best day total per shared idle wage on g's wage grid.
 
     The commission is shared by the day and every period's price is free;
     ties go to the smallest commission.  Each point is flagged when tau = 1
     attains the per-J maximum within the tolerance of
-    :func:`sweep_idle_wage`.
+    :func:`sweep_idle_wage`, which also describes tables.
     """
     tau_vals = g.tau_values()
-    total = np.sum([t.values for t in day_value_tables(d, obj, g, cfg, threads)], axis=0)
+    day = _tables_for(day_requests(d, obj, g, cfg), tables, threads)
+    total = np.sum([t.values for t in day], axis=0)
     out = []
     for ji, J in enumerate(g.j_values()):
         V = total[:, ji]
@@ -439,16 +598,18 @@ def optimize_day_flexible(
     g: GridSpec = GridSpec(),
     cfg: SolverConfig = DEFAULT_SOLVER,
     threads: int = 1,
+    tables=None,
 ) -> OptimResult:
     """Fully flexible per-period idle wage; commission pinned at 1.
 
     With a per-period J the day decouples and paying drivers only through
     the idle wage is optimal, so each period is optimized independently
-    over (p, J) at tau = 1.
+    over (p, J) at tau = 1.  tables as in :func:`sweep_idle_wage`.
     """
     p_vals, j_vals = g.p_values(), g.j_values()
     eqs = []
-    for s, t in zip(d.periods, day_value_tables(d, obj, g, cfg, threads, tau_values=[1.0])):
+    day = _tables_for(day_requests(d, obj, g, cfg, tau_values=[1.0]), tables, threads)
+    for s, t in zip(d.periods, day):
         ji = _lex_first(-t.values[0], p_vals[t.p_idx[0]], j_vals)
         eqs.append(_winner_equilibrium(s, p_vals[t.p_idx[0, ji]], j_vals[ji], 1.0, t.z[0, ji]))
     return _day_result(Regime.FLEXIBLE_J, obj, d, eqs)
@@ -460,10 +621,14 @@ def value_vs_tau(
     g: GridSpec = GridSpec(),
     cfg: SolverConfig = DEFAULT_SOLVER,
     threads: int = 1,
+    tables=None,
 ) -> list[tuple[float, float]]:
-    """Total day value per commission, optimizing (p, J) per period."""
-    tables = day_value_tables(d, obj, g, cfg, threads)
-    total = np.sum([t.values.max(axis=1) for t in tables], axis=0)
+    """Total day value per commission, optimizing (p, J) per period.
+
+    tables as in :func:`sweep_idle_wage`.
+    """
+    day = _tables_for(day_requests(d, obj, g, cfg), tables, threads)
+    total = np.sum([t.values.max(axis=1) for t in day], axis=0)
     return [(float(t), float(v)) for t, v in zip(g.tau_values(), total)]
 
 
@@ -473,15 +638,19 @@ def optimize_day_fixed(
     g: GridSpec = GridSpec(),
     cfg: SolverConfig = DEFAULT_SOLVER,
     threads: int = 1,
+    tables=None,
 ) -> OptimResult:
-    """One (J, tau) shared by the whole day, per-period prices free."""
+    """One (J, tau) shared by the whole day, per-period prices free.
+
+    tables as in :func:`sweep_idle_wage`.
+    """
     p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    tables = day_value_tables(d, obj, g, cfg, threads)
-    total = np.sum([t.values for t in tables], axis=0)
+    day = _tables_for(day_requests(d, obj, g, cfg), tables, threads)
+    total = np.sum([t.values for t in day], axis=0)
     ti, ji = divmod(_lex_first(-total, j_vals, tau_vals[:, None]), j_vals.size)
     eqs = [
         _winner_equilibrium(s, p_vals[t.p_idx[ti, ji]], j_vals[ji], tau_vals[ti], t.z[ti, ji])
-        for s, t in zip(d.periods, tables)
+        for s, t in zip(d.periods, day)
     ]
     return _day_result(Regime.FIXED_J_TAU, obj, d, eqs)
 
@@ -534,20 +703,22 @@ def optimize_min_wage(
     c: BlockConstraint = BlockConstraint(),
     cfg: SolverConfig = DEFAULT_SOLVER,
     threads: int = 1,
+    tables=None,
 ) -> OptimResult:
     """Flexible per-hour wages subject to a two-block minimum-wage floor.
 
     Heuristic: solve every period independently (tau = 1); locate the
     admissible block pair maximizing the unconstrained wage sum; if that
     sum falls short of j_min, scale the block wages uniformly up to the
-    floor and re-optimize prices in the affected periods.
+    floor and re-optimize prices in the affected periods.  tables serves
+    the flexible solve, as in :func:`optimize_day_flexible`.
 
     Raises :class:`InfeasibleError` when the constrained day is worth less
     than shutting down.
     """
     if len(d.periods) != 24:
         raise ValueError("the block-constrained regime needs a 24-period day")
-    flex = optimize_day_flexible(d, obj, g, cfg, threads)
+    flex = optimize_day_flexible(d, obj, g, cfg, threads, tables)
     assert isinstance(flex.best_schedule, DaySchedule)
     J0 = np.asarray(flex.best_schedule.idle_wages)
     m0, pair = block_wage_max(J0, c.b1, c.b2)

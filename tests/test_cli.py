@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import idlewage.cli
+from idlewage import optimize
 from idlewage.cli import main
+from idlewage.equilibrium import PeriodTables
 
 COARSE_CONFIG = {
     "grid": {"p_step": 0.1, "j_step": 0.35, "tau_step": 0.25},
@@ -153,6 +155,23 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "section, argv",
         [
+            ({"grid": {"j_min": -0.7}}, ["sweep-j", "--objective", "profit"]),
+            ({"grid": {"p_min": -1}}, ["optimize", "single", "--objective", "profit"]),
+        ],
+    )
+    def test_negative_grid_minimum_names_the_key(self, tmp_path, capsys, section, argv):
+        f = tmp_path / "negative.json"
+        f.write_text(json.dumps(section))
+        rc = main(argv + ["--config", str(f)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        (key,) = next(iter(section.values()))
+        assert f"{key} must be >= 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "section, argv",
+        [
             ({"grid": {"p_step": 1e-12}}, ["optimize", "single", "--objective", "profit"]),
             ({"grid": {"tau_step": 1e-12}}, ["optimize", "single", "--objective", "profit"]),
             ({"solver": {"scan_points": 10**13}},
@@ -218,6 +237,36 @@ class TestTable2ProfitIdentity:
             assert rc == 0
             rows[beta] = out.splitlines()[-1].split()[3:]
         assert rows["0.2"] == rows["0.35"] == rows["0.65"]
+
+
+class TestReproduceAllPlan:
+    def test_coarse_run_refines_each_distinct_slice_once(self, tmp_path, monkeypatch, capsys):
+        # the criterion-10 config: one value_tables call serves every figure;
+        # only fig5's re-priced block hours, off the wage grid, solve apart
+        cfg = tmp_path / "coarse.json"
+        cfg.write_text(json.dumps({
+            "grid": {"p_step": 0.25, "j_step": 0.7, "tau_step": 0.5},
+            "solver": {"scan_points": 512},
+        }))
+        slices, builds = [], []
+        solve, build = optimize.solve_slices, PeriodTables.build
+
+        def counting_solve(tables, j_values, coefs, *batch):
+            slices.extend(coefs)
+            yield from solve(tables, j_values, coefs, *batch)
+
+        def counting_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(optimize, "solve_slices", counting_solve)
+        monkeypatch.setattr(PeriodTables, "build", staticmethod(counting_build))
+        rc = main(["reproduce-all", "--outdir", str(tmp_path / "out"), "--config", str(cfg),
+                   "--threads", "2"])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(slices) == 792
+        assert len(builds) <= 58
 
 
 class TestConsoleEntryPoint:

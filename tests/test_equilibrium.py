@@ -36,8 +36,9 @@ def lo_hi_cells(W, j_vals):
 
 
 def solve_one(tables, j_vals, tau):
-    """The roots of one commission: solve_slices over [tau] yields one chunk."""
-    ((rows, roots),) = solve_slices(tables, j_vals, [tau])
+    """The roots of one commission: solve_slices over [beta * (1 - tau)] yields one chunk."""
+    coef = tables.scenario.supply.risk_beta * (1.0 - tau)
+    ((rows, roots),) = solve_slices(tables, j_vals, [coef])
     assert rows == range(1)
     return roots
 
@@ -266,7 +267,7 @@ class TestVectorizedKernelParity:
             want.append((r.t_idx + t, r.p_idx, r.j_idx, r.z.view(np.int64)))
         if batch is not None:
             monkeypatch.setattr(equilibrium, "_MAX_BATCH", batch)
-        chunks = list(solve_slices(tables, j_vals, taus))
+        chunks = list(solve_slices(tables, j_vals, s.supply.risk_beta * (1.0 - taus)))
         assert [t for rows, _ in chunks for t in rows] == list(range(taus.size))
         if batch == 10**9:
             assert len(chunks) == 1

@@ -13,9 +13,11 @@ from idlewage import (
     Objective,
     PolicyPoint,
     SolverConfig,
+    TableRequest,
     admissible_blocks,
     block_wage_max,
     builtin_day,
+    day_requests,
     day_value_tables,
     find_equilibria,
     optimize_day_fixed,
@@ -28,11 +30,13 @@ from idlewage import (
     sweep_idle_wage,
     two_period_day,
     value_table,
+    value_tables,
     value_vs_tau,
 )
-from idlewage.equilibrium import _MAX_TABLE_CELLS
+from idlewage import optimize
+from idlewage.equilibrium import _MAX_TABLE_CELLS, PeriodTables, solve_slices
 from idlewage.objectives import evaluate
-from idlewage.optimize import _lex_first
+from idlewage.optimize import _best_over_prices, _lex_first
 
 H19 = period_for_hour(19)
 
@@ -71,6 +75,12 @@ class TestGridSpec:
     def test_steps_positive(self):
         with pytest.raises(ValueError):
             GridSpec(p_step=0.0)
+
+    @pytest.mark.parametrize("field", ["p_min", "j_min"])
+    def test_negative_minimum_names_the_field(self, field):
+        # prices and idle wages are >= 0 wherever a policy is built
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            GridSpec(**{field: -0.7})
 
     @pytest.mark.parametrize("field", ["p_step", "j_step", "tau_step"])
     def test_grid_over_budget_names_the_field(self, field):
@@ -139,7 +149,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "wages, problem",
-        [([2.0, 1.2, 0.4], "ascending"), ([np.nan], "finite"), ([0.4, np.inf], "finite")],
+        [([2.0, 1.2, 0.4], "ascending"), ([np.nan], "finite"), ([0.4, np.inf], "finite"),
+         ([[0.4, 0.8]], "one-dimensional")],
     )
     def test_bad_wage_list_rejected_by_name(self, wages, problem):
         with pytest.raises(ValueError, match=f"J_values must be .*{problem}"):
@@ -348,6 +359,105 @@ class TestDeterminism:
             for a, b in ((want.values, got.values), (want.p_idx, got.p_idx), (want.z, got.z)):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestValueTablesPlan:
+    """value_tables solves each distinct (period, beta * (1 - tau)) slice once."""
+
+    @staticmethod
+    def mixed_batch():
+        # coefficient 0 (tau = 1) is shared by every beta, and 0.5 by beta 0.5
+        # at tau 0 and beta 1.0 at tau 0.5; tau 0.5 repeats within a request
+        table2 = dataclasses.replace(CRIT10, j_step=0.1, tau_step=0.1)
+        taus = [0.0, 0.5, 0.5, 1.0]
+        reqs = [
+            TableRequest.of(period_for_hour(19, b), obj, CRIT10, CRIT10_SOLVER, taus)
+            for b in (0.2, 0.5, 1.0) for obj in Objective
+        ]
+        reqs += [TableRequest.of(period_for_hour(19, 0.5), Objective.PROFIT, CRIT10,
+                                 CRIT10_SOLVER, taus, j_values=[1.234])]
+        for obj in Objective:
+            reqs += day_requests(two_period_day(0.2, 3.5, 44.0), obj, table2, CRIT10_SOLVER)
+        return reqs
+
+    @staticmethod
+    def one_tau_at_a_time(r):
+        """r's table from solve_slices and _best_over_prices, one commission per call."""
+        tables = PeriodTables.build(r.period, np.array(r.prices), r.cfg)
+        wages = np.array(r.wages)
+        rows = []
+        for tau in r.taus:
+            coef = r.period.supply.risk_beta * (1.0 - tau)
+            ((_, roots),) = solve_slices(tables, wages, [coef])
+            rows.append(_best_over_prices(tables, wages, np.array([tau]), roots, r.obj))
+        return [np.concatenate(a) for a in zip(*rows)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_mixed_batch_equals_one_tau_at_a_time(self, threads):
+        reqs = self.mixed_batch()
+        got = value_tables(reqs, threads)
+        assert set(got) == set(reqs)
+        for r in reqs:
+            want = self.one_tau_at_a_time(r)
+            t = got[r]
+            for a, b in zip(want, (t.values, t.p_idx, t.z)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_mixed_batch_refines_each_distinct_slice_once(self, monkeypatch):
+        solved = []
+
+        def counting(tables, j_values, coefs, *batch):
+            solved.extend((tables.scenario, j_values.tobytes(), float(c)) for c in coefs)
+            yield from solve_slices(tables, j_values, coefs, *batch)
+
+        monkeypatch.setattr(optimize, "solve_slices", counting)
+        value_tables(self.mixed_batch(), threads=2)
+        assert len(solved) == len(set(solved))
+        # 72 commissions a objective: hour 19 on the wage grid needs the
+        # weights 0.2, 0.1, 0.5, 0.25, 1.0 and 0; the off-grid wage list 0.5,
+        # 0.25 and 0; each table2 period its 11 commissions' weights
+        assert len(solved) == 6 + 3 + 2 * 11
+
+    @pytest.mark.parametrize("regime", [
+        lambda tables, cfg: sweep_idle_wage(H19, Objective.WELFARE, CRIT10.j_values(), CRIT10,
+                                            cfg, tables=tables),
+        lambda tables, cfg: value_vs_tau(builtin_day(), Objective.PROFIT, CRIT10, cfg,
+                                         tables=tables),
+        lambda tables, cfg: sweep_day_idle_wage(builtin_day(), Objective.WELFARE, CRIT10, cfg,
+                                                tables=tables),
+        lambda tables, cfg: optimize_day_fixed(builtin_day(), Objective.PROFIT, CRIT10, cfg,
+                                               tables=tables),
+        lambda tables, cfg: optimize_day_flexible(builtin_day(), Objective.WELFARE, CRIT10, cfg,
+                                                  tables=tables),
+        lambda tables, cfg: optimize_min_wage(builtin_day(), Objective.PROFIT, CRIT10,
+                                              BlockConstraint(j_min=14.0), cfg, tables=tables),
+    ])
+    def test_tables_missing_or_foreign_give_the_scratch_result(self, regime):
+        want = regime(None, CRIT10_SOLVER)
+        # tables for the same requests under another solver config, and a
+        # mapping holding only every other request of the right config
+        other = SolverConfig(scan_points=256)
+        reqs = [TableRequest.of(H19, obj, CRIT10, c, j_values=CRIT10.j_values())
+                for obj in Objective for c in (CRIT10_SOLVER, other)]
+        for obj in Objective:
+            for taus in (None, [1.0]):
+                reqs += day_requests(builtin_day(), obj, CRIT10, CRIT10_SOLVER, taus)
+                reqs += day_requests(builtin_day(), obj, CRIT10, other, taus)
+        full = value_tables(reqs)
+        foreign = {r: t for r, t in full.items() if r.cfg == other}
+        partial = {r: t for i, (r, t) in enumerate(full.items()) if i % 2 == 0}
+        assert regime(foreign, CRIT10_SOLVER) == want
+        assert regime(partial, CRIT10_SOLVER) == want
+        assert regime(full, CRIT10_SOLVER) == want
+
+    def test_complete_tables_solve_nothing(self, monkeypatch):
+        day = builtin_day()
+        tables = value_tables(day_requests(day, Objective.PROFIT, CRIT10, CRIT10_SOLVER))
+        want = optimize_day_fixed(day, Objective.PROFIT, CRIT10, CRIT10_SOLVER)
+        monkeypatch.setattr(optimize, "solve_slices", None)
+        assert optimize_day_fixed(day, Objective.PROFIT, CRIT10, CRIT10_SOLVER,
+                                  tables=tables) == want
 
 
 class TestAdmissibleBlocks:
