@@ -1,9 +1,10 @@
 """Command-line front end: equilibria, policy optimization, experiment reproduction.
 
 Exit codes: 0 success, 2 usage error, 3 infeasible minimum-wage constraint.
-Human-readable tables go to stdout, machine-readable CSV only to --out
-files, progress and cell counts to stderr.  Runs are deterministic for any
---threads value.
+Every command but reproduce-all has one table: written as CSV to the --out
+file when given, else printed with the same columns to stdout.  Progress
+and cell counts go to stderr.  Runs are deterministic for any --threads
+value.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import numpy as np
 
 from . import __version__
 from .equilibrium import BracketingError, PolicyPoint, find_equilibria
-from .model import DayScenario, demand, supply
+from .model import demand, supply
 from .objectives import Objective, evaluate
 from .optimize import (
     GridSpec,
     InfeasibleError,
-    OptimResult,
     TableRequest,
     block_wage_max,
     day_requests,
@@ -59,6 +59,7 @@ from .scenario import (
 TABLE2_GRID = dict(j_step=0.1, tau_step=0.1)
 TABLE2_AB = [(3.5, 44.0), (4.0, 44.5), (4.5, 45.0), (5.0, 45.5), (5.5, 46.0)]
 TABLE2_BETAS = [0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
+_TABLE2_ROWS = [(b, a4, a19) for b in TABLE2_BETAS for a4, a19 in TABLE2_AB]
 
 FIG1_BETAS = TABLE2_BETAS
 FIG2_BETAS = [0.2, 0.5, 0.95]
@@ -87,37 +88,39 @@ def _default_threads() -> int:
         raise ValueError(f"IDLEWAGE_THREADS {exc}") from None
 
 
-def _meta(cfg: ScenarioConfig, regime: str, objective: str) -> dict[str, str]:
-    return {
+def _write_csv(path, cfg: ScenarioConfig, cols: dict, regime: str, objective: str) -> None:
+    meta = {
         "regime": regime,
         "objective": objective,
         "scenario": scenario_hash(cfg),
         "tool": f"idlewage {__version__}",
     }
+    emit_table(ResultTable(cols, meta), path)
 
 
-def _print_table(header: list[str], rows: list[list]) -> None:
-    widths = [
-        max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-        for i, h in enumerate(header)
-    ]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
+def _cell(x) -> str:
+    """A stdout table cell: labels as they are, flags as 0/1, numbers to 6 digits."""
+    if isinstance(x, str):
+        return x
+    return str(int(x)) if isinstance(x, bool) else format(float(x), ".6g")
 
 
-def _fmt6(x: float) -> str:
-    return format(float(x), ".6g")
+def _emit(args, cfg: ScenarioConfig, cols: dict, regime: str, objective: str) -> None:
+    """A command's table: the CSV at --out when given, else the same columns
+    aligned on stdout."""
+    if args.out:
+        _write_csv(args.out, cfg, cols, regime, objective)
+        _progress(f"wrote {args.out}")
+        return
+    table = [list(cols)] + [[_cell(c) for c in row] for row in zip(*cols.values())]
+    widths = [max(len(c) for c in col) for col in zip(*table)]
+    for row in table:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def _columns(names, rows) -> dict[str, list]:
-    """Named CSV columns from rows of values in the order of names."""
+    """Named columns from rows of values in the order of names."""
     return {name: [r[i] for r in rows] for i, name in enumerate(names)}
-
-
-def _write_csv(args, cfg: ScenarioConfig, cols: dict, regime: str, objective: str) -> None:
-    emit_table(ResultTable(cols, _meta(cfg, regime, objective)), args.out)
-    _progress(f"wrote {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +133,6 @@ def _cmd_equilibrium(args, cfg: ScenarioConfig) -> int:
     pol = PolicyPoint(args.p, args.J, args.tau)
     eqs = find_equilibria(s, pol, cfg.solver)
     _progress(f"equilibrium: hour {args.hour}, {len(eqs)} equilibria")
-    if args.out:
-        cols = {
-            "e": [eq.earnings for eq in eqs],
-            "I": [eq.idle for eq in eqs],
-            "L": [eq.labour for eq in eqs],
-            "Q": [eq.throughput for eq in eqs],
-            "T": [eq.pickup for eq in eqs],
-            "profit": [evaluate(Objective.PROFIT, s, eq) for eq in eqs],
-            "welfare": [evaluate(Objective.WELFARE, s, eq) for eq in eqs],
-        }
-        _write_csv(args, cfg, cols, "equilibrium", "both")
-        return 0
     rows = []
     for eq in eqs:
         r_demand = eq.throughput - demand(s.demand, pol.price, eq.pickup)
@@ -154,16 +145,12 @@ def _cmd_equilibrium(args, cfg: ScenarioConfig) -> int:
             else 0.0
         )
         r_supply = eq.labour - supply(s.supply, eq.earnings, pol.idle_wage)
-        rows.append(
-            [_fmt6(v) for v in (eq.earnings, eq.idle, eq.labour, eq.throughput, eq.pickup)]
-            + [format(r, ".3e") for r in (r_demand, r_balance, r_earn, r_supply)]
-            + [_fmt6(evaluate(Objective.PROFIT, s, eq)), _fmt6(evaluate(Objective.WELFARE, s, eq))]
-        )
-    _print_table(
-        ["e", "I", "L", "Q", "T", "res_demand", "res_balance", "res_earnings", "res_supply",
-         "profit", "welfare"],
-        rows,
-    )
+        rows.append((eq.earnings, eq.idle, eq.labour, eq.throughput, eq.pickup,
+                     evaluate(Objective.PROFIT, s, eq), evaluate(Objective.WELFARE, s, eq),
+                     r_demand, r_balance, r_earn, r_supply))
+    names = ("e", "I", "L", "Q", "T", "profit", "welfare",
+             "res_demand", "res_balance", "res_earnings", "res_supply")
+    _emit(args, cfg, _columns(names, rows), "equilibrium", "both")
     return 0
 
 
@@ -181,56 +168,21 @@ def _cmd_sweep_j(args, cfg: ScenarioConfig) -> int:
         ["J", "best_value", "best_tau", "best_price", "tau1_optimal"],
         [(pt.idle_wage, pt.value, pt.best_tau, pt.best_price, pt.tau1_optimal) for pt in curve],
     )
-    if args.out:
-        _write_csv(args, cfg, cols, "sweep-j", args.objective)
-    else:
-        _print_table(list(cols), [[_fmt6(c) if not isinstance(c, bool) else int(c)
-                                   for c in row] for row in zip(*cols.values())])
+    _emit(args, cfg, cols, "sweep-j", args.objective)
     return 0
-
-
-def _schedule_rows(d: DayScenario, res: OptimResult) -> tuple[list[str], list[list]]:
-    sch = res.best_schedule
-    header = ["hour", "price", "J", "tau", "e", "L", "Q", "T", "value"]
-    rows = []
-    for h, (s, eq) in enumerate(zip(d.periods, res.equilibria), start=1):
-        rows.append(
-            [h, _fmt6(sch.prices[h - 1]), _fmt6(sch.idle_wages[h - 1]), _fmt6(sch.commission),
-             _fmt6(eq.earnings), _fmt6(eq.labour), _fmt6(eq.throughput), _fmt6(eq.pickup),
-             _fmt6(evaluate(res.objective, s, eq))]
-        )
-    return header, rows
-
-
-def _emit_schedule(args, cfg, d: DayScenario, res: OptimResult, regime: str) -> None:
-    if args.out:
-        sch = res.best_schedule
-        cols = {
-            "hour": list(range(1, len(d.periods) + 1)),
-            "price": list(sch.prices),
-            "J": list(sch.idle_wages),
-            "tau": [sch.commission] * len(d.periods),
-            "value": [evaluate(res.objective, s, eq) for s, eq in zip(d.periods, res.equilibria)],
-        }
-        _write_csv(args, cfg, cols, regime, res.objective.value)
-    else:
-        header, rows = _schedule_rows(d, res)
-        _print_table(header, rows)
-    print(f"total {res.objective.value}: {res.value:.6f}")
 
 
 def _cmd_optimize(args, cfg: ScenarioConfig) -> int:
     obj = Objective(args.objective)
     g, solver = cfg.grid, cfg.solver
     n_cells = g.p_values().size * g.j_values().size * g.tau_values().size
+    names = ["hour", "price", "J", "tau", "value"]
     if args.regime == "single":
         _progress(f"optimize single: hour {args.hour}, {n_cells} cells")
         res = optimize_single_period(cfg.period(args.hour), obj, g, solver, args.threads)
         pol = res.best_schedule
-        if args.out:
-            cols = {"hour": [args.hour], "price": [pol.price], "J": [pol.idle_wage],
-                    "tau": [pol.commission], "value": [res.value]}
-            _write_csv(args, cfg, cols, "single", args.objective)
+        row = (args.hour, pol.price, pol.idle_wage, pol.commission, res.value)
+        _emit(args, cfg, _columns(names, [row]), "single", args.objective)
         print(
             f"hour {args.hour} {args.objective}: p*={pol.price:.6g} J*={pol.idle_wage:.6g} "
             f"tau*={pol.commission:.6g} value={res.value:.6f}"
@@ -249,7 +201,15 @@ def _cmd_optimize(args, cfg: ScenarioConfig) -> int:
         res = optimize_min_wage(d, obj, g, c, solver, args.threads)
         m, pair = block_wage_max(res.best_schedule.idle_wages, c.b1, c.b2)
         _progress(f"certified block wage sum {m:.6g} >= {c.j_min} at blocks {pair}")
-    _emit_schedule(args, cfg, d, res, args.regime)
+    sch = res.best_schedule
+    rows = [
+        (h, p, J, sch.commission, evaluate(obj, s, eq),
+         eq.earnings, eq.labour, eq.throughput, eq.pickup)
+        for h, p, J, s, eq in zip(range(1, 25), sch.prices, sch.idle_wages, d.periods,
+                                  res.equilibria)
+    ]
+    _emit(args, cfg, _columns(names + ["e", "L", "Q", "T"], rows), args.regime, args.objective)
+    print(f"total {obj.value}: {res.value:.6f}")
     return 0
 
 
@@ -258,40 +218,41 @@ def _cmd_value_vs_tau(args, cfg: ScenarioConfig) -> int:
     d = cfg.day()
     _progress(f"value-vs-tau: 24 periods x {cfg.grid.tau_values().size} commissions")
     curve = value_vs_tau(d, obj, cfg.grid, cfg.solver, args.threads)
-    cols = {"tau": [t for t, _ in curve], "total_value": [v for _, v in curve]}
-    if args.out:
-        _write_csv(args, cfg, cols, "value-vs-tau", args.objective)
-    else:
-        _print_table(["tau", "total_value"], [[_fmt6(t), _fmt6(v)] for t, v in curve])
+    _emit(args, cfg, _columns(["tau", "total_value"], curve), "value-vs-tau", args.objective)
     return 0
 
 
-def _table2_optimum(cfg: ScenarioConfig, b, a4, a19, obj, threads, tables=None) -> tuple:
-    """(J, tau, value) of the shared-(J, tau) optimum of one two-period row."""
+def _table2_requests(cfg: ScenarioConfig, combos, objectives) -> list[TableRequest]:
+    """The value-table requests of the (beta, A4, A19) rows, per objective."""
     g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
-    res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g, cfg.solver, threads, tables)
-    return res.best_schedule.idle_wages[0], res.best_schedule.commission, res.value
+    return [r for b, a4, a19 in combos for obj in objectives
+            for r in day_requests(two_period_day(b, a4, a19), obj, g, cfg.solver)]
+
+
+def _table2_rows(cfg: ScenarioConfig, combos, objectives, threads, tables=None) -> list[tuple]:
+    """(beta, A4, A19, objective, J, tau, value) of the shared-(J, tau) optimum
+    per (beta, A4, A19) row and objective.  Without tables, every row's
+    tables come from one value_tables call."""
+    g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
+    if tables is None:
+        tables = value_tables(_table2_requests(cfg, combos, objectives), threads)
+    rows = []
+    for b, a4, a19 in combos:
+        for obj in objectives:
+            res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g, cfg.solver, threads,
+                                     tables)
+            sch = res.best_schedule
+            rows.append((b, a4, a19, obj.value, sch.idle_wages[0], sch.commission, res.value))
+    return rows
 
 
 def _cmd_table2(args, cfg: ScenarioConfig) -> int:
-    obj = Objective(args.objective)
     g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
-    combos = (
-        [(b, a4, a19) for b in TABLE2_BETAS for a4, a19 in TABLE2_AB]
-        if args.all
-        else [(args.beta, args.A4, args.A19)]
-    )
+    combos = _TABLE2_ROWS if args.all else [(args.beta, args.A4, args.A19)]
     _progress(f"table2: {len(combos)} rows, {g.j_values().size * g.tau_values().size} cells each")
-    rows = []
-    for b, a4, a19 in combos:
-        J, tau, value = _table2_optimum(cfg, b, a4, a19, obj, args.threads)
-        rows.append([b, a4, a19, J, tau, value])
-        _progress(f"  beta={b} A=({a4},{a19}): J={J} tau={tau} value={value:.4f}")
+    rows = _table2_rows(cfg, combos, [Objective(args.objective)], args.threads)
     names = ["beta", "A4", "A19", "J", "tau", "value"]
-    if args.out:
-        _write_csv(args, cfg, _columns(names, rows), "table2", args.objective)
-    else:
-        _print_table(names, [[_fmt6(c) for c in r] for r in rows])
+    _emit(args, cfg, _columns(names, [r[:3] + r[4:] for r in rows]), "table2", args.objective)
     return 0
 
 
@@ -307,16 +268,8 @@ def _cmd_analytic(args, cfg: ScenarioConfig) -> int:
         ("b_no_idle", 0.0, b["tau"], b["profit"]),
         ("c_joint", c["J"], c["tau"], c["profit"]),
     ]
-    if args.out:
-        names = ["epsilon", "case", "J", "tau", "profit"]
-        _write_csv(args, cfg, _columns(names, [(args.epsilon, *r) for r in rows]), "analytic",
-                   "profit")
-    else:
-        print(f"epsilon = {args.epsilon}")
-        _print_table(
-            ["case", "J", "tau", "profit"],
-            [[r[0], _fmt6(r[1]), _fmt6(r[2]), _fmt6(r[3])] for r in rows],
-        )
+    names = ["case", "J", "tau", "profit", "epsilon"]
+    _emit(args, cfg, _columns(names, [(*r, args.epsilon) for r in rows]), "analytic", "profit")
     return 0
 
 
@@ -324,16 +277,11 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     threads = args.threads
     g, solver = cfg.grid, cfg.solver
-    g2 = dataclasses.replace(g, **TABLE2_GRID)
     objectives = (Objective.WELFARE, Objective.PROFIT)
     sweep_names = ("beta", "objective", "J", "best_value", "best_tau", "tau1_optimal")
 
     def at_beta(b: float) -> ScenarioConfig:
         return dataclasses.replace(cfg, risk_beta=b)
-
-    def emit(name: str, names, rows) -> None:
-        emit_table(ResultTable(_columns(names, rows), _meta(cfg, name, "both")),
-                   os.path.join(args.outdir, f"{name}.csv"))
 
     # Every figure's value tables in one plan, so each distinct slice is
     # refined once; the figures below reduce them.  fig5's re-priced block
@@ -346,15 +294,15 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
           for r in day_requests(at_beta(b).day(), obj, g, solver)),
         *(r for d in (day, day5) for obj in objectives
           for r in day_requests(d, obj, g, solver, tau_values=[1.0])),
-        *(r for b in TABLE2_BETAS for a4, a19 in TABLE2_AB for obj in objectives
-          for r in day_requests(two_period_day(b, a4, a19), obj, g2, solver)),
+        *_table2_requests(cfg, _TABLE2_ROWS, objectives),
     ]
     _progress(f"plan: {len(set(requests))} value tables")
     tables = value_tables(requests, threads)
+    figures = {}   # name -> columns, written once all six are computed
 
     # fig1: single-period idle-wage sweep at the evening peak
     _progress("fig1: single-period sweep per beta and objective")
-    emit("fig1", sweep_names, [
+    figures["fig1"] = _columns(sweep_names, [
         (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
         for b in FIG1_BETAS
         for obj in objectives
@@ -364,7 +312,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
 
     # fig2: full-day value against the shared commission
     _progress("fig2: full-day value vs commission per beta and objective")
-    emit("fig2", ("beta", "objective", "tau", "total_value"), [
+    figures["fig2"] = _columns(("beta", "objective", "tau", "total_value"), [
         (b, obj.value, tau, v)
         for b in FIG2_BETAS
         for obj in objectives
@@ -375,13 +323,13 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     _progress("fig3: flexible per-hour wages")
     flex_w = optimize_day_flexible(day, Objective.WELFARE, g, solver, threads, tables)
     flex_p = optimize_day_flexible(day, Objective.PROFIT, g, solver, threads, tables)
-    emit("fig3", ("hour", "J_welfare", "J_profit"), list(zip(
+    figures["fig3"] = _columns(("hour", "J_welfare", "J_profit"), list(zip(
         range(1, 25), flex_w.best_schedule.idle_wages, flex_p.best_schedule.idle_wages
     )))
 
     # fig4: fixed-day sweep over the shared idle wage
     _progress("fig4: fixed-day sweep per beta and objective")
-    emit("fig4", sweep_names, [
+    figures["fig4"] = _columns(sweep_names, [
         (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
         for b in FIG4_BETAS
         for obj in objectives
@@ -399,16 +347,14 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
         # FIG5_JMIN[0] is 0, a floor every schedule meets, so its value is
         # the unconstrained flexible day's.
         rows += [(obj.value, jm, v, values[0]) for jm, v in zip(FIG5_JMIN, values)]
-    emit("fig5", ("objective", "j_min", "value", "value_unconstrained"), rows)
+    figures["fig5"] = _columns(("objective", "j_min", "value", "value_unconstrained"), rows)
 
     # table2: shared (J, tau) on the published two-period lattice
     _progress("table2: all beta x pool rows")
-    emit("table2", ("beta", "A4", "A19", "objective", "J", "tau", "value"), [
-        (b, a4, a19, obj.value, *_table2_optimum(cfg, b, a4, a19, obj, threads, tables))
-        for b in TABLE2_BETAS
-        for a4, a19 in TABLE2_AB
-        for obj in objectives
-    ])
+    figures["table2"] = _columns(("beta", "A4", "A19", "objective", "J", "tau", "value"),
+                                 _table2_rows(cfg, _TABLE2_ROWS, objectives, threads, tables))
+    for name, cols in figures.items():
+        _write_csv(os.path.join(args.outdir, f"{name}.csv"), cfg, cols, name, "both")
     _progress(f"wrote 6 files to {args.outdir}")
     return 0
 
@@ -431,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=_positive_int,
                        help="parallel evaluation threads (wall time only; results identical; "
                             "default IDLEWAGE_THREADS, else the CPU count)")
-        p.add_argument("--out", help="write machine-readable CSV here")
+        p.add_argument("--out", help="write the table as CSV here instead of to stdout")
         if objective:
             p.add_argument("--objective", choices=["profit", "welfare"], required=True)
 

@@ -15,10 +15,10 @@ as z -> inf whenever J > 0, so every equilibrium is a sign change.  The
 solver scans a geometric z-grid for sign changes and refines each bracket
 by bisection.
 
-The same machinery is exposed in a vectorized form (a whole price grid and
-idle-wage grid at once) which the grid-search optimizer uses; both paths
-share the exact same arithmetic, so a single-policy call and the
-corresponding optimizer cell agree bitwise.
+The solver is vectorized over a whole price grid, idle-wage grid and list
+of commissions at once, as the grid-search optimizer uses it; a
+single-policy call is its one-price, one-wage, one-commission case, so it
+agrees bitwise with the corresponding optimizer cell.
 """
 
 from __future__ import annotations
@@ -232,7 +232,8 @@ def _margin_and_residual(s: PeriodScenario, coef, J, p, z, ep=None):
 class RootSet:
     """All bracketed equilibria of a chunk of (weight x price grid x wage grid) slices.
 
-    Roots come in ascending t_idx, so each slice's roots are one run.
+    Roots come sorted by (t_idx, p_idx, j_idx, z), so each slice's roots
+    are one run.  A root is the end of one bracket; roots are not merged.
     """
 
     t_idx: np.ndarray    # (m,) index into the earnings-weight list
@@ -295,7 +296,8 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, batch: int |
 
 
 def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
-    """Bisect a chunk's brackets, filter by tol_eq and merge duplicates.
+    """Bisect a chunk's brackets and keep the roots within tol_eq, sorted by
+    (t, p, j, z).
 
     cols holds the bracket columns (t_idx, p_idx, cell_idx, j_idx, s_lo,
     coef) and is emptied: only the live brackets' state stays held, since
@@ -311,12 +313,12 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
     z_lo, z_hi = tables.z[cell_idx], tables.z[cell_idx + 1]
     del p_idx, cell_idx, j_idx
 
-    # Bisect the live brackets; an accepted bracket records its cell, its
-    # midpoint and whether its residual is within tol_eq, and leaves the
-    # live arrays.  The pass budget guards against a midpoint that cannot
-    # halve: its last pass accepts all.
+    # Bisect the live brackets; an accepted bracket leaves the live arrays
+    # and records its cell and midpoint when its residual is within tol_eq.
+    # The pass budget guards against a midpoint that cannot halve: its last
+    # pass accepts all.
     half_tol, passes_left = 0.5 * cfg.tol_eq, _MAX_BISECT_ITER
-    found = [(np.empty(0, dtype=cell.dtype), np.empty(0), np.empty(0, dtype=bool))]
+    found = [(np.empty(0, dtype=cell.dtype), np.empty(0))]
     while cell.size:
         passes_left -= 1
         mid = 0.5 * (z_lo + z_hi)
@@ -328,7 +330,8 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
         z_lo = np.where(toward_hi, mid, z_lo)
         z_hi = np.where(toward_hi, z_hi, mid)
         if done.any():
-            found.append((cell[done], mid[done], np.abs(r_mid[done]) <= cfg.tol_eq))
+            ok = done & (np.abs(r_mid) <= cfg.tol_eq)
+            found.append((cell[ok], mid[ok]))
             go = ~done   # compact one array at a time: each old one is freed at once
             cell = cell[go]
             p_arr = p_arr[go]
@@ -340,17 +343,9 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
             z_hi = z_hi[go]
         del mid, w_mid, r_mid, narrow, stalled, done, toward_hi   # not held into the next pass
 
-    cell, z_root, ok = (np.concatenate(c) for c in zip(*found))
-    cell, z_root = cell[ok], z_root[ok]
-
-    # Merge duplicate detections of the same root from adjacent cells.
-    if z_root.size > 1:
-        order = np.lexsort((z_root, cell))   # by (t, p, j, z)
-        Q = demand(s.demand, tables.p[cell[order] // n_j % n_p], z_root[order])
-        same = (np.diff(cell[order]) == 0) & (np.abs(np.diff(Q)) <= cfg.tol_eq)
-        sel = order[np.concatenate(([True], ~same))]
-        cell, z_root = cell[sel], z_root[sel]
-
+    cell, z_root = (np.concatenate(c) for c in zip(*found))
+    order = np.lexsort((z_root, cell))   # by (t, p, j, z), whatever the pass order
+    cell, z_root = cell[order], z_root[order]
     t_idx, pj = np.divmod(cell, n_p * n_j)
     p_idx, j_idx = np.divmod(pj, n_j)
     return RootSet(t_idx, p_idx, j_idx, z_root)

@@ -710,8 +710,9 @@ def optimize_min_wage(
     Heuristic: solve every period independently (tau = 1); locate the
     admissible block pair maximizing the unconstrained wage sum; if that
     sum falls short of j_min, scale the block wages uniformly up to the
-    floor and re-optimize prices in the affected periods.  tables serves
-    the flexible solve, as in :func:`optimize_day_flexible`.
+    floor and re-optimize prices in the affected periods, whose tables come
+    from one :func:`value_tables` call.  tables serves the flexible solve,
+    as in :func:`optimize_day_flexible`.
 
     Raises :class:`InfeasibleError` when the constrained day is worth less
     than shutting down.
@@ -741,21 +742,24 @@ def optimize_min_wage(
     else:
         J_new[hours] = c.j_min / len(hours)
 
+    requests = [
+        TableRequest.of(d.periods[h], obj, g, cfg, tau_values=[1.0], j_values=[J_new[h]])
+        for h in hours
+    ]
+    try:
+        repriced = _tables_for(requests, None, threads)
+    except BracketingError as exc:
+        # A scaled wage floods the market past the scan window's
+        # million-drivers-at-instant-pickup end: certainly worth less than
+        # shutting down.
+        raise InfeasibleError(
+            f"optimize_min_wage: scaled block wage up to {J_new[hours].max():.3g} pushes "
+            "the equilibrium outside the economic range; constraint infeasible"
+        ) from exc
     p_vals = g.p_values()
     eqs = list(flex.equilibria)
-    for h in hours:
-        s = d.periods[h]
-        try:
-            t = value_table(s, obj, g, cfg, tau_values=[1.0], j_values=[J_new[h]])
-        except BracketingError as exc:
-            # The scaled wage floods the market past the scan window's
-            # million-drivers-at-instant-pickup end: certainly worth less
-            # than shutting down.
-            raise InfeasibleError(
-                f"optimize_min_wage: scaled block wage {J_new[h]:.3g} pushes the "
-                "equilibrium outside the economic range; constraint infeasible"
-            ) from exc
-        eqs[h] = _winner_equilibrium(s, p_vals[t.p_idx[0, 0]], J_new[h], 1.0, t.z[0, 0])
+    for h, t in zip(hours, repriced):
+        eqs[h] = _winner_equilibrium(d.periods[h], p_vals[t.p_idx[0, 0]], J_new[h], 1.0, t.z[0, 0])
 
     res = _day_result(Regime.MIN_WAGE_BLOCKS, obj, d, eqs)
     if res.value < 0:

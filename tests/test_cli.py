@@ -24,6 +24,19 @@ def coarse_cfg(tmp_path):
     return str(f)
 
 
+CRIT10_CONFIG = {
+    "grid": {"p_step": 0.25, "j_step": 0.7, "tau_step": 0.5},
+    "solver": {"scan_points": 512},
+}
+
+
+@pytest.fixture
+def crit10_cfg(tmp_path):
+    f = tmp_path / "crit10.json"
+    f.write_text(json.dumps(CRIT10_CONFIG))
+    return str(f)
+
+
 class TestEquilibriumCommand:
     def test_prints_residuals(self, capsys):
         rc = main(["equilibrium", "--hour", "19", "--p", "1.0", "--J", "0.5", "--tau", "1.0"])
@@ -277,3 +290,47 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "idlewage" in proc.stdout
+
+
+def _stdout_cell(csv_cell: str) -> str:
+    """A CSV cell as stdout prints it: numbers to 6 significant digits."""
+    try:
+        return format(float(csv_cell), ".6g")
+    except ValueError:
+        return csv_cell
+
+
+class TestOneTablePerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equilibrium", "--hour", "19", "--p", "1.0", "--J", "0.5", "--tau", "1.0"],
+            ["equilibrium", "--hour", "4", "--p", "0", "--J", "0", "--tau", "0"],
+            ["sweep-j", "--objective", "profit"],
+            ["optimize", "single", "--objective", "profit"],
+            ["optimize", "flexible", "--objective", "welfare"],
+            ["optimize", "fixed", "--objective", "profit"],
+            ["optimize", "minwage", "--objective", "profit", "--jmin", "16"],
+            ["value-vs-tau", "--objective", "welfare"],
+            ["table2", "--objective", "profit"],
+            ["analytic", "--epsilon", "0.5"],
+        ],
+        ids=["equilibrium", "equilibrium-shutdown", "sweep-j", "optimize-single",
+             "optimize-flexible", "optimize-fixed", "optimize-minwage", "value-vs-tau",
+             "table2", "analytic"],
+    )
+    def test_stdout_prints_the_csv_table(self, crit10_cfg, tmp_path, capsys, argv):
+        # stdout shows the --out table: same header, same rows to 6 digits,
+        # then the same summary lines
+        argv = argv + ["--config", crit10_cfg, "--threads", "2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        out_file = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(out_file)]) == 0
+        summary = capsys.readouterr().out.splitlines()
+        rows = [l.split(",") for l in out_file.read_text().splitlines() if not l.startswith("#")]
+        assert printed[0].split() == rows[0]
+        assert [l.split() for l in printed[1:len(rows)]] == [
+            [_stdout_cell(c) for c in r] for r in rows[1:]
+        ]
+        assert printed[len(rows):] == summary

@@ -277,6 +277,26 @@ class TestVectorizedKernelParity:
         for a, b in zip(zip(*want), zip(*got)):
             assert np.array_equal(np.concatenate(a), np.concatenate(b))
 
+    @pytest.mark.parametrize("hour", [4, 19])
+    def test_roots_sorted_feasible_and_distinct_per_cell(self, hour):
+        # each accepted bracket gives at most one root and no merge follows:
+        # roots come sorted by (t, p, j, z), each within tol_eq, and no two
+        # roots of one cell share a throughput within tol_eq
+        s, g, cfg = period_for_hour(hour), GridSpec(), SolverConfig()
+        tables = PeriodTables.build(s, g.p_values(), cfg)
+        j_vals = g.j_values()
+        for tau in (0.0, 0.5, 1.0):
+            roots = solve_one(tables, j_vals, tau)
+            assert roots.z.size > 0
+            order = np.lexsort((roots.z, roots.j_idx, roots.p_idx, roots.t_idx))
+            assert np.array_equal(order, np.arange(roots.z.size))
+            p_arr, coef = tables.p[roots.p_idx], s.supply.risk_beta * (1.0 - tau)
+            _, r = _margin_and_residual(s, coef, j_vals[roots.j_idx], p_arr, roots.z)
+            assert np.all(np.abs(r) <= cfg.tol_eq)
+            Q = demand(s.demand, p_arr, roots.z)
+            same_cell = (np.diff(roots.p_idx) == 0) & (np.diff(roots.j_idx) == 0)
+            assert not np.any(same_cell & (np.abs(np.diff(Q)) <= cfg.tol_eq))
+
     def test_empty_chunk_keeps_index_and_root_dtypes(self):
         # at tau = 1 the margin is the positive supply margin, so the wage
         # grid [0] holds no bracket

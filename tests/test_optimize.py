@@ -550,6 +550,30 @@ class TestMinWage:
         assert m1 >= c.j_min
         assert res.value <= flex.value + 1e-9
 
+    def test_binding_floor_reprices_in_one_plan(self, monkeypatch):
+        # the eight re-priced block hours are off the wage grid; their
+        # tables come from one value_tables call, equal at any thread count
+        day, c = builtin_day(), BlockConstraint(j_min=16.0)
+        tables = value_tables(
+            day_requests(day, Objective.PROFIT, CRIT10, CRIT10_SOLVER, tau_values=[1.0])
+        )
+        flex = optimize_day_flexible(day, Objective.PROFIT, CRIT10, CRIT10_SOLVER, 1, tables)
+        assert block_wage_max(flex.best_schedule.idle_wages)[0] < c.j_min
+        sizes, plan = [], optimize.value_tables
+
+        def counting(requests, *threads):
+            sizes.append(len(requests))
+            return plan(requests, *threads)
+
+        monkeypatch.setattr(optimize, "value_tables", counting)
+        results = [
+            optimize_min_wage(day, Objective.PROFIT, CRIT10, c, CRIT10_SOLVER, threads, tables)
+            for threads in (1, 2)
+        ]
+        assert results[0] == results[1]
+        assert results[0].value < flex.value
+        assert [n for n in sizes if n] == [8, 8]
+
     def test_value_weakly_decreasing_in_floor(self):
         day = builtin_day()
         vals = []
