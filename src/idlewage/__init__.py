@@ -47,14 +47,12 @@ from .optimize import (
     admissible_blocks,
     block_wage_max,
     day_requests,
-    day_value_tables,
     optimize_day_fixed,
     optimize_day_flexible,
     optimize_min_wage,
     optimize_single_period,
     sweep_day_idle_wage,
     sweep_idle_wage,
-    value_table,
     value_tables,
     value_vs_tau,
 )

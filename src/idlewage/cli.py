@@ -51,7 +51,6 @@ from .scenario import (
     emit_table,
     load_config,
     scenario_hash,
-    two_period_day,
 )
 
 # De-facto lattice of the published shared-(J, tau) table; its entries are
@@ -226,7 +225,8 @@ def _table2_requests(cfg: ScenarioConfig, combos, objectives) -> list[TableReque
     """The value-table requests of the (beta, A4, A19) rows, per objective."""
     g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
     return [r for b, a4, a19 in combos for obj in objectives
-            for r in day_requests(two_period_day(b, a4, a19), obj, g, cfg.solver)]
+            for r in day_requests(dataclasses.replace(cfg, risk_beta=b).two_period_day(a4, a19),
+                                  obj, g, cfg.solver)]
 
 
 def _table2_rows(cfg: ScenarioConfig, combos, objectives, threads, tables=None) -> list[tuple]:
@@ -238,9 +238,9 @@ def _table2_rows(cfg: ScenarioConfig, combos, objectives, threads, tables=None) 
         tables = value_tables(_table2_requests(cfg, combos, objectives), threads)
     rows = []
     for b, a4, a19 in combos:
+        day = dataclasses.replace(cfg, risk_beta=b).two_period_day(a4, a19)
         for obj in objectives:
-            res = optimize_day_fixed(two_period_day(b, a4, a19), obj, g, cfg.solver, threads,
-                                     tables)
+            res = optimize_day_fixed(day, obj, g, cfg.solver, threads, tables)
             sch = res.best_schedule
             rows.append((b, a4, a19, obj.value, sch.idle_wages[0], sch.commission, res.value))
     return rows

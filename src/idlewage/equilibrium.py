@@ -153,10 +153,11 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # so the residual changes sign between them, exactly when
 # min(k) <= i < max(k).  Refinement takes coef = beta * (1 - tau) per
 # bracket, elementwise, so a period's earnings weights bisect together in
-# chunks of _MAX_BATCH brackets or more (a default-grid slice fills one alone).
+# chunks of _MAX_BATCH brackets or more (a default-grid slice fills one
+# alone).  The bound is per stream of weights, whatever the thread count.
 
 _MAX_BISECT_ITER = 160
-_MAX_BATCH = 2**15
+_MAX_BATCH = 2**14
 
 # Budget on the cells of any table the solver or optimizer allocates:
 # price x scan grid, price x wage grid, commission x wage grid.  The
@@ -264,22 +265,22 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
     return rows[owner], cells[owner], j_idx, (k_lo > k_hi)[owner]
 
 
-def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, batch: int | None = None):
+def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs):
     """Locate every labour-balance root for each earnings weight in coefs.
 
     A weight is risk_beta * (1 - tau); the roots depend on the commission
     and the risk weight only through it.  Yields ``(rows, roots)`` per
     chunk: the range of consecutive indices into coefs and their roots.  A
     scan cell brackets exactly the (ascending) wages its count steps over.
-    A chunk closes at ``batch`` brackets (default ``_MAX_BATCH``) or the
-    last weight; its brackets bisect together, each steered by the table's
-    sign at its low end.  A bracket ends when it is narrower than
-    ``bisect_tol`` with the residual at its midpoint within half of
-    ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
-    end); that midpoint is emitted only if its residual is within ``tol_eq``.
+    A chunk closes at the first weight that brings it to ``_MAX_BATCH``
+    brackets, or at the last weight; its brackets bisect together, each
+    steered by the table's sign at its low end.  A bracket ends when it is
+    narrower than ``bisect_tol`` with the residual at its midpoint within
+    half of ``tol_eq``, or when float spacing is exhausted (the midpoint
+    equals an end); that midpoint is emitted only if its residual is within
+    ``tol_eq``.
     """
     j_values = np.asarray(j_values, dtype=float)
-    batch = _MAX_BATCH if batch is None else batch
     W = np.empty_like(tables.H)   # the margin H - coef*G, one buffer for every weight
     chunk, start, size = [], 0, 0
     for t, coef in enumerate(coefs):
@@ -288,7 +289,7 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, batch: int |
         p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
         size += (n := p_idx.size)
         chunk.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef, dtype=float)))
-        if size >= batch or t == len(coefs) - 1:
+        if size >= _MAX_BATCH or t == len(coefs) - 1:
             cols = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*chunk)]
             chunk.clear()
             yield range(start, t + 1), _refine(tables, j_values, cols)

@@ -27,13 +27,13 @@ are pure and independent; reduction order is fixed).
 from __future__ import annotations
 
 import enum
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .equilibrium import (
-    _MAX_BATCH,
     _MAX_TABLE_CELLS,
     DEFAULT_SOLVER,
     BracketingError,
@@ -62,9 +62,7 @@ __all__ = [
     "TableRequest",
     "InfeasibleError",
     "value_tables",
-    "value_table",
     "day_requests",
-    "day_value_tables",
     "optimize_single_period",
     "sweep_idle_wage",
     "sweep_day_idle_wage",
@@ -397,8 +395,6 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     The work items are the groups, largest first, or, when there are fewer
     groups than threads, contiguous parts of each group's weights.  A group
     holds its scan table and tables only while it runs, unless it is split.
-    ``_MAX_BATCH`` bounds the brackets in flight over all threads: each of
-    the k streams that run at once closes its chunks at ``_MAX_BATCH // k``.
     """
     by_key: dict[tuple, list[TableRequest]] = {}
     for r in dict.fromkeys(requests):
@@ -420,13 +416,11 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
         for part in np.array_split(np.arange(grp.coefs.size), min(parts, grp.coefs.size))
     ]
 
-    batch = _MAX_BATCH // max(1, min(threads, len(items)))
-
     def run(item):  # stream the part's chunks: reduce each, then drop its roots
         grp, part = item
         tables, out = grp.tables or grp.build(), grp.out or grp.outputs()
         wages = np.array(grp.requests[0].wages)
-        for rows, roots in solve_slices(tables, wages, grp.coefs[part], batch):
+        for rows, roots in solve_slices(tables, wages, grp.coefs[part]):
             lo, hi = part[0] + rows.start, part[0] + rows.stop
             for r, idx in zip(grp.requests, grp.coef_idx):
                 mine = np.flatnonzero((idx >= lo) & (idx < hi))
@@ -456,40 +450,6 @@ def day_requests(
     """The :class:`TableRequest` of every period of the day, in period order."""
     first = TableRequest.of(d.periods[0], obj, g, cfg, tau_values)
     return [replace(first, period=s) for s in d.periods]   # the periods share one set of grids
-
-
-def value_table(
-    s: PeriodScenario,
-    obj: Objective,
-    g: GridSpec = GridSpec(),
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    threads: int = 1,
-    tau_values=None,
-    j_values=None,
-) -> ValueTable:
-    """One period's (n_tau, n_j) table of the best value over g's price grid.
-
-    The table of ``TableRequest.of(s, obj, g, cfg, tau_values, j_values)``
-    from :func:`value_tables`.
-    """
-    req = TableRequest.of(s, obj, g, cfg, tau_values, j_values)
-    return value_tables([req], threads)[req]
-
-
-def day_value_tables(
-    d: DayScenario,
-    obj: Objective,
-    g: GridSpec = GridSpec(),
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    threads: int = 1,
-    tau_values=None,
-) -> list[ValueTable]:
-    """:func:`value_table` of every period of the day, in period order.
-
-    One :func:`value_tables` call: equal periods share one table object,
-    and periods equal but for the risk weight share their slices.
-    """
-    return _tables_for(day_requests(d, obj, g, cfg, tau_values), None, threads)
 
 
 def _winner_equilibrium(
@@ -526,7 +486,7 @@ def optimize_single_period(
 ) -> OptimResult:
     """Maximize the objective over the full (p, J, tau) grid for one period."""
     p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    t = value_table(s, obj, g, cfg, threads)
+    (t,) = _tables_for([TableRequest.of(s, obj, g, cfg)], None, threads)
     ti, ji = divmod(
         _lex_first(-t.values, p_vals[t.p_idx], j_vals, tau_vals[:, None]), j_vals.size
     )
@@ -660,39 +620,47 @@ def optimize_day_fixed(
 # ---------------------------------------------------------------------------
 
 
-def _block_indices(h: int, b: int) -> list[int]:
-    """0-based period indices of the b-hour block starting at hour h (1-based)."""
-    return [(h - 1 + k) % 24 for k in range(b)]
+@functools.cache
+def _block_pairs(b1: int, b2: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The sorted start-hour pairs (h1, h2) whose cyclic blocks do not
+    overlap, and the period indices of each pair's blocks, (n, b1) and (n, b2).
+
+    ValueError naming b1 or b2 unless it is an integer >= 1.
+    """
+    for name, b in (("b1", b1), ("b2", b2)):
+        if not isinstance(b, (int, np.integer)) or b < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {b!r}")
+    hours = np.arange(24)
+    # c[h, p]: the block starting at 0-based hour h holds period p
+    c1, c2 = ((hours - hours[:, None]) % 24 < b for b in (b1, b2))
+    h1, h2 = np.nonzero(~(c1[:, None] & c2[None]).any(axis=2))
+    return (list(zip((h1 + 1).tolist(), (h2 + 1).tolist())),
+            (h1[:, None] + np.arange(b1)) % 24, (h2[:, None] + np.arange(b2)) % 24)
 
 
 def admissible_blocks(b1: int, b2: int) -> set[tuple[int, int]]:
     """Start-hour pairs (h1, h2) whose cyclic blocks do not overlap."""
-    return {
-        (h1, h2)
-        for h1 in range(1, 25)
-        for h2 in range(1, 25)
-        if set(_block_indices(h1, b1)).isdisjoint(_block_indices(h2, b2))
-    }
+    return set(_block_pairs(b1, b2)[0])
 
 
 def block_wage_max(J, b1: int = 4, b2: int = 4) -> tuple[float, tuple[int, int]]:
     """Maximum two-block idle-wage sum over admissible start-hour pairs.
 
-    Ties break on the lexicographically smallest (h1, h2).
+    Ties break on the lexicographically smallest (h1, h2).  ValueError
+    naming J unless it holds 24 finite wages >= 0.
     """
     J = np.asarray(J, dtype=float)
     if J.shape != (24,):
         raise ValueError("block_wage_max needs a 24-hour wage vector")
+    if not np.all(np.isfinite(J)):
+        raise ValueError("J must be finite")
     if np.any(J < 0):
         raise ValueError("idle wages must be >= 0")
-    pairs = sorted(admissible_blocks(b1, b2))
+    pairs, i1, i2 = _block_pairs(b1, b2)
     if not pairs:
         raise ValueError(f"no admissible block pair for lengths ({b1}, {b2})")
-    totals = np.array(
-        [J[_block_indices(h1, b1)].sum() + J[_block_indices(h2, b2)].sum() for h1, h2 in pairs]
-    )
-    h1s, h2s = np.array(pairs).T
-    i = _lex_first(-totals, h1s, h2s)
+    totals = J[i1].sum(axis=1) + J[i2].sum(axis=1)
+    i = _lex_first(-totals)   # the pairs are sorted, so ties go to the smallest (h1, h2)
     return totals[i], pairs[i]
 
 
@@ -730,7 +698,9 @@ def optimize_min_wage(
             )
         return replace(flex, regime=Regime.MIN_WAGE_BLOCKS)
 
-    hours = _block_indices(pair[0], c.b1) + _block_indices(pair[1], c.b2)
+    pairs, i1, i2 = _block_pairs(c.b1, c.b2)
+    k = pairs.index(pair)
+    hours = np.concatenate((i1[k], i2[k]))
     J_new = J0.copy()
     base = J0[hours].sum()
     if base > 0:

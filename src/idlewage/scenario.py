@@ -103,6 +103,10 @@ class ScenarioConfig:
     def day(self) -> DayScenario:
         return DayScenario(tuple(self.period(h) for h in range(1, 25)))
 
+    def two_period_day(self, pool_4: float, pool_19: float) -> DayScenario:
+        """The stylized low/high day: hours 4 and 19 with overridden pools."""
+        return DayScenario((self.period(4, pool_size=pool_4), self.period(19, pool_size=pool_19)))
+
 
 def default_config() -> ScenarioConfig:
     return ScenarioConfig()
@@ -110,7 +114,7 @@ def default_config() -> ScenarioConfig:
 
 def builtin_day(risk_beta: float = DEFAULT_RISK_BETA) -> DayScenario:
     """The built-in 24-hour day with the calibrated tables."""
-    return dataclasses.replace(default_config(), risk_beta=risk_beta).day()
+    return ScenarioConfig(risk_beta=risk_beta).day()
 
 
 def period_for_hour(
@@ -120,18 +124,14 @@ def period_for_hour(
     lambda_max=None,
     pool_size=None,
 ) -> PeriodScenario:
-    cfg = dataclasses.replace(default_config(), risk_beta=risk_beta)
-    return cfg.period(hour, lambda_max=lambda_max, pool_size=pool_size)
+    return ScenarioConfig(risk_beta=risk_beta).period(
+        hour, lambda_max=lambda_max, pool_size=pool_size
+    )
 
 
 def two_period_day(risk_beta: float, pool_4: float, pool_19: float) -> DayScenario:
-    """The stylized low/high day: hour 4 and hour 19 with overridden pools."""
-    return DayScenario(
-        (
-            period_for_hour(4, risk_beta, pool_size=pool_4),
-            period_for_hour(19, risk_beta, pool_size=pool_19),
-        )
-    )
+    """:meth:`ScenarioConfig.two_period_day` with the calibrated tables."""
+    return ScenarioConfig(risk_beta=risk_beta).two_period_day(pool_4, pool_19)
 
 
 # ---------------------------------------------------------------------------

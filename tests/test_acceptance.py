@@ -121,7 +121,7 @@ def test_criterion_02_table2_reproduction():
         2, ok,
         f"{n_rows - len(rows_fail)}/{n_rows} rows match exactly at the stated grid "
         f"({elapsed:.0f}s); mismatches stem from the published table's own "
-        "discretization (see decisions ledger)",
+        "discretization (see README.md, Install and test)",
     )
 
 
@@ -136,7 +136,8 @@ def test_criterion_03_value_function_monotone():
     ok = True
     detail = []
     for obj in (Objective.PROFIT, Objective.WELFARE):
-        table = iw.value_table(s, obj, GRID, SOLVER, threads=THREADS).values
+        req = iw.TableRequest.of(s, obj, GRID, SOLVER)
+        table = iw.value_tables([req], THREADS)[req].values
         v = np.empty(taus.size)
         res = np.empty(taus.size)
         for ti, sl in enumerate(table):
@@ -166,7 +167,8 @@ def test_criterion_04_large_pool_collapse():
         s = dataclasses.replace(
             s0, supply=dataclasses.replace(s0.supply, pool_size=45.0 * scale)
         )
-        sl = iw.value_table(s, Objective.PROFIT, GRID, SOLVER, tau_values=[0.75])
+        req = iw.TableRequest.of(s, Objective.PROFIT, GRID, SOLVER, tau_values=[0.75])
+        sl = iw.value_tables([req])[req]
         jstars.append(float(GRID.j_values()[int(np.argmax(sl.values[0]))]))
     ok = all(a >= b for a, b in zip(jstars, jstars[1:])) and jstars[-1] == 0.0
     assert report(4, ok, f"J* per pool scale x1,x10,x100,x1000: {jstars}")
@@ -278,7 +280,8 @@ def test_criterion_08_sweep_shapes():
         F = np.array([pt.value for pt in curve])
         flags = np.array([pt.tau1_optimal for pt in curve])
         # grid-tie scale: one J-step value resolution of the tau=1 curve
-        v1 = iw.value_table(s, obj, GRID, SOLVER, tau_values=[1.0]).values[0]
+        req = iw.TableRequest.of(s, obj, GRID, SOLVER, tau_values=[1.0])
+        v1 = iw.value_tables([req])[req].values[0]
         k1 = int(np.argmax(v1))
         delta = max(abs(v1[k1] - v1[max(k1 - 1, 0)]), abs(v1[k1] - v1[min(k1 + 1, jv.size - 1)]))
         tied = np.nonzero(F >= F.max() - delta)[0]
@@ -333,7 +336,8 @@ def test_criterion_09_risk_neutral_min_wage():
     )
     # one-grid-step tolerance: value change from one J step in one period
     s0 = day.periods[18]
-    v = iw.value_table(s0, Objective.PROFIT, GRID, SOLVER, tau_values=[1.0]).values[0]
+    req = iw.TableRequest.of(s0, Objective.PROFIT, GRID, SOLVER, tau_values=[1.0])
+    v = iw.value_tables([req])[req].values[0]
     k = int(np.argmax(v))
     step_res = abs(v[k] - v[max(k - 1, 0)])
     ok = abs(res.value - flex.value) <= max(step_res, 1e-9)

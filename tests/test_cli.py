@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import idlewage.cli
-from idlewage import optimize
+from idlewage import Objective, load_config, optimize, optimize_day_fixed
 from idlewage.cli import main
 from idlewage.equilibrium import PeriodTables
 
@@ -30,11 +31,15 @@ CRIT10_CONFIG = {
 }
 
 
+def _config_file(tmp_path, name, data) -> str:
+    f = tmp_path / name
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
 @pytest.fixture
 def crit10_cfg(tmp_path):
-    f = tmp_path / "crit10.json"
-    f.write_text(json.dumps(CRIT10_CONFIG))
-    return str(f)
+    return _config_file(tmp_path, "crit10.json", CRIT10_CONFIG)
 
 
 class TestEquilibriumCommand:
@@ -78,6 +83,27 @@ class TestTable2Command:
         J, tau, value = float(row[3]), float(row[4]), float(row[5])
         assert J == 1.1 and tau == 1.0
         assert abs(value - 181.6) <= 0.2
+
+    def test_config_constants_reach_the_table(self, tmp_path, capsys):
+        # kappa is a global of the config, not a tool override, so it must
+        # change the two-period days as it changes every other figure
+        kappa = _config_file(tmp_path, "kappa.json", {**CRIT10_CONFIG, "kappa": 2.0})
+        base = _config_file(tmp_path, "crit10.json", CRIT10_CONFIG)
+        row = ["table2", "--beta", "0.5", "--A4", "4.0", "--A19", "44.5", "--objective",
+               "welfare", "--threads", "2"]
+        for name, path in (("kappa", kappa), ("base", base)):
+            assert main(row + ["--config", path, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        capsys.readouterr()
+        got = (tmp_path / "kappa.csv").read_text().splitlines()[-1]
+        assert got != (tmp_path / "base.csv").read_text().splitlines()[-1]
+        cfg = load_config(kappa)
+        g = dataclasses.replace(cfg.grid, j_step=0.1, tau_step=0.1)
+        day = dataclasses.replace(cfg, risk_beta=0.5).two_period_day(4.0, 44.5)
+        assert day.periods[0].demand.kappa == 2.0
+        res = optimize_day_fixed(day, Objective.WELFARE, g, cfg.solver)
+        want = (0.5, 4.0, 44.5, res.best_schedule.idle_wages[0], res.best_schedule.commission,
+                res.value)
+        assert got == ",".join(format(x, ".17g") for x in want)
 
 
 class TestOptimizeCommand:
@@ -264,9 +290,9 @@ class TestReproduceAllPlan:
         slices, builds = [], []
         solve, build = optimize.solve_slices, PeriodTables.build
 
-        def counting_solve(tables, j_values, coefs, *batch):
+        def counting_solve(tables, j_values, coefs):
             slices.extend(coefs)
-            yield from solve(tables, j_values, coefs, *batch)
+            yield from solve(tables, j_values, coefs)
 
         def counting_build(*args):
             builds.append(args)

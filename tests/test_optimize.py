@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from idlewage import (
     block_wage_max,
     builtin_day,
     day_requests,
-    day_value_tables,
     find_equilibria,
     optimize_day_fixed,
     optimize_day_flexible,
@@ -29,11 +29,10 @@ from idlewage import (
     sweep_day_idle_wage,
     sweep_idle_wage,
     two_period_day,
-    value_table,
     value_tables,
     value_vs_tau,
 )
-from idlewage import optimize
+from idlewage import equilibrium, optimize
 from idlewage.equilibrium import _MAX_TABLE_CELLS, PeriodTables, solve_slices
 from idlewage.objectives import evaluate
 from idlewage.optimize import _best_over_prices, _lex_first
@@ -47,6 +46,13 @@ FAST_SOLVER = SolverConfig(scan_points=1024)
 # the reproduce-all determinism config of acceptance criterion 10
 CRIT10 = GridSpec(p_step=0.25, j_step=0.7, tau_step=0.5)
 CRIT10_SOLVER = SolverConfig(scan_points=512)
+
+
+def day_tables(d, obj, g, cfg):
+    """Every period's value table from one value_tables call, in period order."""
+    reqs = day_requests(d, obj, g, cfg)
+    tables = value_tables(reqs)
+    return [tables[r] for r in reqs]
 
 
 def zero_lambda_period():
@@ -156,17 +162,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"J_values must be .*{problem}"):
             sweep_idle_wage(H19, Objective.PROFIT, wages, COARSE, FAST_SOLVER)
         with pytest.raises(ValueError, match=f"j_values must be .*{problem}"):
-            value_table(H19, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages)
+            TableRequest.of(H19, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages)
 
     @pytest.mark.parametrize("taus", [[np.nan], [np.inf], [1.5], [-0.5], [0.5, 2.0], []])
     def test_bad_commission_list_rejected_by_name(self, taus):
         with pytest.raises(ValueError, match="tau_values"):
-            value_table(H19, Objective.PROFIT, COARSE, FAST_SOLVER, tau_values=taus)
+            TableRequest.of(H19, Objective.PROFIT, COARSE, FAST_SOLVER, tau_values=taus)
 
     def test_day_tables_reject_commission_outside_unit_interval(self):
         with pytest.raises(ValueError, match="tau_values"):
-            day_value_tables(DayScenario((H19,)), Objective.PROFIT, COARSE, FAST_SOLVER,
-                             tau_values=[2.0])
+            day_requests(DayScenario((H19,)), Objective.PROFIT, COARSE, FAST_SOLVER,
+                         tau_values=[2.0])
 
     def test_repeated_wages_allowed(self):
         a, b = sweep_idle_wage(H19, Objective.PROFIT, [0.4, 0.4], COARSE, FAST_SOLVER)
@@ -298,7 +304,7 @@ class TestDayValueTable:
     def test_fixed_is_lexicographic_reduction_of_summed_table(self, obj):
         day = builtin_day()
         p_vals, j_vals, tau_vals = CRIT10.p_values(), CRIT10.j_values(), CRIT10.tau_values()
-        tables = day_value_tables(day, obj, CRIT10, CRIT10_SOLVER)
+        tables = day_tables(day, obj, CRIT10, CRIT10_SOLVER)
         total = np.sum([t.values for t in tables], axis=0)
         cells = [(ti, ji) for ti in range(tau_vals.size) for ji in range(j_vals.size)]
         ti, ji = min(cells, key=lambda c: (-total[c], j_vals[c[1]], tau_vals[c[0]]))
@@ -312,7 +318,7 @@ class TestDayValueTable:
     @pytest.mark.parametrize("obj", [Objective.PROFIT, Objective.WELFARE])
     def test_value_vs_tau_is_summed_per_period_max_over_j(self, obj):
         day = builtin_day()
-        tables = day_value_tables(day, obj, CRIT10, CRIT10_SOLVER)
+        tables = day_tables(day, obj, CRIT10, CRIT10_SOLVER)
         want = np.sum([t.values.max(axis=1) for t in tables], axis=0)
         curve = value_vs_tau(day, obj, CRIT10, CRIT10_SOLVER, threads=2)
         assert [t for t, _ in curve] == list(CRIT10.tau_values())
@@ -320,7 +326,7 @@ class TestDayValueTable:
 
     def test_day_sweep_is_per_j_max_of_summed_table(self):
         day = builtin_day()
-        tables = day_value_tables(day, Objective.WELFARE, CRIT10, CRIT10_SOLVER)
+        tables = day_tables(day, Objective.WELFARE, CRIT10, CRIT10_SOLVER)
         total = np.sum([t.values for t in tables], axis=0)
         sweep = sweep_day_idle_wage(day, Objective.WELFARE, CRIT10, CRIT10_SOLVER, threads=2)
         tau_vals = CRIT10.tau_values()
@@ -332,7 +338,7 @@ class TestDayValueTable:
             assert pt.tau1_optimal == bool(total[-1, ji] >= pt.value - tol)
 
     def test_repeated_periods_share_one_table(self):
-        tables = day_value_tables(DayScenario((H19,) * 3), Objective.PROFIT, COARSE, FAST_SOLVER)
+        tables = day_tables(DayScenario((H19,) * 3), Objective.PROFIT, COARSE, FAST_SOLVER)
         assert tables[0] is tables[1] is tables[2]
         assert tables[0].values.shape == (COARSE.tau_values().size, COARSE.j_values().size)
 
@@ -352,10 +358,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("obj", [Objective.PROFIT, Objective.WELFARE])
     def test_commission_groups_do_not_change_the_table(self, obj):
         # 3 commissions split into 1, 2, 3 and (capped) 3 contiguous groups
-        want = value_table(H19, obj, CRIT10, CRIT10_SOLVER, threads=1)
+        req = TableRequest.of(H19, obj, CRIT10, CRIT10_SOLVER)
+        want = value_tables([req], threads=1)[req]
         assert want.values.shape == (3, CRIT10.j_values().size)
         for threads in (2, 3, 5):
-            got = value_table(H19, obj, CRIT10, CRIT10_SOLVER, threads=threads)
+            got = value_tables([req], threads=threads)[req]
             for a, b in ((want.values, got.values), (want.p_idx, got.p_idx), (want.z, got.z)):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -407,9 +414,9 @@ class TestValueTablesPlan:
     def test_mixed_batch_refines_each_distinct_slice_once(self, monkeypatch):
         solved = []
 
-        def counting(tables, j_values, coefs, *batch):
+        def counting(tables, j_values, coefs):
             solved.extend((tables.scenario, j_values.tobytes(), float(c)) for c in coefs)
-            yield from solve_slices(tables, j_values, coefs, *batch)
+            yield from solve_slices(tables, j_values, coefs)
 
         monkeypatch.setattr(optimize, "solve_slices", counting)
         value_tables(self.mixed_batch(), threads=2)
@@ -450,6 +457,54 @@ class TestValueTablesPlan:
         assert regime(foreign, CRIT10_SOLVER) == want
         assert regime(partial, CRIT10_SOLVER) == want
         assert regime(full, CRIT10_SOLVER) == want
+
+    @staticmethod
+    def record_chunks(monkeypatch):
+        """Per solve_slices stream, its weight count and each chunk's (rows,
+        brackets per weight), as _refine receives them; a stream runs on
+        one thread, so _refine's last call there is the chunk it yields."""
+        local, streams = threading.local(), []
+        refine, solve = equilibrium._refine, optimize.solve_slices
+
+        def recording_refine(tables, j_values, cols):
+            local.t_idx = cols[0]
+            return refine(tables, j_values, cols)
+
+        def recording_solve(tables, j_values, coefs):
+            chunks = []
+            streams.append((len(coefs), chunks))
+            for rows, roots in solve(tables, j_values, coefs):
+                chunks.append((rows, np.bincount(local.t_idx, minlength=rows.stop)[rows.start:]))
+                yield rows, roots
+
+        monkeypatch.setattr(equilibrium, "_refine", recording_refine)
+        monkeypatch.setattr(optimize, "solve_slices", recording_solve)
+        return streams
+
+    def test_chunks_close_at_the_bound_whatever_the_threads(self, monkeypatch):
+        # table2 rows and a day on the criterion-10 grids: more groups than
+        # threads, and table2 streams long enough to close several chunks
+        table2 = dataclasses.replace(CRIT10, j_step=0.1, tau_step=0.1)
+        reqs = [r for obj in Objective for b in (0.2, 0.95)
+                for a4, a19 in ((3.5, 44.0), (5.5, 46.0))
+                for r in day_requests(two_period_day(b, a4, a19), obj, table2, CRIT10_SOLVER)]
+        reqs += day_requests(builtin_day(), Objective.PROFIT, CRIT10, CRIT10_SOLVER)
+        bound, seen = equilibrium._MAX_BATCH, []
+        for threads in (1, 2, 3):
+            with monkeypatch.context() as m:
+                streams = self.record_chunks(m)
+                value_tables(reqs, threads)
+            assert max(c.sum() for _, chunks in streams for _, c in chunks) >= bound
+            for n_coefs, chunks in streams:
+                assert [t for rows, _ in chunks for t in rows] == list(range(n_coefs))
+                for rows, counts in chunks:   # closed at the first weight reaching the bound
+                    assert counts.size == len(rows)
+                    size = np.cumsum(counts)
+                    assert np.all(size[:-1] < bound)
+                    assert size[-1] >= bound or rows.stop == n_coefs
+            seen.append(sorted((n, [(rows.start, rows.stop, c.tolist()) for rows, c in chunks])
+                               for n, chunks in streams))
+        assert seen[0] == seen[1] == seen[2]
 
     def test_complete_tables_solve_nothing(self, monkeypatch):
         day = builtin_day()
@@ -500,6 +555,36 @@ class TestBlockWageMax:
         val, pair = block_wage_max(np.full(24, 0.3))
         assert val == pytest.approx(8 * 0.3, abs=1e-12)
         assert pair == min(admissible_blocks(4, 4))
+
+    @pytest.mark.parametrize("b1, b2", [(1, 1), (3, 5), (4, 4), (7, 9), (12, 12), (11, 13)])
+    def test_equals_per_pair_sums_bitwise(self, b1, b2):
+        pairs = sorted(admissible_blocks(b1, b2))
+        for seed in range(20):
+            J = np.random.default_rng(seed).uniform(0, 3, size=24)
+            totals = [J[[(h1 - 1 + k) % 24 for k in range(b1)]].sum()
+                      + J[[(h2 - 1 + k) % 24 for k in range(b2)]].sum() for h1, h2 in pairs]
+            i = int(np.argmax(totals))   # the first maximum: the smallest (h1, h2)
+            assert block_wage_max(J, b1, b2) == (totals[i], pairs[i])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wages_rejected_by_name(self, bad):
+        J = np.ones(24)
+        J[5] = bad
+        with pytest.raises(ValueError, match="J must be finite"):
+            block_wage_max(J)
+
+    @pytest.mark.parametrize("b1, b2, name", [(0, 4, "b1"), (2.5, 4, "b1"), (4, -1, "b2"),
+                                              (4, 2.0, "b2")])
+    def test_bad_block_lengths_rejected_by_name(self, b1, b2, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            block_wage_max(np.ones(24), b1, b2)
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            admissible_blocks(b1, b2)
+
+    def test_admissible_pairs_are_a_fresh_set(self):
+        admissible_blocks(4, 4).clear()
+        assert len(admissible_blocks(4, 4)) == 408
+        assert block_wage_max(np.zeros(24)) == (0.0, (1, 5))
 
     def test_exhaustive_enumeration_oracle(self):
         rng = np.random.default_rng(3)

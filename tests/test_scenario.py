@@ -54,6 +54,21 @@ class TestBuiltinTables:
         assert [s.demand.lambda_max for s in day.periods] == [5, 163]
         assert all(s.supply.risk_beta == 0.2 for s in day.periods)
 
+    def test_helpers_equal_the_config_methods(self):
+        # the module helpers are the built-in config's days and periods
+        cfg = dataclasses.replace(default_config(), risk_beta=0.35)
+        assert builtin_day(0.35) == cfg.day()
+        assert period_for_hour(7, 0.35, pool_size=9.0) == cfg.period(7, pool_size=9.0)
+        assert two_period_day(0.35, 4.5, 45.0) == cfg.two_period_day(4.5, 45.0)
+
+    def test_config_two_period_day_keeps_the_config_constants(self):
+        cfg = dataclasses.replace(default_config(), kappa=2.0, trip_time=0.3, risk_beta=0.5)
+        day = cfg.two_period_day(4.0, 44.5)
+        assert [s.supply.pool_size for s in day.periods] == [4.0, 44.5]
+        assert [s.demand.lambda_max for s in day.periods] == [5, 163]
+        assert all(s.demand.kappa == 2.0 and s.trip_time == 0.3 and s.supply.risk_beta == 0.5
+                   for s in day.periods)
+
 
 class TestLoadConfig:
     def test_empty_file_means_defaults(self, tmp_path):
