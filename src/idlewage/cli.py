@@ -221,24 +221,21 @@ def _cmd_value_vs_tau(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _table2_requests(cfg: ScenarioConfig, combos, objectives) -> list[TableRequest]:
-    """The value-table requests of the (beta, A4, A19) rows, per objective."""
+def _table2_days(cfg: ScenarioConfig, combos, objectives) -> tuple[GridSpec, list, list]:
+    """The table2 grid, (beta, A4, A19, day) per row from one config per beta,
+    and the rows' value-table requests per objective."""
+    at_beta = {b: dataclasses.replace(cfg, risk_beta=b) for b in {b for b, _, _ in combos}}
+    days = [(b, a4, a19, at_beta[b].two_period_day(a4, a19)) for b, a4, a19 in combos]
     g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
-    return [r for b, a4, a19 in combos for obj in objectives
-            for r in day_requests(dataclasses.replace(cfg, risk_beta=b).two_period_day(a4, a19),
-                                  obj, g, cfg.solver)]
+    return g, days, [r for *_, day in days for obj in objectives
+                     for r in day_requests(day, obj, g, cfg.solver)]
 
 
-def _table2_rows(cfg: ScenarioConfig, combos, objectives, threads, tables=None) -> list[tuple]:
+def _table2_rows(cfg: ScenarioConfig, g: GridSpec, days, objectives, threads, tables) -> list:
     """(beta, A4, A19, objective, J, tau, value) of the shared-(J, tau) optimum
-    per (beta, A4, A19) row and objective.  Without tables, every row's
-    tables come from one value_tables call."""
-    g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
-    if tables is None:
-        tables = value_tables(_table2_requests(cfg, combos, objectives), threads)
+    per table2 day and objective, reduced from tables."""
     rows = []
-    for b, a4, a19 in combos:
-        day = dataclasses.replace(cfg, risk_beta=b).two_period_day(a4, a19)
+    for b, a4, a19, day in days:
         for obj in objectives:
             res = optimize_day_fixed(day, obj, g, cfg.solver, threads, tables)
             sch = res.best_schedule
@@ -247,10 +244,12 @@ def _table2_rows(cfg: ScenarioConfig, combos, objectives, threads, tables=None) 
 
 
 def _cmd_table2(args, cfg: ScenarioConfig) -> int:
-    g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
     combos = _TABLE2_ROWS if args.all else [(args.beta, args.A4, args.A19)]
+    objectives = [Objective(args.objective)]
+    g, days, requests = _table2_days(cfg, combos, objectives)
     _progress(f"table2: {len(combos)} rows, {g.j_values().size * g.tau_values().size} cells each")
-    rows = _table2_rows(cfg, combos, [Objective(args.objective)], args.threads)
+    tables = value_tables(requests, args.threads)   # every row's tables in one plan
+    rows = _table2_rows(cfg, g, days, objectives, args.threads, tables)
     names = ["beta", "A4", "A19", "J", "tau", "value"]
     _emit(args, cfg, _columns(names, [r[:3] + r[4:] for r in rows]), "table2", args.objective)
     return 0
@@ -287,6 +286,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     # refined once; the figures below reduce them.  fig5's re-priced block
     # hours are off the wage grid and solve on their own.
     day, day5 = cfg.day(), at_beta(FIG5_BETA).day()
+    g2, days2, requests2 = _table2_days(cfg, _TABLE2_ROWS, objectives)
     requests = [
         *(TableRequest.of(at_beta(b).period(19), obj, g, solver)
           for b in FIG1_BETAS for obj in objectives),
@@ -294,7 +294,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
           for r in day_requests(at_beta(b).day(), obj, g, solver)),
         *(r for d in (day, day5) for obj in objectives
           for r in day_requests(d, obj, g, solver, tau_values=[1.0])),
-        *_table2_requests(cfg, _TABLE2_ROWS, objectives),
+        *requests2,
     ]
     _progress(f"plan: {len(set(requests))} value tables")
     tables = value_tables(requests, threads)
@@ -352,7 +352,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     # table2: shared (J, tau) on the published two-period lattice
     _progress("table2: all beta x pool rows")
     figures["table2"] = _columns(("beta", "A4", "A19", "objective", "J", "tau", "value"),
-                                 _table2_rows(cfg, _TABLE2_ROWS, objectives, threads, tables))
+                                 _table2_rows(cfg, g2, days2, objectives, threads, tables))
     for name, cols in figures.items():
         _write_csv(os.path.join(args.outdir, f"{name}.csv"), cfg, cols, name, "both")
     _progress(f"wrote 6 files to {args.outdir}")

@@ -16,12 +16,13 @@ Tables come from one planner, :func:`value_tables`.  A
 :class:`TableRequest` names a table by everything it depends on; requests
 that share a slice key (the period without its risk weight, the price and
 wage grids, the solver config) share one scan table, and each distinct
-earnings weight beta * (1 - tau) among them is refined once.  The planner
-splits its work once: by group, or by parts of each group's weights when
-there are fewer groups than threads.  Regimes take an optional mapping
-from requests to tables, so a caller can plan several regimes' tables in
-one call.  Results are deterministic for any degree of parallelism (slices
-are pure and independent; reduction order is fixed).
+earnings weight beta * (1 - tau) among them is refined once.  One rule
+splits the work: the groups, largest first, deal out the threads, and a
+group cuts its weights into one contiguous part per thread it holds.
+Regimes take an optional mapping from requests to tables, so a caller can
+plan several regimes' tables in one call.  Results are deterministic for
+any degree of parallelism (slices are pure and independent; reduction
+order is fixed).
 """
 
 from __future__ import annotations
@@ -357,72 +358,21 @@ def _roots_of(roots: RootSet, rows: range, k: np.ndarray) -> RootSet:
     return RootSet(owner, roots.p_idx[take], roots.j_idx[take], roots.z[take])
 
 
-@dataclass
-class _Group:
-    """Requests sharing one slice key, and the distinct weights they need."""
+def _group_tables(requests, coefs, coef_idx, threads: int) -> dict[TableRequest, ValueTable]:
+    """The tables of requests sharing one slice key, as :func:`value_tables`
+    describes; coefs are their distinct weights, ascending, and coef_idx
+    holds per request the index into coefs of each commission."""
+    s, prices, wages, cfg = requests[0].slice_key()
+    tables, wages = PeriodTables.build(s, np.array(prices), cfg), np.array(wages)
+    out = {}
+    for r in requests:   # unfilled; the group's chunks fill every cell
+        shape = (len(r.taus), len(r.wages))
+        out[r] = ValueTable(np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
 
-    requests: list[TableRequest]
-    coefs: np.ndarray           # distinct beta * (1 - tau), ascending
-    coef_idx: list[np.ndarray]  # per request: index into coefs of each tau
-    tables: PeriodTables | None = None
-    out: dict | None = None
-
-    def cells(self) -> int:
-        """(weight, price, wage) cells the group refines."""
-        r = self.requests[0]
-        return self.coefs.size * len(r.prices) * len(r.wages)
-
-    def build(self) -> PeriodTables:
-        s, prices, _, cfg = self.requests[0].slice_key()
-        return PeriodTables.build(s, np.array(prices), cfg)
-
-    def outputs(self) -> dict[TableRequest, ValueTable]:
-        """An unfilled table per request; the group's chunks fill every cell."""
-        out = {}
-        for r in self.requests:
-            shape = (len(r.taus), len(r.wages))
-            out[r] = ValueTable(np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
-        return out
-
-
-def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
-    """The value table of every request, each distinct slice refined once.
-
-    Requests group by :meth:`TableRequest.slice_key`.  A group builds one
-    scan table and streams its distinct weights beta * (1 - tau), compared
-    as exact floats, through one :func:`solve_slices` call; each chunk's
-    roots are reduced into every request that uses them, then dropped.
-    The work items are the groups, largest first, or, when there are fewer
-    groups than threads, contiguous parts of each group's weights.  A group
-    holds its scan table and tables only while it runs, unless it is split.
-    """
-    by_key: dict[tuple, list[TableRequest]] = {}
-    for r in dict.fromkeys(requests):
-        by_key.setdefault(r.slice_key(), []).append(r)
-    groups = []
-    for reqs in by_key.values():
-        weights = [r.period.supply.risk_beta * (1.0 - np.array(r.taus)) for r in reqs]
-        coefs, inverse = np.unique(np.concatenate(weights), return_inverse=True)
-        ends = np.cumsum([len(r.taus) for r in reqs])
-        groups.append(_Group(reqs, coefs, np.split(inverse, ends[:-1])))
-    groups.sort(key=_Group.cells, reverse=True)
-
-    parts = -(-threads // len(groups)) if 0 < len(groups) < threads else 1
-    if parts > 1:   # the parts of a group share its scan table and tables
-        for grp, tables in zip(groups, _parallel_map(_Group.build, groups, threads)):
-            grp.tables, grp.out = tables, grp.outputs()
-    items = [
-        (grp, part) for grp in groups
-        for part in np.array_split(np.arange(grp.coefs.size), min(parts, grp.coefs.size))
-    ]
-
-    def run(item):  # stream the part's chunks: reduce each, then drop its roots
-        grp, part = item
-        tables, out = grp.tables or grp.build(), grp.out or grp.outputs()
-        wages = np.array(grp.requests[0].wages)
-        for rows, roots in solve_slices(tables, wages, grp.coefs[part]):
+    def stream(part):
+        for rows, roots in solve_slices(tables, wages, coefs[part]):
             lo, hi = part[0] + rows.start, part[0] + rows.stop
-            for r, idx in zip(grp.requests, grp.coef_idx):
+            for r, idx in zip(requests, coef_idx):
                 mine = np.flatnonzero((idx >= lo) & (idx < hi))
                 if mine.size:
                     taus, k = np.array(r.taus)[mine], idx[mine] - part[0]
@@ -430,9 +380,36 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
                     for dst, src in zip((out[r].values, out[r].p_idx, out[r].z), res):
                         dst[mine] = src
             del roots   # before the next chunk refines
-        return out
 
-    return {r: t for out in _parallel_map(run, items, threads) for r, t in out.items()}
+    _parallel_map(stream, np.array_split(np.arange(coefs.size), min(threads, coefs.size)), threads)
+    return out
+
+
+def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
+    """The value table of every request, each distinct slice refined once.
+
+    Requests group by :meth:`TableRequest.slice_key`.  A group builds one
+    scan table and cuts its distinct weights beta * (1 - tau), compared as
+    exact floats, into one contiguous part per thread it holds; each part
+    streams through :func:`solve_slices`, and each chunk's roots are reduced
+    into every request that uses them, then dropped.  Groups run largest
+    first; with n groups and n < threads, group i holds threads // n +
+    (i < threads % n) threads, else one: at most threads streams at once.
+    """
+    by_key: dict[tuple, list[TableRequest]] = {}
+    for r in dict.fromkeys(requests):
+        by_key.setdefault(r.slice_key(), []).append(r)
+    groups = []
+    for reqs in by_key.values():
+        weights = [r.period.supply.risk_beta * (1.0 - np.array(r.taus)) for r in reqs]
+        coefs = np.unique(np.concatenate(weights))
+        groups.append((reqs, coefs, [np.searchsorted(coefs, w) for w in weights]))
+    # largest first, by the (weight, price, wage) cells a group refines
+    groups.sort(key=lambda g: g[1].size * len(g[0][0].prices) * len(g[0][0].wages), reverse=True)
+    n = len(groups)
+    shares = [threads // n + (i < threads % n) if n < threads else 1 for i in range(n)]
+    outs = _parallel_map(lambda g: _group_tables(*g[0], g[1]), list(zip(groups, shares)), threads)
+    return {r: t for out in outs for r, t in out.items()}
 
 
 def _tables_for(requests, tables, threads: int) -> list[ValueTable]:
@@ -688,54 +665,46 @@ def optimize_min_wage(
     if len(d.periods) != 24:
         raise ValueError("the block-constrained regime needs a 24-period day")
     flex = optimize_day_flexible(d, obj, g, cfg, threads, tables)
-    assert isinstance(flex.best_schedule, DaySchedule)
-    J0 = np.asarray(flex.best_schedule.idle_wages)
+    eqs, J0 = list(flex.equilibria), np.asarray(flex.best_schedule.idle_wages)
+    J = J0.copy()
     m0, pair = block_wage_max(J0, c.b1, c.b2)
-    if m0 >= c.j_min:
-        if flex.value < 0:
+    if m0 < c.j_min:   # scale the best pair's block wages up to the floor and re-price
+        pairs, i1, i2 = _block_pairs(c.b1, c.b2)
+        k = pairs.index(pair)
+        hours = np.concatenate((i1[k], i2[k]))
+        base = J0[hours].sum()
+        if base > 0:
+            scale = c.j_min / base
+            J[hours] = J0[hours] * scale
+            while J[hours].sum() < c.j_min:
+                scale = np.nextafter(scale, np.inf)
+                J[hours] = J0[hours] * scale
+        else:
+            J[hours] = c.j_min / len(hours)
+
+        requests = [
+            TableRequest.of(d.periods[h], obj, g, cfg, tau_values=[1.0], j_values=[J[h]])
+            for h in hours
+        ]
+        try:
+            repriced = _tables_for(requests, None, threads)
+        except BracketingError as exc:
+            # A scaled wage floods the market past the scan window's
+            # million-drivers-at-instant-pickup end: certainly worth less than
+            # shutting down.
             raise InfeasibleError(
-                "optimize_min_wage: best constrained schedule is worth less than shutdown"
-            )
-        return replace(flex, regime=Regime.MIN_WAGE_BLOCKS)
-
-    pairs, i1, i2 = _block_pairs(c.b1, c.b2)
-    k = pairs.index(pair)
-    hours = np.concatenate((i1[k], i2[k]))
-    J_new = J0.copy()
-    base = J0[hours].sum()
-    if base > 0:
-        scale = c.j_min / base
-        J_new[hours] = J0[hours] * scale
-        while J_new[hours].sum() < c.j_min:
-            scale = np.nextafter(scale, np.inf)
-            J_new[hours] = J0[hours] * scale
-    else:
-        J_new[hours] = c.j_min / len(hours)
-
-    requests = [
-        TableRequest.of(d.periods[h], obj, g, cfg, tau_values=[1.0], j_values=[J_new[h]])
-        for h in hours
-    ]
-    try:
-        repriced = _tables_for(requests, None, threads)
-    except BracketingError as exc:
-        # A scaled wage floods the market past the scan window's
-        # million-drivers-at-instant-pickup end: certainly worth less than
-        # shutting down.
-        raise InfeasibleError(
-            f"optimize_min_wage: scaled block wage up to {J_new[hours].max():.3g} pushes "
-            "the equilibrium outside the economic range; constraint infeasible"
-        ) from exc
-    p_vals = g.p_values()
-    eqs = list(flex.equilibria)
-    for h, t in zip(hours, repriced):
-        eqs[h] = _winner_equilibrium(d.periods[h], p_vals[t.p_idx[0, 0]], J_new[h], 1.0, t.z[0, 0])
+                f"optimize_min_wage: scaled block wage up to {J[hours].max():.3g} pushes "
+                "the equilibrium outside the economic range; constraint infeasible"
+            ) from exc
+        p_vals = g.p_values()
+        for h, t in zip(hours, repriced):
+            eqs[h] = _winner_equilibrium(d.periods[h], p_vals[t.p_idx[0, 0]], J[h], 1.0, t.z[0, 0])
 
     res = _day_result(Regime.MIN_WAGE_BLOCKS, obj, d, eqs)
     if res.value < 0:
         raise InfeasibleError(
             "optimize_min_wage: best constrained schedule is worth less than shutdown"
         )
-    certified, _ = block_wage_max(J_new, c.b1, c.b2)
+    certified, _ = block_wage_max(J, c.b1, c.b2)
     assert certified >= c.j_min
     return res

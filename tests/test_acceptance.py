@@ -273,15 +273,22 @@ def test_criterion_07_integral_closed_forms():
 def test_criterion_08_sweep_shapes():
     s = iw.period_for_hour(19, risk_beta=0.2)
     jv = GRID.j_values()
+    day = iw.builtin_day(risk_beta=1.0)
+    objectives = (Objective.WELFARE, Objective.PROFIT)
+    tau1 = {obj: iw.TableRequest.of(s, obj, GRID, SOLVER, tau_values=[1.0]) for obj in objectives}
+    # every table below in one plan, so slices shared between them refine once
+    tables = iw.value_tables([
+        *(iw.TableRequest.of(s, obj, GRID, SOLVER) for obj in objectives), *tau1.values(),
+        *(r for obj in objectives for r in iw.day_requests(day, obj, GRID, SOLVER)),
+    ], THREADS)
     ok = True
     detail = []
-    for obj in (Objective.WELFARE, Objective.PROFIT):
-        curve = iw.sweep_idle_wage(s, obj, jv, GRID, SOLVER, threads=THREADS)
+    for obj in objectives:
+        curve = iw.sweep_idle_wage(s, obj, jv, GRID, SOLVER, THREADS, tables)
         F = np.array([pt.value for pt in curve])
         flags = np.array([pt.tau1_optimal for pt in curve])
         # grid-tie scale: one J-step value resolution of the tau=1 curve
-        req = iw.TableRequest.of(s, obj, GRID, SOLVER, tau_values=[1.0])
-        v1 = iw.value_tables([req])[req].values[0]
+        v1 = tables[tau1[obj]].values[0]
         k1 = int(np.argmax(v1))
         delta = max(abs(v1[k1] - v1[max(k1 - 1, 0)]), abs(v1[k1] - v1[min(k1 + 1, jv.size - 1)]))
         tied = np.nonzero(F >= F.max() - delta)[0]
@@ -301,10 +308,9 @@ def test_criterion_08_sweep_shapes():
     # risk-neutral full day with one shared (J, tau): profit pins J* = 0;
     # welfare is exactly ridge-flat in the pay split, so J = 0 must tie the
     # optimum within one grid step's value resolution
-    day = iw.builtin_day(risk_beta=1.0)
-    resp = iw.optimize_day_fixed(day, Objective.PROFIT, GRID, SOLVER, threads=THREADS)
+    resp = iw.optimize_day_fixed(day, Objective.PROFIT, GRID, SOLVER, THREADS, tables)
     ok_p = resp.best_schedule.idle_wages[0] == 0.0
-    sweep = iw.sweep_day_idle_wage(day, Objective.WELFARE, GRID, SOLVER, threads=THREADS)
+    sweep = iw.sweep_day_idle_wage(day, Objective.WELFARE, GRID, SOLVER, THREADS, tables)
     best_by_j = np.array([pt.value for pt in sweep])
     kw = int(np.argmax(best_by_j))
     delta_w = abs(best_by_j[kw] - best_by_j[max(kw - 1, 0)])

@@ -506,6 +506,46 @@ class TestValueTablesPlan:
                                for n, chunks in streams))
         assert seen[0] == seen[1] == seen[2]
 
+    @pytest.mark.parametrize("plan, n_streams", [
+        (day_requests(two_period_day(0.2, 3.5, 44.0), Objective.PROFIT,
+                      dataclasses.replace(CRIT10, j_step=0.1, tau_step=0.1), CRIT10_SOLVER),
+         [2, 2, 3, 5]),
+        ([TableRequest.of(H19, Objective.PROFIT, CRIT10, CRIT10_SOLVER)], [1, 2, 3, 3]),
+    ], ids=["table2-row", "single-period"])
+    def test_each_group_streams_its_share_of_the_threads(self, monkeypatch, plan, n_streams):
+        # the table2 row is 2 groups of 11 weights, the single period 1 group
+        # of 3; with fewer groups than threads each group holds a share
+        weights = {r.slice_key()[0]: np.unique(r.period.supply.risk_beta * (1 - np.array(r.taus)))
+                   for r in plan}
+        build, solve, seen = PeriodTables.build, optimize.solve_slices, []
+        for threads, n in zip((1, 2, 3, 5), n_streams):
+            builds, streams = [], []
+
+            def recording_build(s, p, cfg):
+                tables = build(s, p, cfg)
+                builds.append(tables)
+                return tables
+
+            def recording_solve(tables, j_values, coefs):
+                streams.append((tables, list(coefs)))
+                yield from solve(tables, j_values, coefs)
+
+            with monkeypatch.context() as m:
+                m.setattr(PeriodTables, "build", staticmethod(recording_build))
+                m.setattr(optimize, "solve_slices", recording_solve)
+                got = value_tables(plan, threads)
+            assert len(builds) == len(weights)
+            assert len(streams) == n <= max(threads, len(weights))
+            for tables in builds:   # its streams cover its weights once, in order
+                parts = sorted(c for t, c in streams if t is tables)
+                assert [w for c in parts for w in c] == weights[tables.scenario].tolist()
+            seen.append(got)
+        for got in seen[1:]:
+            for r in plan:
+                for a, b in zip((seen[0][r].values, seen[0][r].p_idx, seen[0][r].z),
+                                (got[r].values, got[r].p_idx, got[r].z)):
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_complete_tables_solve_nothing(self, monkeypatch):
         day = builtin_day()
         tables = value_tables(day_requests(day, Objective.PROFIT, CRIT10, CRIT10_SOLVER))
