@@ -221,10 +221,9 @@ def _cmd_value_vs_tau(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _table2_days(cfg: ScenarioConfig, combos, objectives) -> tuple[GridSpec, list, list]:
-    """The table2 grid, (beta, A4, A19, day) per row from one config per beta,
-    and the rows' value-table requests per objective."""
-    at_beta = {b: dataclasses.replace(cfg, risk_beta=b) for b in {b for b, _, _ in combos}}
+def _table2_days(cfg: ScenarioConfig, at_beta, combos, objectives) -> tuple[GridSpec, list, list]:
+    """The table2 grid, (beta, A4, A19, day) per row from at_beta's config
+    for its beta, and the rows' value-table requests per objective."""
     days = [(b, a4, a19, at_beta[b].two_period_day(a4, a19)) for b, a4, a19 in combos]
     g = dataclasses.replace(cfg.grid, **TABLE2_GRID)
     return g, days, [r for *_, day in days for obj in objectives
@@ -246,7 +245,8 @@ def _table2_rows(cfg: ScenarioConfig, g: GridSpec, days, objectives, threads, ta
 def _cmd_table2(args, cfg: ScenarioConfig) -> int:
     combos = _TABLE2_ROWS if args.all else [(args.beta, args.A4, args.A19)]
     objectives = [Objective(args.objective)]
-    g, days, requests = _table2_days(cfg, combos, objectives)
+    at_beta = {b: dataclasses.replace(cfg, risk_beta=b) for b in {b for b, *_ in combos}}
+    g, days, requests = _table2_days(cfg, at_beta, combos, objectives)
     _progress(f"table2: {len(combos)} rows, {g.j_values().size * g.tau_values().size} cells each")
     tables = value_tables(requests, args.threads)   # every row's tables in one plan
     rows = _table2_rows(cfg, g, days, objectives, args.threads, tables)
@@ -279,19 +279,20 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
     objectives = (Objective.WELFARE, Objective.PROFIT)
     sweep_names = ("beta", "objective", "J", "best_value", "best_tau", "tau1_optimal")
 
-    def at_beta(b: float) -> ScenarioConfig:
-        return dataclasses.replace(cfg, risk_beta=b)
-
-    # Every figure's value tables in one plan, so each distinct slice is
-    # refined once; the figures below reduce them.  fig5's re-priced block
-    # hours are off the wage grid and solve on their own.
-    day, day5 = cfg.day(), at_beta(FIG5_BETA).day()
-    g2, days2, requests2 = _table2_days(cfg, _TABLE2_ROWS, objectives)
+    # One config, peak period and day per beta, shared by the plan and the
+    # figures.  Every figure's value tables come from one plan, so each
+    # distinct slice is refined once; the figures below reduce them.  fig5's
+    # re-priced block hours are off the wage grid and solve on their own.
+    betas = {*FIG1_BETAS, *FIG2_BETAS, *FIG4_BETAS, FIG5_BETA, *TABLE2_BETAS}
+    at_beta = {b: dataclasses.replace(cfg, risk_beta=b) for b in betas}
+    peak = {b: at_beta[b].period(19) for b in FIG1_BETAS}
+    days = {b: at_beta[b].day() for b in FIG2_BETAS + FIG4_BETAS + [FIG5_BETA]}
+    day, day5 = cfg.day(), days[FIG5_BETA]
+    g2, days2, requests2 = _table2_days(cfg, at_beta, _TABLE2_ROWS, objectives)
     requests = [
-        *(TableRequest.of(at_beta(b).period(19), obj, g, solver)
-          for b in FIG1_BETAS for obj in objectives),
+        *(TableRequest.of(peak[b], obj, g, solver) for b in FIG1_BETAS for obj in objectives),
         *(r for b in FIG2_BETAS + FIG4_BETAS for obj in objectives
-          for r in day_requests(at_beta(b).day(), obj, g, solver)),
+          for r in day_requests(days[b], obj, g, solver)),
         *(r for d in (day, day5) for obj in objectives
           for r in day_requests(d, obj, g, solver, tau_values=[1.0])),
         *requests2,
@@ -306,8 +307,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
         (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
         for b in FIG1_BETAS
         for obj in objectives
-        for pt in sweep_idle_wage(
-            at_beta(b).period(19), obj, g.j_values(), g, solver, threads, tables)
+        for pt in sweep_idle_wage(peak[b], obj, g.j_values(), g, solver, threads, tables)
     ])
 
     # fig2: full-day value against the shared commission
@@ -316,7 +316,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
         (b, obj.value, tau, v)
         for b in FIG2_BETAS
         for obj in objectives
-        for tau, v in value_vs_tau(at_beta(b).day(), obj, g, solver, threads, tables)
+        for tau, v in value_vs_tau(days[b], obj, g, solver, threads, tables)
     ])
 
     # fig3: flexible per-hour idle wage (beta plays no role at tau = 1)
@@ -333,7 +333,7 @@ def _cmd_reproduce_all(args, cfg: ScenarioConfig) -> int:
         (b, obj.value, pt.idle_wage, pt.value, pt.best_tau, pt.tau1_optimal)
         for b in FIG4_BETAS
         for obj in objectives
-        for pt in sweep_day_idle_wage(at_beta(b).day(), obj, g, solver, threads, tables)
+        for pt in sweep_day_idle_wage(days[b], obj, g, solver, threads, tables)
     ])
 
     # fig5: minimum-wage blocks vs the unconstrained flexible day

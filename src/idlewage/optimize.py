@@ -8,9 +8,9 @@ minimum-wage constraint on a pair of cyclic hour blocks.
 Every regime reduces one object, a period's value table: the best value
 over the price grid at each (tau, J) cell, with the winning price and
 equilibrium.  Every grid cell is evaluated through the bracketing
-equilibrium solver and the objective-maximizing equilibrium is kept per
-cell.  Ties between cells break lexicographically through one helper,
-``_lex_first``.
+equilibrium solver, and each (tau, J) cell keeps its winning root in one
+lexicographic pass over value, price, throughput and labour.  Ties between
+cells break lexicographically through one helper, ``_lex_first``.
 
 Tables come from one planner, :func:`value_tables`.  A
 :class:`TableRequest` names a table by everything it depends on; requests
@@ -309,43 +309,40 @@ def _best_over_prices(
     tables: PeriodTables, j_values: np.ndarray, taus: np.ndarray, roots: RootSet,
     obj: Objective,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, p_idx, z) of the best price per (tau, J) cell, one row per tau.
+    """(values, p_idx, z) of the best root per (tau, J) cell, one row per tau.
 
-    roots.t_idx indexes taus.  Within a cell the objective-maximizing
-    equilibrium is selected (ties: smallest throughput, then smallest
-    labour); across prices ties go to the smallest price.
+    roots.t_idx indexes taus.  A cell's winner is its root of largest value,
+    then smallest price, throughput and labour.  At J = 0 the shutdown
+    equilibrium (value 0, price index 0, z NaN) wins unless a root is worth
+    more.  Every price of a cell with J > 0 must hold a root, else
+    BracketingError.
     """
     s, n_p, n_j = tables.scenario, tables.p.size, j_values.size
-    V = np.full((taus.size, n_j, n_p), -np.inf)
-    Z = np.full(V.shape, np.nan)
-    if roots.z.size:
-        tau, p_arr = taus[roots.t_idx], tables.p[roots.p_idx]
-        T, I, Q, L, e = equilibrium_components(s, tau, p_arr, roots.z)
-        if obj is Objective.PROFIT:
-            vals = profit_values(tau, p_arr, Q, j_values[roots.j_idx], L)
-        else:
-            vals = welfare_values(s, p_arr, T, Q, L)
-        cell = (roots.t_idx * n_j + roots.j_idx) * n_p + roots.p_idx
-        order = np.lexsort((L, Q, -vals, cell))
-        sel = order[np.diff(cell[order], prepend=-1) != 0]   # first root of each cell
-        V.flat[cell[sel]] = vals[sel]
-        Z.flat[cell[sel]] = roots.z[sel]
+    tau, p_arr = taus[roots.t_idx], tables.p[roots.p_idx]
+    T, I, Q, L, e = equilibrium_components(s, tau, p_arr, roots.z)
+    if obj is Objective.PROFIT:
+        vals = profit_values(tau, p_arr, Q, j_values[roots.j_idx], L)
+    else:
+        vals = welfare_values(s, p_arr, T, Q, L)
+    cell = roots.t_idx * n_j + roots.j_idx
 
-    # The shutdown equilibrium is feasible at J = 0 and wins value ties
-    # (its throughput 0 is minimal).
-    zero_wins = (V <= 0.0) & (j_values == 0.0)[:, None]
-    V[zero_wins] = 0.0
-    Z[zero_wins] = np.nan
-
-    if np.any(np.isinf(V[:, j_values > 0.0])):
+    has_root = np.zeros((taus.size, n_j, n_p), dtype=bool)
+    has_root[roots.t_idx, roots.j_idx, roots.p_idx] = True
+    if not has_root[:, j_values > 0.0].all():
         raise BracketingError(
             "grid evaluation: a cell with J > 0 produced no equilibrium in the "
             "scan window; widen SolverConfig.z_min/z_max"
         )
 
-    best_p = np.argmax(V, axis=2)
-    t, j = np.indices(best_p.shape)
-    return V[t, j, best_p], best_p, Z[t, j, best_p]
+    order = np.lexsort((L, Q, roots.p_idx, -vals, cell))
+    first = order[np.diff(cell[order], prepend=-1) != 0]   # the winning root of each cell
+    won = first[(vals[first] > 0.0) | (j_values[roots.j_idx[first]] > 0.0)]
+    shape = (taus.size, n_j)   # cells no root wins keep the shutdown equilibrium
+    values, p_idx, z = np.zeros(shape), np.zeros(shape, dtype=np.intp), np.full(shape, np.nan)
+    values.flat[cell[won]] = vals[won]
+    p_idx.flat[cell[won]] = roots.p_idx[won]
+    z.flat[cell[won]] = roots.z[won]
+    return values, p_idx, z
 
 
 def _roots_of(roots: RootSet, rows: range, k: np.ndarray) -> RootSet:
@@ -429,13 +426,11 @@ def day_requests(
     return [replace(first, period=s) for s in d.periods]   # the periods share one set of grids
 
 
-def _winner_equilibrium(
-    s: PeriodScenario, p: float, J: float, tau: float, z: float
-) -> Equilibrium:
-    pol = PolicyPoint(float(p), float(J), float(tau))
-    if np.isnan(z):
-        return zero_equilibrium(pol)
-    return equilibrium_at(s, pol, z)
+def _winner(r: TableRequest, t: ValueTable, ti: int, ji: int) -> Equilibrium:
+    """The winning equilibrium of r's table t at cell (ti, ji)."""
+    pol = PolicyPoint(r.prices[t.p_idx[ti, ji]], r.wages[ji], r.taus[ti])
+    z = t.z[ti, ji]
+    return zero_equilibrium(pol) if np.isnan(z) else equilibrium_at(r.period, pol, z)
 
 
 def _day_result(regime: Regime, obj: Objective, d: DayScenario, eqs) -> OptimResult:
@@ -463,11 +458,12 @@ def optimize_single_period(
 ) -> OptimResult:
     """Maximize the objective over the full (p, J, tau) grid for one period."""
     p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    (t,) = _tables_for([TableRequest.of(s, obj, g, cfg)], None, threads)
+    r = TableRequest.of(s, obj, g, cfg)
+    (t,) = _tables_for([r], None, threads)
     ti, ji = divmod(
         _lex_first(-t.values, p_vals[t.p_idx], j_vals, tau_vals[:, None]), j_vals.size
     )
-    eq = _winner_equilibrium(s, p_vals[t.p_idx[ti, ji]], j_vals[ji], tau_vals[ti], t.z[ti, ji])
+    eq = _winner(r, t, ti, ji)
     value = evaluate(obj, s, eq)
     return OptimResult(Regime.SINGLE_PERIOD, obj, eq.policy, (eq,), value)
 
@@ -544,11 +540,11 @@ def optimize_day_flexible(
     over (p, J) at tau = 1.  tables as in :func:`sweep_idle_wage`.
     """
     p_vals, j_vals = g.p_values(), g.j_values()
-    eqs = []
-    day = _tables_for(day_requests(d, obj, g, cfg, tau_values=[1.0]), tables, threads)
-    for s, t in zip(d.periods, day):
-        ji = _lex_first(-t.values[0], p_vals[t.p_idx[0]], j_vals)
-        eqs.append(_winner_equilibrium(s, p_vals[t.p_idx[0, ji]], j_vals[ji], 1.0, t.z[0, ji]))
+    requests = day_requests(d, obj, g, cfg, tau_values=[1.0])
+    eqs = [
+        _winner(r, t, 0, _lex_first(-t.values[0], p_vals[t.p_idx[0]], j_vals))
+        for r, t in zip(requests, _tables_for(requests, tables, threads))
+    ]
     return _day_result(Regime.FLEXIBLE_J, obj, d, eqs)
 
 
@@ -581,14 +577,12 @@ def optimize_day_fixed(
 
     tables as in :func:`sweep_idle_wage`.
     """
-    p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    day = _tables_for(day_requests(d, obj, g, cfg), tables, threads)
+    j_vals, tau_vals = g.j_values(), g.tau_values()
+    requests = day_requests(d, obj, g, cfg)
+    day = _tables_for(requests, tables, threads)
     total = np.sum([t.values for t in day], axis=0)
     ti, ji = divmod(_lex_first(-total, j_vals, tau_vals[:, None]), j_vals.size)
-    eqs = [
-        _winner_equilibrium(s, p_vals[t.p_idx[ti, ji]], j_vals[ji], tau_vals[ti], t.z[ti, ji])
-        for s, t in zip(d.periods, day)
-    ]
+    eqs = [_winner(r, t, ti, ji) for r, t in zip(requests, day)]
     return _day_result(Regime.FIXED_J_TAU, obj, d, eqs)
 
 
@@ -696,9 +690,8 @@ def optimize_min_wage(
                 f"optimize_min_wage: scaled block wage up to {J[hours].max():.3g} pushes "
                 "the equilibrium outside the economic range; constraint infeasible"
             ) from exc
-        p_vals = g.p_values()
-        for h, t in zip(hours, repriced):
-            eqs[h] = _winner_equilibrium(d.periods[h], p_vals[t.p_idx[0, 0]], J[h], 1.0, t.z[0, 0])
+        for h, r, t in zip(hours, requests, repriced):
+            eqs[h] = _winner(r, t, 0, 0)
 
     res = _day_result(Regime.MIN_WAGE_BLOCKS, obj, d, eqs)
     if res.value < 0:

@@ -200,28 +200,15 @@ def load_config(path) -> ScenarioConfig:
     return _build_section(ScenarioConfig, kwargs, "config")
 
 
-def _config_dict(cfg: ScenarioConfig) -> dict:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name in _SUB_SECTIONS:
-            out[f.name] = dataclasses.asdict(v)
-        elif isinstance(v, tuple):
-            out[f.name] = list(v)
-        else:
-            out[f.name] = v
-    return out
-
-
 def dump_config(cfg: ScenarioConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_config_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def scenario_hash(cfg: ScenarioConfig) -> str:
     """Short stable digest identifying a config in result metadata."""
-    canon = json.dumps(_config_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import idlewage.cli
-from idlewage import Objective, load_config, optimize, optimize_day_fixed
+from idlewage import Objective, ScenarioConfig, load_config, optimize, optimize_day_fixed
 from idlewage.cli import main
 from idlewage.equilibrium import PeriodTables
 
@@ -120,6 +120,17 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert rc == 3
         assert "infeasible" in err.lower()
+
+    def test_incomplete_grid_exits_2_and_says_widen(self, tmp_path, capsys):
+        # with z_max = 1 hour some prices hold no equilibrium at J > 0
+        cfg = _config_file(tmp_path, "narrow.json", {
+            "grid": {"p_step": 0.25, "j_step": 0.7, "tau_step": 0.5},
+            "solver": {"scan_points": 512, "z_max": 1.0},
+        })
+        rc = main(["optimize", "single", "--hour", "19", "--objective", "profit",
+                   "--config", cfg, "--threads", "2"])
+        assert rc == 2
+        assert "widen" in capsys.readouterr().err
 
     def test_minwage_floor_defaults_to_config_blocks_j_min(self, tmp_path, capsys):
         f = tmp_path / "floor.json"
@@ -306,6 +317,25 @@ class TestReproduceAllPlan:
         assert rc == 0
         assert len(slices) == 792
         assert len(builds) <= 58
+
+    def test_coarse_run_builds_one_config_per_beta(self, crit10_cfg, tmp_path, monkeypatch,
+                                                   capsys):
+        # the loaded config plus one per distinct figure or table2 beta
+        betas = {*idlewage.cli.FIG1_BETAS, *idlewage.cli.FIG2_BETAS, *idlewage.cli.FIG4_BETAS,
+                 idlewage.cli.FIG5_BETA, *idlewage.cli.TABLE2_BETAS}
+        assert len(betas) == 8
+        built, post_init = [], ScenarioConfig.__post_init__
+
+        def counting(self):
+            built.append(self.risk_beta)
+            post_init(self)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counting)
+        rc = main(["reproduce-all", "--outdir", str(tmp_path / "out"), "--config", crit10_cfg,
+                   "--threads", "2"])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(built) <= len(betas) + 1
 
 
 class TestConsoleEntryPoint:

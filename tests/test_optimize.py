@@ -555,6 +555,65 @@ class TestValueTablesPlan:
                                   tables=tables) == want
 
 
+class TestTableAgainstScalarPath:
+    """A whole value table equals the per-policy path, cell by cell."""
+
+    def test_every_cell_equals_the_scalar_winner(self):
+        s = period_for_hour(19, 0.5)
+        g = GridSpec(p_step=0.5, j_step=0.7, tau_step=0.25)
+        cfg = SolverConfig(scan_points=512)
+        prices, wages, taus = g.p_values(), g.j_values(), g.tau_values()
+        eqs = {(tau, J, p): find_equilibria(s, PolicyPoint(float(p), float(J), float(tau)), cfg)
+               for tau in taus for J in wages for p in prices}
+        for obj in Objective:
+            r = TableRequest.of(s, obj, g, cfg)
+            t = value_tables([r])[r]
+            want = [np.empty(t.values.shape), np.empty(t.values.shape, dtype=np.intp),
+                    np.empty(t.values.shape)]
+            for ti, tau in enumerate(taus):
+                for ji, J in enumerate(wages):
+                    # find_equilibria includes the shutdown equilibrium at J = 0
+                    best = [select_equilibrium(eqs[tau, J, p], obj, s) for p in prices]
+                    v = [evaluate(obj, s, eq) for eq in best]
+                    pi = int(np.argmax(v))   # the first price of maximal value
+                    z = best[pi].pickup
+                    for a, x in zip(want, (v[pi], pi, z if np.isfinite(z) else np.nan)):
+                        a[ti, ji] = x
+            for a, b in zip(want, (t.values, t.p_idx, t.z)):
+                assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestGridCompleteness:
+    """A cell with J > 0 needs a root at every price of the grid."""
+
+    S = period_for_hour(19)
+    G = GridSpec(p_step=0.25, j_step=0.7, tau_step=0.5)
+    NARROW = SolverConfig(scan_points=512, z_max=1.0)   # only the higher prices hold a root
+
+    def test_setup_misses_some_prices(self):
+        missed = 0
+        for p in self.G.p_values():
+            try:
+                find_equilibria(self.S, PolicyPoint(float(p), 1.2, 1.0), self.NARROW)
+            except equilibrium.BracketingError:
+                missed += 1
+        assert 0 < missed < self.G.p_values().size
+
+    @pytest.mark.parametrize("obj", list(Objective))
+    @pytest.mark.parametrize("wages", [[1.2], [0.0, 1.2]])
+    def test_missing_price_raises(self, obj, wages):
+        r = TableRequest.of(self.S, obj, self.G, self.NARROW, [1.0], wages)
+        with pytest.raises(equilibrium.BracketingError, match="widen"):
+            value_tables([r])
+
+    @pytest.mark.parametrize("obj", list(Objective))
+    def test_zero_wage_alone_shuts_down(self, obj):
+        r = TableRequest.of(self.S, obj, self.G, self.NARROW, [1.0], [0.0])
+        t = value_tables([r])[r]
+        assert t.values.tolist() == [[0.0]] and t.p_idx.tolist() == [[0]]
+        assert np.isnan(t.z).all()
+
+
 class TestAdmissibleBlocks:
     @staticmethod
     def hours_of(h, b):
