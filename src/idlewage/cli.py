@@ -14,11 +14,9 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .equilibrium import BracketingError, PolicyPoint, find_equilibria
-from .model import demand, supply
+from .model import supply
 from .objectives import Objective, evaluate
 from .optimize import (
     GridSpec,
@@ -134,21 +132,11 @@ def _cmd_equilibrium(args, cfg: ScenarioConfig) -> int:
     _progress(f"equilibrium: hour {args.hour}, {len(eqs)} equilibria")
     rows = []
     for eq in eqs:
-        r_demand = eq.throughput - demand(s.demand, pol.price, eq.pickup)
-        r_balance = eq.labour - (eq.idle + (s.trip_time + eq.pickup) * eq.throughput)
-        if not np.isfinite(eq.pickup):
-            r_balance = eq.labour - eq.idle  # (t + inf) * 0 = 0 for the shutdown state
-        r_earn = eq.earnings - (
-            (1 - pol.commission) * pol.price * eq.throughput / eq.labour
-            if eq.labour > 0
-            else 0.0
-        )
         r_supply = eq.labour - supply(s.supply, eq.earnings, pol.idle_wage)
         rows.append((eq.earnings, eq.idle, eq.labour, eq.throughput, eq.pickup,
                      evaluate(Objective.PROFIT, s, eq), evaluate(Objective.WELFARE, s, eq),
-                     r_demand, r_balance, r_earn, r_supply))
-    names = ("e", "I", "L", "Q", "T", "profit", "welfare",
-             "res_demand", "res_balance", "res_earnings", "res_supply")
+                     r_supply))
+    names = ("e", "I", "L", "Q", "T", "profit", "welfare", "res_supply")
     _emit(args, cfg, _columns(names, rows), "equilibrium", "both")
     return 0
 

@@ -209,24 +209,24 @@ class PeriodTables:
         return PeriodTables(s, cfg, p, z, G, H)
 
 
-def _margin_and_residual(s: PeriodScenario, coef, J, p, z, ep=None):
-    """Pointwise wage margin W and residual at (p, z) for earnings weight coef.
+def _margin(s: PeriodScenario, coef, p, z, ep=None):
+    """(W, L1, coef*G) at (p, z): the wage margin W = H - coef*G for
+    earnings weight coef, and the pieces :func:`_residual` reads.
 
     coef is risk_beta * (1 - tau), shared or per point; the kernel is the
     one PeriodTables.build uses, so scan and refinement agree elementwise.
     """
-    sp = s.supply
     L1, G, H = _kernel(s, p, z, ep)
-    c = 1.0 + 1.0 / sp.elasticity
     cG = coef * G
     del G   # as in _kernel; out= aliasing an input costs more on tiny arrays
-    W = H - cG
-    del H
-    x = cG + J
-    del cG
-    x = np.power(x / c, sp.elasticity)
-    x = sp.pool_size * x
-    return W, x - L1
+    return H - cG, L1, cG
+
+
+def _residual(s: PeriodScenario, J, L1, cG):
+    """Labour-balance residual supply(e, J) - L1 from :func:`_margin`'s L1 and coef*G."""
+    sp = s.supply
+    x = np.power((cG + J) / (1.0 + 1.0 / sp.elasticity), sp.elasticity)
+    return sp.pool_size * x - L1
 
 
 @dataclass
@@ -251,11 +251,16 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
     exactly when the count falls across the cell.  Brackets come in
     row-major cell order, ascending wage within a cell.  A NaN margin
     (exp overflow) counts above every wage; a root from its brackets is
-    still emitted only if it passes the residual filter.
+    still emitted only if it passes the residual filter.  The count steps
+    come from one compare over the flattened table; a step across a row
+    boundary is no cell and is dropped.
     """
-    k = np.searchsorted(j_values, W)
-    rows, cells = np.nonzero(k[:, :-1] != k[:, 1:])
-    k_lo, k_hi = k[rows, cells], k[rows, cells + 1]
+    n_z = W.shape[1]
+    k = np.searchsorted(j_values, W).ravel()
+    flat = np.flatnonzero(k[:-1] != k[1:])
+    flat = flat[flat % n_z != n_z - 1]
+    rows, cells = np.divmod(flat, n_z)
+    k_lo, k_hi = k[flat], k[flat + 1]
     ia = np.minimum(k_lo, k_hi)
     counts = np.abs(k_hi - k_lo)
 
@@ -302,7 +307,12 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
 
     cols holds the bracket columns (t_idx, p_idx, cell_idx, j_idx, s_lo,
     coef) and is emptied: only the live brackets' state stays held, since
-    a chunk's arrays are its peak memory.
+    a chunk's arrays are its peak memory.  A pass evaluates the margin to
+    steer; the residual runs only on a pass where some bracket can end
+    (narrow, stalled or out of passes), so it changes no stop and no bit.
+    Brackets come in (t, p, z cell, j) order and a root never leaves its
+    scan cell, so the roots in bracket order, stably sorted by (t, p, j)
+    cell, are sorted by (t, p, j, z).
     """
     s, cfg = tables.scenario, tables.cfg
     n_p, n_j = tables.p.size, j_values.size
@@ -315,37 +325,51 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
     del p_idx, cell_idx, j_idx
 
     # Bisect the live brackets; an accepted bracket leaves the live arrays
-    # and records its cell and midpoint when its residual is within tol_eq.
+    # and records its id and midpoint when its residual is within tol_eq.
     # The pass budget guards against a midpoint that cannot halve: its last
     # pass accepts all.
     half_tol, passes_left = 0.5 * cfg.tol_eq, _MAX_BISECT_ITER
-    found = [(np.empty(0, dtype=cell.dtype), np.empty(0))]
-    while cell.size:
+    ids = np.arange(cell.size)
+    found = [(np.empty(0, dtype=ids.dtype), np.empty(0))]
+    while ids.size:
         passes_left -= 1
         mid = 0.5 * (z_lo + z_hi)
-        w_mid, r_mid = _margin_and_residual(s, coef, J_arr, p_arr, mid, ep)
-        narrow = ((z_hi - z_lo) <= cfg.bisect_tol) & (np.abs(r_mid) <= half_tol)
-        stalled = (mid == z_lo) | (mid == z_hi)   # float spacing exhausted
-        done = narrow | stalled if passes_left else np.ones(cell.size, dtype=bool)
+        w_mid, L1, cG = _margin(s, coef, p_arr, mid, ep)
         toward_hi = (w_mid > J_arr) == s_lo
-        z_lo = np.where(toward_hi, mid, z_lo)
-        z_hi = np.where(toward_hi, z_hi, mid)
-        if done.any():
-            ok = done & (np.abs(r_mid) <= cfg.tol_eq)
-            found.append((cell[ok], mid[ok]))
-            go = ~done   # compact one array at a time: each old one is freed at once
-            cell = cell[go]
-            p_arr = p_arr[go]
-            ep = ep[go]
-            J_arr = J_arr[go]
-            s_lo = s_lo[go]
-            coef = coef[go]
-            z_lo = z_lo[go]
-            z_hi = z_hi[go]
-        del mid, w_mid, r_mid, narrow, stalled, done, toward_hi   # not held into the next pass
+        del w_mid   # names are dropped once used, so a pass holds few temporaries
+        narrow = (z_hi - z_lo) <= cfg.bisect_tol
+        stalled = (mid == z_lo) | (mid == z_hi)   # float spacing exhausted
+        can_end = not passes_left or narrow.any() or stalled.any()
+        r_mid = _residual(s, J_arr, L1, cG) if can_end else None
+        del L1, cG
+        # Branch-free step: 0 < z_lo <= mid <= z_hi, so up = 1 moves z_lo
+        # to mid and up = 0 moves z_hi to mid.
+        up = toward_hi.astype(float)
+        del toward_hi
+        np.maximum(z_lo, mid * up, out=z_lo)
+        np.minimum(z_hi, np.maximum(mid, z_hi * up), out=z_hi)
+        del up
+        if can_end:
+            r_mid = np.abs(r_mid)
+            done = (narrow & (r_mid <= half_tol)) | stalled | (not passes_left)
+            if done.any():
+                ok = done & (r_mid <= cfg.tol_eq)
+                found.append((ids[ok], mid[ok]))
+                go = ~done   # compact one array at a time: each old one is freed at once
+                ids = ids[go]
+                p_arr = p_arr[go]
+                ep = ep[go]
+                J_arr = J_arr[go]
+                s_lo = s_lo[go]
+                coef = coef[go]
+                z_lo = z_lo[go]
+                z_hi = z_hi[go]
+        del mid, narrow, stalled, r_mid   # not held into the next pass
 
-    cell, z_root = (np.concatenate(c) for c in zip(*found))
-    order = np.lexsort((z_root, cell))   # by (t, p, j, z), whatever the pass order
+    ids, z_root = (np.concatenate(c) for c in zip(*found))
+    order = np.argsort(ids, kind="stable")   # back into bracket order
+    cell, z_root = cell[ids[order]], z_root[order]
+    order = np.argsort(cell, kind="stable")   # by (t, p, j), bracket order within
     cell, z_root = cell[order], z_root[order]
     t_idx, pj = np.divmod(cell, n_p * n_j)
     p_idx, j_idx = np.divmod(pj, n_j)

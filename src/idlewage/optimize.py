@@ -315,7 +315,9 @@ def _best_over_prices(
     then smallest price, throughput and labour.  At J = 0 the shutdown
     equilibrium (value 0, price index 0, z NaN) wins unless a root is worth
     more.  Every price of a cell with J > 0 must hold a root, else
-    BracketingError.
+    BracketingError.  The largest value comes from one reduction per cell
+    over the roots stably sorted by cell; only the roots that reach it go
+    into the (price, throughput, labour) sort.
     """
     s, n_p, n_j = tables.scenario, tables.p.size, j_values.size
     tau, p_arr = taus[roots.t_idx], tables.p[roots.p_idx]
@@ -334,8 +336,13 @@ def _best_over_prices(
             "scan window; widen SolverConfig.z_min/z_max"
         )
 
-    order = np.lexsort((L, Q, roots.p_idx, -vals, cell))
-    first = order[np.diff(cell[order], prepend=-1) != 0]   # the winning root of each cell
+    # fmax skips a NaN value, so a NaN never wins over a number
+    order = np.argsort(cell, kind="stable")
+    v = vals[order]
+    starts = np.flatnonzero(np.diff(cell[order], prepend=-1))
+    top = order[v == np.repeat(np.fmax.reduceat(v, starts), np.diff(starts, append=v.size))]
+    top = top[np.lexsort((L[top], Q[top], roots.p_idx[top], cell[top]))]
+    first = top[np.diff(cell[top], prepend=-1) != 0]   # the winning root of each cell
     won = first[(vals[first] > 0.0) | (j_values[roots.j_idx[first]] > 0.0)]
     shape = (taus.size, n_j)   # cells no root wins keep the shutdown equilibrium
     values, p_idx, z = np.zeros(shape), np.zeros(shape, dtype=np.intp), np.full(shape, np.nan)

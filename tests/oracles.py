@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's bracketing kernel: the dense scan
 works on the public residual formula with scipy's Brent refinement, and
-the integral oracles use adaptive quadrature.
+the integral oracles use adaptive quadrature.  The plain bisection is the
+reference for the bits of the batched refinement: it shares only the
+scan kernel with it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from idlewage import (
     PolicyPoint,
     SupplyParams,
     demand,
+    equilibrium,
     idle_from_time,
     residual,
     supply,
@@ -57,6 +60,59 @@ def dense_scan_roots(
                     break
         roots.append(root)
     return roots
+
+
+def reference_bisection(tables, j_values: np.ndarray, coef: float):
+    """(p_idx, j_idx, z) of every root of one earnings weight, by plain bisection.
+
+    Every bracket of the count table bisects on one set of live arrays:
+    both ends move by np.where, the residual is evaluated on every pass,
+    and the roots are sorted by (p, j, z) with a lexsort.  The stop rule is
+    the solver's: width <= bisect_tol with |residual| <= tol_eq / 2, or a
+    midpoint equal to an end, or the last of ``_MAX_BISECT_ITER`` passes;
+    a stopped midpoint is a root when |residual| <= tol_eq.
+    """
+    s, cfg, sp = tables.scenario, tables.cfg, tables.scenario.supply
+    W = tables.H - coef * tables.G
+    k = np.searchsorted(j_values, W)
+    rows, cells = np.nonzero(k[:, :-1] != k[:, 1:])
+    brackets = [
+        (r, c, j, lo > hi)
+        for r, c, lo, hi in zip(rows, cells, k[rows, cells], k[rows, cells + 1])
+        for j in range(min(lo, hi), max(lo, hi))
+    ]
+    p_idx, cell_idx, j_idx, s_lo = (np.array(col) for col in zip(*brackets))
+    cell = p_idx * j_values.size + j_idx
+    p_arr, J_arr = tables.p[p_idx], j_values[j_idx]
+    ep = np.exp(s.demand.beta_p * tables.p)[p_idx]
+    z_lo, z_hi = tables.z[cell_idx], tables.z[cell_idx + 1]
+    c = 1.0 + 1.0 / sp.elasticity
+    found_cell, found_z = [], []
+    for it in range(equilibrium._MAX_BISECT_ITER):
+        mid = 0.5 * (z_lo + z_hi)
+        L1, G, H = equilibrium._kernel(s, p_arr, mid, ep)
+        w_mid = H - coef * G
+        r_mid = sp.pool_size * np.power((coef * G + J_arr) / c, sp.elasticity) - L1
+        narrow = ((z_hi - z_lo) <= cfg.bisect_tol) & (np.abs(r_mid) <= 0.5 * cfg.tol_eq)
+        done = narrow | (mid == z_lo) | (mid == z_hi)
+        if it == equilibrium._MAX_BISECT_ITER - 1:
+            done[:] = True
+        toward_hi = (w_mid > J_arr) == s_lo
+        z_lo = np.where(toward_hi, mid, z_lo)
+        z_hi = np.where(toward_hi, z_hi, mid)
+        ok = done & (np.abs(r_mid) <= cfg.tol_eq)
+        found_cell.append(cell[ok])
+        found_z.append(mid[ok])
+        go = ~done
+        cell, p_arr, ep, J_arr, s_lo, z_lo, z_hi = (
+            a[go] for a in (cell, p_arr, ep, J_arr, s_lo, z_lo, z_hi)
+        )
+        if not cell.size:
+            break
+    cell, z = np.concatenate(found_cell), np.concatenate(found_z)
+    order = np.lexsort((z, cell))
+    p_idx, j_idx = np.divmod(cell[order], j_values.size)
+    return p_idx, j_idx, z[order]
 
 
 def dense_scan_equilibria(s: PeriodScenario, pol: PolicyPoint, n: int = 10**6):

@@ -47,7 +47,7 @@ class TestEquilibriumCommand:
         rc = main(["equilibrium", "--hour", "19", "--p", "1.0", "--J", "0.5", "--tau", "1.0"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "res_supply" in out and "res_demand" in out
+        assert "res_supply" in out and "res_demand" not in out
 
     def test_shutdown_only_at_zero_policy(self, capsys):
         rc = main(["equilibrium", "--hour", "4", "--p", "0", "--J", "0", "--tau", "0"])

@@ -18,7 +18,7 @@ from idlewage import (
     supply,
 )
 from idlewage import equilibrium
-from idlewage.equilibrium import PeriodTables, _brackets, _margin_and_residual, solve_slices
+from idlewage.equilibrium import PeriodTables, _brackets, _margin, _residual, solve_slices
 from oracles import dense_scan_equilibria, random_instance
 
 H19 = period_for_hour(19)
@@ -193,7 +193,7 @@ class TestVectorizedKernelParity:
             rows, cells, _, _ = lo_hi_cells(W, j_vals)
             assert rows.size > 0
             for end in (cells, cells + 1):
-                w, _ = _margin_and_residual(s, coef, 0.0, tables.p[rows], tables.z[end])
+                w, _, _ = _margin(s, coef, tables.p[rows], tables.z[end])
                 assert np.array_equal(w.view(np.int64), W[rows, end].view(np.int64))
 
     @pytest.mark.parametrize("hour", [4, 19])
@@ -226,9 +226,8 @@ class TestVectorizedKernelParity:
             p_idx, cell_idx, _, _ = _brackets(W, j_vals)
             assert np.isnan(W[p_idx, cell_idx]).any()
             roots = solve_one(tables, j_vals, 0.0)
-            _, r = _margin_and_residual(
-                s, s.supply.risk_beta, j_vals[roots.j_idx], p_vals[roots.p_idx], roots.z
-            )
+            _, L1, cG = _margin(s, s.supply.risk_beta, p_vals[roots.p_idx], roots.z)
+            r = _residual(s, j_vals[roots.j_idx], L1, cG)
             assert roots.z.size > 0
             assert np.all(np.abs(r) <= cfg.tol_eq)
             with pytest.raises(BracketingError):
@@ -244,9 +243,8 @@ class TestVectorizedKernelParity:
         for tau in (0.0, 0.3, 1.0):
             roots = solve_one(tables, j_vals, tau)
             coef = H19.supply.risk_beta * (1.0 - tau)
-            _, r = _margin_and_residual(
-                H19, coef, j_vals[roots.j_idx], p_vals[roots.p_idx], roots.z
-            )
+            _, L1, cG = _margin(H19, coef, p_vals[roots.p_idx], roots.z)
+            r = _residual(H19, j_vals[roots.j_idx], L1, cG)
             assert roots.z.size > 0
             assert np.all(np.abs(r) <= cfg.tol_eq)
             assert np.all((roots.z >= cfg.z_min) & (roots.z <= cfg.z_max))
@@ -291,7 +289,8 @@ class TestVectorizedKernelParity:
             order = np.lexsort((roots.z, roots.j_idx, roots.p_idx, roots.t_idx))
             assert np.array_equal(order, np.arange(roots.z.size))
             p_arr, coef = tables.p[roots.p_idx], s.supply.risk_beta * (1.0 - tau)
-            _, r = _margin_and_residual(s, coef, j_vals[roots.j_idx], p_arr, roots.z)
+            _, L1, cG = _margin(s, coef, p_arr, roots.z)
+            r = _residual(s, j_vals[roots.j_idx], L1, cG)
             assert np.all(np.abs(r) <= cfg.tol_eq)
             Q = demand(s.demand, p_arr, roots.z)
             same_cell = (np.diff(roots.p_idx) == 0) & (np.diff(roots.j_idx) == 0)

@@ -583,6 +583,45 @@ class TestTableAgainstScalarPath:
                 assert np.array_equal(a, b, equal_nan=True)
 
 
+class TestWinnerTies:
+    """Whole-dollar values make many roots of a cell tie exactly, so the
+    winner comes from the (price, throughput, labour) tie-break."""
+
+    @pytest.mark.parametrize("obj", list(Objective))
+    def test_winner_equals_one_lexicographic_sort(self, obj, monkeypatch):
+        for name in ("profit_values", "welfare_values"):
+            f = getattr(optimize, name)
+            monkeypatch.setattr(optimize, name, lambda *a, f=f: np.round(f(*a)))
+        s, wages = H19, COARSE.j_values()
+        tables = PeriodTables.build(s, COARSE.p_values(), FAST_SOLVER)
+        ties = 0
+        for tau in COARSE.tau_values():
+            ((_, roots),) = solve_slices(tables, wages, [s.supply.risk_beta * (1.0 - tau)])
+            got = _best_over_prices(tables, wages, np.array([tau]), roots, obj)
+
+            p_arr, J = tables.p[roots.p_idx], wages[roots.j_idx]
+            T, _, Q, L, _ = equilibrium.equilibrium_components(s, tau, p_arr, roots.z)
+            if obj is Objective.PROFIT:
+                vals = optimize.profit_values(tau, p_arr, Q, J, L)
+            else:
+                vals = optimize.welfare_values(s, p_arr, T, Q, L)
+            cell = roots.j_idx
+            order = np.lexsort((L, Q, roots.p_idx, -vals, cell))
+            first = order[np.diff(cell[order], prepend=-1) != 0]
+            won = first[(vals[first] > 0.0) | (J[first] > 0.0)]
+            want = [np.zeros(wages.size), np.zeros(wages.size, dtype=np.intp),
+                    np.full(wages.size, np.nan)]
+            for a, x in zip(want, (vals, roots.p_idx, roots.z)):
+                a[cell[won]] = x[won]
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a.view(np.int64), b[0].view(np.int64))
+            best = np.zeros(wages.size)
+            best[cell[first]] = vals[first]
+            ties += np.count_nonzero(np.bincount(cell, vals == best[cell]) > 1)
+        assert ties > 0
+
+
 class TestGridCompleteness:
     """A cell with J > 0 needs a root at every price of the grid."""
 
