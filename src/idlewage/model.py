@@ -23,10 +23,12 @@ def _require_finite(obj, *names) -> None:
 
 
 def _require_int(obj, *names) -> None:
-    """Raise ValueError naming the first field of obj that is not an integer."""
+    """Raise ValueError naming the first field of obj that is not an integer
+    (a bool is not)."""
     for name in names:
-        if not isinstance(getattr(obj, name), (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

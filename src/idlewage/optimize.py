@@ -15,8 +15,9 @@ cells break lexicographically through one helper, ``_lex_first``.
 Tables come from one planner, :func:`value_tables`.  A
 :class:`TableRequest` names a table by everything it depends on; requests
 that share a slice key (the period without its risk weight, the price and
-wage grids, the solver config) share one scan table, and each distinct
-earnings weight beta * (1 - tau) among them is refined once.  One rule
+wage grids, the solver config) share one scan table, each distinct
+earnings weight beta * (1 - tau) among them is refined once, and each
+distinct (objective, weight, commission) row is reduced once.  One rule
 splits the work: the groups, largest first, deal out the threads, and a
 group cuts its weights into one contiguous part per thread it holds.
 Regimes take an optional mapping from requests to tables, so a caller can
@@ -362,31 +363,35 @@ def _roots_of(roots: RootSet, rows: range, k: np.ndarray) -> RootSet:
     return RootSet(owner, roots.p_idx[take], roots.j_idx[take], roots.z[take])
 
 
-def _group_tables(requests, coefs, coef_idx, threads: int) -> dict[TableRequest, ValueTable]:
-    """The tables of requests sharing one slice key, as :func:`value_tables`
-    describes; coefs are their distinct weights, ascending, and coef_idx
-    holds per request the index into coefs of each commission."""
-    s, prices, wages, cfg = requests[0].slice_key()
+def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequest, ValueTable]:
+    """The tables of the requests whose slice key is key, as
+    :func:`value_tables` describes.  taus stacks the requests' commissions
+    in request order, one row each; coefs are the rows' distinct weights,
+    ascending, and w holds each row's index into coefs."""
+    s, prices, wages, cfg = key
     tables, wages = PeriodTables.build(s, np.array(prices), cfg), np.array(wages)
-    out = {}
-    for r in requests:   # unfilled; the group's chunks fill every cell
-        shape = (len(r.taus), len(r.wages))
-        out[r] = ValueTable(np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape))
+    n = [len(r.taus) for r in requests]
+    objs = np.repeat([list(Objective).index(r.obj) for r in requests], n)
+    # equal (objective, weight, commission) rows have equal values, so from
+    # here on objs, w and taus hold the distinct rows; row maps each row to one
+    u, row = np.unique(np.stack((objs, w, taus.view(np.int64)), 1), axis=0, return_inverse=True)
+    objs, w, taus = u[:, 0], u[:, 1], u[:, 2].view(float)
+    # unfilled; the group's chunks fill every row
+    values, p_idx, z = (np.empty((len(u), wages.size), d) for d in (float, np.intp, float))
 
     def stream(part):
+        k = w - part[0]   # each row's index into the part's weights
         for rows, roots in solve_slices(tables, wages, coefs[part]):
-            lo, hi = part[0] + rows.start, part[0] + rows.stop
-            for r, idx in zip(requests, coef_idx):
-                mine = np.flatnonzero((idx >= lo) & (idx < hi))
+            for o, obj in enumerate(Objective):
+                mine = np.flatnonzero((objs == o) & (k >= rows.start) & (k < rows.stop))
                 if mine.size:
-                    taus, k = np.array(r.taus)[mine], idx[mine] - part[0]
-                    res = _best_over_prices(tables, wages, taus, _roots_of(roots, rows, k), r.obj)
-                    for dst, src in zip((out[r].values, out[r].p_idx, out[r].z), res):
-                        dst[mine] = src
+                    values[mine], p_idx[mine], z[mine] = _best_over_prices(
+                        tables, wages, taus[mine], _roots_of(roots, rows, k[mine]), obj)
             del roots   # before the next chunk refines
 
     _parallel_map(stream, np.array_split(np.arange(coefs.size), min(threads, coefs.size)), threads)
-    return out
+    return {r: ValueTable(values[i], p_idx[i], z[i])
+            for r, i in zip(requests, np.split(row, np.cumsum(n)[:-1]))}
 
 
 def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
@@ -395,8 +400,10 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     Requests group by :meth:`TableRequest.slice_key`.  A group builds one
     scan table and cuts its distinct weights beta * (1 - tau), compared as
     exact floats, into one contiguous part per thread it holds; each part
-    streams through :func:`solve_slices`, and each chunk's roots are reduced
-    into every request that uses them, then dropped.  Groups run largest
+    streams through :func:`solve_slices`.  A group keeps one table of its
+    distinct (objective, weight, commission) rows: each chunk's roots are
+    reduced once per objective into the rows they serve, then dropped, and
+    a request's table is a copy of its rows.  Groups run largest
     first; with n groups and n < threads, group i holds threads // n +
     (i < threads % n) threads, else one: at most threads streams at once.
     """
@@ -404,12 +411,12 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     for r in dict.fromkeys(requests):
         by_key.setdefault(r.slice_key(), []).append(r)
     groups = []
-    for reqs in by_key.values():
-        weights = [r.period.supply.risk_beta * (1.0 - np.array(r.taus)) for r in reqs]
-        coefs = np.unique(np.concatenate(weights))
-        groups.append((reqs, coefs, [np.searchsorted(coefs, w) for w in weights]))
+    for key, reqs in by_key.items():
+        taus = np.concatenate([r.taus for r in reqs])
+        betas = np.repeat([r.period.supply.risk_beta for r in reqs], [len(r.taus) for r in reqs])
+        groups.append((key, reqs, taus, *np.unique(betas * (1.0 - taus), return_inverse=True)))
     # largest first, by the (weight, price, wage) cells a group refines
-    groups.sort(key=lambda g: g[1].size * len(g[0][0].prices) * len(g[0][0].wages), reverse=True)
+    groups.sort(key=lambda g: g[3].size * len(g[0][1]) * len(g[0][2]), reverse=True)
     n = len(groups)
     shares = [threads // n + (i < threads % n) if n < threads else 1 for i in range(n)]
     outs = _parallel_map(lambda g: _group_tables(*g[0], g[1]), list(zip(groups, shares)), threads)

@@ -139,6 +139,7 @@ def two_period_day(risk_beta: float, pool_4: float, pool_19: float) -> DayScenar
 # ---------------------------------------------------------------------------
 
 _SUB_SECTIONS = {"grid": GridSpec, "solver": SolverConfig, "blocks": BlockConstraint}
+_HOURLY_KEYS = ("lambda_by_hour", "pool_by_hour")
 
 
 def _build_section(cls, data: dict, section: str):
@@ -154,10 +155,18 @@ def _build_section(cls, data: dict, section: str):
         raise ValidationError(f"{section}: {exc}") from exc
 
 
-def _finite_object(pairs: list) -> dict:
-    """JSON object hook rejecting NaN/Infinity literals and overflowing numbers."""
+def _numeric_object(pairs: list) -> dict:
+    """JSON object hook: every value is a finite number, or a list of them
+    under an hourly key.  A section, or an hourly key not holding a list, is
+    left to load_config.  Anything else (a boolean, null, a string, a list
+    or object in place of a number, a NaN or Infinity literal, an
+    overflowing number) is rejected by key."""
     for key, value in pairs:
-        for v in value if isinstance(value, list) else (value,):
+        if key in _SUB_SECTIONS or (key in _HOURLY_KEYS and not isinstance(value, list)):
+            continue
+        for v in value if key in _HOURLY_KEYS else (value,):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(f"{key} must be a number, got {json.dumps(v)}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValidationError(f"{key} must be finite, got {v}")
     return dict(pairs)
@@ -175,7 +184,7 @@ def load_config(path) -> ScenarioConfig:
     if not text.strip():
         return default_config()
     try:
-        data = json.loads(text, object_pairs_hook=_finite_object)
+        data = json.loads(text, object_pairs_hook=_numeric_object)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -190,7 +199,7 @@ def load_config(path) -> ScenarioConfig:
             if not isinstance(sub, dict):
                 raise ValidationError(f"{section} must be a JSON object")
             kwargs[section] = _build_section(cls, sub, section)
-    for key in ("lambda_by_hour", "pool_by_hour"):
+    for key in _HOURLY_KEYS:
         if key in data:
             rows = data.pop(key)
             if not isinstance(rows, list):

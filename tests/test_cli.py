@@ -185,6 +185,19 @@ class TestUsageErrors:
         assert rc == 2
         assert "p_step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"kappa": false}', "kappa"),
+        ('{"risk_beta": "0.5"}', "risk_beta"),
+        ('{"blocks": {"b1": true}}', "b1"),
+        ('{"lambda_by_hour": [null, 15]}', "lambda_by_hour"),
+    ])
+    def test_non_number_config_value_names_the_key(self, tmp_path, capsys, text, key):
+        f = tmp_path / "bool.json"
+        f.write_text(text)
+        rc = main(["optimize", "single", "--objective", "profit", "--config", str(f)])
+        assert rc == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, argv",
         [

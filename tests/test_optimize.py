@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import threading
 
 import numpy as np
@@ -411,6 +412,22 @@ class TestValueTablesPlan:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
+    def test_parts_fill_one_table_under_thread_switches(self):
+        # more threads than cores, switching often, write disjoint rows of
+        # each group's one table; a lost or crossed write changes a bit
+        reqs = self.mixed_batch()
+        want = value_tables(reqs, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = value_tables(reqs, 6)
+        finally:
+            sys.setswitchinterval(interval)
+        for r in reqs:
+            for a, b in zip((want[r].values, want[r].p_idx, want[r].z),
+                            (got[r].values, got[r].p_idx, got[r].z)):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_mixed_batch_refines_each_distinct_slice_once(self, monkeypatch):
         solved = []
 
@@ -425,6 +442,48 @@ class TestValueTablesPlan:
         # weights 0.2, 0.1, 0.5, 0.25, 1.0 and 0; the off-grid wage list 0.5,
         # 0.25 and 0; each table2 period its 11 commissions' weights
         assert len(solved) == 6 + 3 + 2 * 11
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_chunk_is_reduced_once_per_objective(self, monkeypatch, threads):
+        local, per_chunk, rows = threading.local(), [], []
+        solve, best = optimize.solve_slices, optimize._best_over_prices
+
+        def recording_solve(tables, j_values, coefs):
+            for chunk in solve(tables, j_values, coefs):
+                local.calls = 0
+                yield chunk
+                per_chunk.append(local.calls)   # the chunk's reductions are done
+
+        def recording_best(tables, j_values, taus, roots, obj):
+            local.calls += 1
+            rows.append(taus.size)
+            return best(tables, j_values, taus, roots, obj)
+
+        monkeypatch.setattr(optimize, "solve_slices", recording_solve)
+        monkeypatch.setattr(optimize, "_best_over_prices", recording_best)
+        reqs = self.mixed_batch()
+        value_tables(reqs, threads)
+        distinct = {(r.slice_key(), r.obj, r.period.supply.risk_beta * (1.0 - tau), tau)
+                    for r in reqs for tau in r.taus}
+        assert per_chunk and max(per_chunk) <= len(Objective)
+        assert sum(rows) == len(distinct)
+
+    def test_tables_do_not_alias(self):
+        reqs = list(dict.fromkeys(self.mixed_batch()))
+        got = value_tables(reqs, threads=2)
+        arrays = [(r, a) for r in reqs for a in (got[r].values, got[r].p_idx, got[r].z)]
+        for i, (r, a) in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for q, b in arrays[i + 1:] if q != r)
+
+        def bits(r):
+            return [a.view(np.int64).copy() for a in (got[r].values, got[r].p_idx, got[r].z)]
+
+        for r in reqs:   # overwrite one table at a time; the others keep their bits
+            want = {q: bits(q) for q in reqs if q != r}
+            for a in (got[r].values, got[r].p_idx, got[r].z):
+                a.fill(-1)
+            for q, w in want.items():
+                assert all(np.array_equal(a, b) for a, b in zip(w, bits(q)))
 
     @pytest.mark.parametrize("regime", [
         lambda tables, cfg: sweep_idle_wage(H19, Objective.WELFARE, CRIT10.j_values(), CRIT10,

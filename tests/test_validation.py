@@ -74,20 +74,30 @@ def test_finite_grid_steps_are_accepted(p_step, j_step, tau_step):
     assert g.tau_values()[-1] == 1.0
 
 
+# (config text with a %s where the value goes, the key it sits under)
+CONFIG_TEMPLATES = [
+    ('{"kappa": %s}', "kappa"),
+    ('{"grid": {"p_step": %s}}', "p_step"),
+    ('{"solver": {"z_max": %s}}', "z_max"),
+    ('{"pool_by_hour": [%s]}', "pool_by_hour"),
+]
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
-@pytest.mark.parametrize(
-    "template, key",
-    [
-        ('{"kappa": %s}', "kappa"),
-        ('{"grid": {"p_step": %s}}', "p_step"),
-        ('{"solver": {"z_max": %s}}', "z_max"),
-        ('{"pool_by_hour": [%s]}', "pool_by_hour"),
-    ],
-)
+@pytest.mark.parametrize("template, key", CONFIG_TEMPLATES)
 def test_config_non_finite_number_names_the_key(tmp_path, template, key, literal):
     f = tmp_path / "config.json"
     f.write_text(template % literal)
     with pytest.raises(iw.ValidationError, match=f"^{key} must be finite"):
+        iw.load_config(f)
+
+
+@pytest.mark.parametrize("literal", ["true", "false", "null", '"1"', "[1]"])
+@pytest.mark.parametrize("template, key", CONFIG_TEMPLATES)
+def test_config_non_number_names_the_key(tmp_path, template, key, literal):
+    f = tmp_path / "config.json"
+    f.write_text(template % literal)
+    with pytest.raises(iw.ValidationError, match=f"^{key} must be a number"):
         iw.load_config(f)
 
 
@@ -96,7 +106,9 @@ def test_config_non_finite_number_names_the_key(tmp_path, template, key, literal
     [
         (iw.SolverConfig(), "scan_points", 100.5),
         (iw.SolverConfig(), "scan_points", 100.0),
+        (iw.SolverConfig(), "scan_points", True),
         (iw.BlockConstraint(), "b1", 2.5),
+        (iw.BlockConstraint(), "b1", True),
         (iw.BlockConstraint(), "b2", 3.0),
     ],
 )
