@@ -233,8 +233,8 @@ def _residual(s: PeriodScenario, J, L1, cG):
 class RootSet:
     """All bracketed equilibria of a chunk of (weight x price grid x wage grid) slices.
 
-    Roots come sorted by (t_idx, p_idx, j_idx, z), so each slice's roots
-    are one run.  A root is the end of one bracket; roots are not merged.
+    Roots come sorted by (t_idx, j_idx, p_idx, z), so each slice's and each
+    (slice, wage) cell's roots are one run.  A root ends one bracket; roots are not merged.
     """
 
     t_idx: np.ndarray    # (m,) index into the earnings-weight list
@@ -248,12 +248,12 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
 
     A cell (p, z_c..z_c+1) brackets wage J_i when i lies between the counts
     k of wages below the margin at its two ends; W > J_i at the low end
-    exactly when the count falls across the cell.  Brackets come in
-    row-major cell order, ascending wage within a cell.  A NaN margin
-    (exp overflow) counts above every wage; a root from its brackets is
-    still emitted only if it passes the residual filter.  The count steps
-    come from one compare over the flattened table; a step across a row
-    boundary is no cell and is dropped.
+    exactly when the count falls across the cell.  Brackets come
+    wage-major, in (j, p, z cell) order, from one stable sort by wage.  A
+    NaN margin (exp overflow) counts above every wage; a root from its
+    brackets is still emitted only if it passes the residual filter.  The
+    count steps come from one compare over the flattened table; a step
+    across a row boundary is no cell and is dropped.
     """
     n_z = W.shape[1]
     k = np.searchsorted(j_values, W).ravel()
@@ -267,6 +267,8 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
     # One bracket per (cell, wage) pair; owner maps each to its cell.
     owner = np.repeat(np.arange(counts.size), counts)
     j_idx = ia[owner] + np.arange(owner.size) - np.cumsum(counts)[owner] + counts[owner]
+    order = np.argsort(j_idx, kind="stable")
+    owner, j_idx = owner[order], j_idx[order]
     return rows[owner], cells[owner], j_idx, (k_lo > k_hi)[owner]
 
 
@@ -302,35 +304,30 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs):
 
 
 def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
-    """Bisect a chunk's brackets and keep the roots within tol_eq, sorted by
-    (t, p, j, z).
+    """Bisect a chunk's brackets and keep the roots within tol_eq, in bracket order.
 
     cols holds the bracket columns (t_idx, p_idx, cell_idx, j_idx, s_lo,
     coef) and is emptied: only the live brackets' state stays held, since
     a chunk's arrays are its peak memory.  A pass evaluates the margin to
     steer; the residual runs only on a pass where some bracket can end
     (narrow, stalled or out of passes), so it changes no stop and no bit.
-    Brackets come in (t, p, z cell, j) order and a root never leaves its
-    scan cell, so the roots in bracket order, stably sorted by (t, p, j)
-    cell, are sorted by (t, p, j, z).
+    Brackets come in (t, j, p, z cell) order and a root never leaves its
+    scan cell, so the roots in bracket order are sorted by (t, j, p, z).
     """
     s, cfg = tables.scenario, tables.cfg
-    n_p, n_j = tables.p.size, j_values.size
     t_idx, p_idx, cell_idx, j_idx, s_lo, coef = cols
     cols.clear()
-    cell = (t_idx * n_p + p_idx) * n_j + j_idx   # the (t, p, j) cell of each bracket
-    del t_idx
     p_arr, J_arr, ep = tables.p[p_idx], j_values[j_idx], np.exp(s.demand.beta_p * tables.p)[p_idx]
     z_lo, z_hi = tables.z[cell_idx], tables.z[cell_idx + 1]
-    del p_idx, cell_idx, j_idx
+    del cell_idx
 
-    # Bisect the live brackets; an accepted bracket leaves the live arrays
-    # and records its id and midpoint when its residual is within tol_eq.
-    # The pass budget guards against a midpoint that cannot halve: its last
-    # pass accepts all.
+    # Bisect the live brackets; an accepted bracket leaves the live arrays and
+    # writes its midpoint (finite, so NaN marks no root) into its z_root slot
+    # when its residual is within tol_eq.  The pass budget guards against a
+    # midpoint that cannot halve: its last pass accepts all.
     half_tol, passes_left = 0.5 * cfg.tol_eq, _MAX_BISECT_ITER
-    ids = np.arange(cell.size)
-    found = [(np.empty(0, dtype=ids.dtype), np.empty(0))]
+    ids = np.arange(t_idx.size)
+    z_root = np.full(t_idx.size, np.nan)
     while ids.size:
         passes_left -= 1
         mid = 0.5 * (z_lo + z_hi)
@@ -354,7 +351,7 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
             done = (narrow & (r_mid <= half_tol)) | stalled | (not passes_left)
             if done.any():
                 ok = done & (r_mid <= cfg.tol_eq)
-                found.append((ids[ok], mid[ok]))
+                z_root[ids[ok]] = mid[ok]
                 go = ~done   # compact one array at a time: each old one is freed at once
                 ids = ids[go]
                 p_arr = p_arr[go]
@@ -366,14 +363,8 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
                 z_hi = z_hi[go]
         del mid, narrow, stalled, r_mid   # not held into the next pass
 
-    ids, z_root = (np.concatenate(c) for c in zip(*found))
-    order = np.argsort(ids, kind="stable")   # back into bracket order
-    cell, z_root = cell[ids[order]], z_root[order]
-    order = np.argsort(cell, kind="stable")   # by (t, p, j), bracket order within
-    cell, z_root = cell[order], z_root[order]
-    t_idx, pj = np.divmod(cell, n_p * n_j)
-    p_idx, j_idx = np.divmod(pj, n_j)
-    return RootSet(t_idx, p_idx, j_idx, z_root)
+    keep = ~np.isnan(z_root)
+    return RootSet(t_idx[keep], p_idx[keep], j_idx[keep], z_root[keep])
 
 
 def equilibrium_components(s: PeriodScenario, tau: float, p, z):

@@ -14,11 +14,19 @@ import numpy as np
 from scipy.special import expit
 
 
+def _is_finite(x) -> bool:
+    """math.isfinite, False for an int too large for a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _require_finite(obj, *names) -> None:
-    """Raise ValueError naming the first field of obj holding a NaN or infinity."""
+    """Raise ValueError naming the first field of obj that fails _is_finite."""
     for name in names:
         value = getattr(obj, name)
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        if not all(map(_is_finite, value if isinstance(value, tuple) else (value,))):
             raise ValueError(f"{name} must be finite")
 
 

@@ -316,9 +316,9 @@ def _best_over_prices(
     then smallest price, throughput and labour.  At J = 0 the shutdown
     equilibrium (value 0, price index 0, z NaN) wins unless a root is worth
     more.  Every price of a cell with J > 0 must hold a root, else
-    BracketingError.  The largest value comes from one reduction per cell
-    over the roots stably sorted by cell; only the roots that reach it go
-    into the (price, throughput, labour) sort.
+    BracketingError.  Roots come sorted by cell, as in :class:`RootSet`: the
+    largest value comes from one reduction over each cell's run, and only
+    the roots that reach it go into the (price, throughput, labour) sort.
     """
     s, n_p, n_j = tables.scenario, tables.p.size, j_values.size
     tau, p_arr = taus[roots.t_idx], tables.p[roots.p_idx]
@@ -338,10 +338,9 @@ def _best_over_prices(
         )
 
     # fmax skips a NaN value, so a NaN never wins over a number
-    order = np.argsort(cell, kind="stable")
-    v = vals[order]
-    starts = np.flatnonzero(np.diff(cell[order], prepend=-1))
-    top = order[v == np.repeat(np.fmax.reduceat(v, starts), np.diff(starts, append=v.size))]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    top = np.flatnonzero(
+        vals == np.repeat(np.fmax.reduceat(vals, starts), np.diff(starts, append=vals.size)))
     top = top[np.lexsort((L[top], Q[top], roots.p_idx[top], cell[top]))]
     first = top[np.diff(cell[top], prepend=-1) != 0]   # the winning root of each cell
     won = first[(vals[first] > 0.0) | (j_values[roots.j_idx[first]] > 0.0)]
@@ -605,15 +604,15 @@ def optimize_day_fixed(
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)   # typed: True and 2.0 are not 1 and 2
 def _block_pairs(b1: int, b2: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """The sorted start-hour pairs (h1, h2) whose cyclic blocks do not
     overlap, and the period indices of each pair's blocks, (n, b1) and (n, b2).
 
-    ValueError naming b1 or b2 unless it is an integer >= 1.
+    ValueError naming b1 or b2 unless it is an integer >= 1 (a bool is not).
     """
     for name, b in (("b1", b1), ("b2", b2)):
-        if not isinstance(b, (int, np.integer)) or b < 1:
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or b < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {b!r}")
     hours = np.arange(24)
     # c[h, p]: the block starting at 0-based hour h holds period p

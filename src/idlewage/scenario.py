@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -17,6 +16,7 @@ from .model import (
     PeriodScenario,
     PickupParams,
     SupplyParams,
+    _is_finite,
 )
 from .optimize import BlockConstraint, GridSpec
 
@@ -167,8 +167,9 @@ def _numeric_object(pairs: list) -> dict:
         for v in value if key in _HOURLY_KEYS else (value,):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValidationError(f"{key} must be a number, got {json.dumps(v)}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValidationError(f"{key} must be finite, got {v}")
+            if not _is_finite(v):
+                got = v if isinstance(v, float) else "an integer too large for a float"
+                raise ValidationError(f"{key} must be finite, got {got}")
     return dict(pairs)
 
 

@@ -186,6 +186,19 @@ class TestUsageErrors:
         assert "p_step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, key", [
+        ('{"kappa": %s}', "kappa"),
+        ('{"grid": {"p_step": %s}}', "p_step"),
+        ('{"lambda_by_hour": [%s]}', "lambda_by_hour"),
+    ])
+    def test_integer_beyond_float_range_names_the_key(self, tmp_path, capsys, text, key):
+        f = tmp_path / "big.json"
+        f.write_text(text % ("9" * 400))
+        rc = main(["equilibrium", "--hour", "19", "--p", "2", "--J", "0.5", "--tau", "0.3",
+                   "--config", str(f)])
+        assert rc == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
         ('{"kappa": false}', "kappa"),
         ('{"risk_beta": "0.5"}', "risk_beta"),
         ('{"blocks": {"b1": true}}', "b1"),

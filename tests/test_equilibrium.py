@@ -205,12 +205,15 @@ class TestVectorizedKernelParity:
             W = tables.H - s.supply.risk_beta * (1.0 - tau) * tables.G
             rows, cells, first, count = lo_hi_cells(W, j_vals)
             p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_vals)
+            # the definition's brackets in row-major cell order, then wage-major
             owner = np.repeat(np.arange(count.size), count)
+            wages = np.concatenate([np.arange(f, f + c) for f, c in zip(first, count)])
+            order = np.argsort(wages, kind="stable")
+            owner, wages = owner[order], wages[order]
             assert np.array_equal(p_idx, rows[owner])
             assert np.array_equal(cell_idx, cells[owner])
-            wages = [np.arange(f, f + c) for f, c in zip(first, count)]
-            assert np.array_equal(j_idx, np.concatenate(wages))
-            assert np.array_equal(s_lo, W[p_idx, cell_idx] > j_vals[j_idx])
+            assert np.array_equal(j_idx, wages)
+            assert np.array_equal(s_lo, W[rows[owner], cells[owner]] > j_vals[wages])
 
     def test_overflowing_margins_emit_only_feasible_roots(self):
         # exp overflows for kappa > ~709, so most of the margin table is NaN.
@@ -278,7 +281,7 @@ class TestVectorizedKernelParity:
     @pytest.mark.parametrize("hour", [4, 19])
     def test_roots_sorted_feasible_and_distinct_per_cell(self, hour):
         # each accepted bracket gives at most one root and no merge follows:
-        # roots come sorted by (t, p, j, z), each within tol_eq, and no two
+        # roots come sorted by (t, j, p, z), each within tol_eq, and no two
         # roots of one cell share a throughput within tol_eq
         s, g, cfg = period_for_hour(hour), GridSpec(), SolverConfig()
         tables = PeriodTables.build(s, g.p_values(), cfg)
@@ -286,7 +289,7 @@ class TestVectorizedKernelParity:
         for tau in (0.0, 0.5, 1.0):
             roots = solve_one(tables, j_vals, tau)
             assert roots.z.size > 0
-            order = np.lexsort((roots.z, roots.j_idx, roots.p_idx, roots.t_idx))
+            order = np.lexsort((roots.z, roots.p_idx, roots.j_idx, roots.t_idx))
             assert np.array_equal(order, np.arange(roots.z.size))
             p_arr, coef = tables.p[roots.p_idx], s.supply.risk_beta * (1.0 - tau)
             _, L1, cG = _margin(s, coef, p_arr, roots.z)

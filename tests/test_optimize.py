@@ -36,7 +36,7 @@ from idlewage import (
 from idlewage import equilibrium, optimize
 from idlewage.equilibrium import _MAX_TABLE_CELLS, PeriodTables, solve_slices
 from idlewage.objectives import evaluate
-from idlewage.optimize import _best_over_prices, _lex_first
+from idlewage.optimize import _best_over_prices, _lex_first, _roots_of
 
 H19 = period_for_hour(19)
 
@@ -468,6 +468,27 @@ class TestValueTablesPlan:
         assert per_chunk and max(per_chunk) <= len(Objective)
         assert sum(rows) == len(distinct)
 
+    @pytest.mark.parametrize("obj", list(Objective))
+    def test_roots_of_keeps_the_cell_order_best_over_prices_reads(self, monkeypatch, obj):
+        # _best_over_prices reduces each (tau, J) cell's run without sorting,
+        # so the roots of repeated, out-of-order slices must come sorted by
+        # (t, j, p, z) and reduce as one call per slice does
+        monkeypatch.setattr(equilibrium, "_MAX_BATCH", 10**9)
+        tables = PeriodTables.build(H19, COARSE.p_values(), FAST_SOLVER)
+        wages, taus = COARSE.j_values(), np.array([0.0, 0.5, 1.0])
+        coefs = H19.supply.risk_beta * (1.0 - taus)
+        ((rows, roots),) = solve_slices(tables, wages, coefs)
+        k = np.array([2, 0, 2])
+        sub = _roots_of(roots, rows, k)
+        assert np.array_equal(np.lexsort((sub.z, sub.p_idx, sub.j_idx, sub.t_idx)),
+                              np.arange(sub.z.size))
+        got = _best_over_prices(tables, wages, taus[k], sub, obj)
+        for i, t in enumerate(k):
+            ((_, one),) = solve_slices(tables, wages, [coefs[t]])
+            want = _best_over_prices(tables, wages, taus[[t]], one, obj)
+            for a, b in zip(want, got):
+                assert np.array_equal(a[0].view(np.int64), b[i].view(np.int64))
+
     def test_tables_do_not_alias(self):
         reqs = list(dict.fromkeys(self.mixed_batch()))
         got = value_tables(reqs, threads=2)
@@ -771,8 +792,10 @@ class TestBlockWageMax:
             block_wage_max(J)
 
     @pytest.mark.parametrize("b1, b2, name", [(0, 4, "b1"), (2.5, 4, "b1"), (4, -1, "b2"),
-                                              (4, 2.0, "b2")])
+                                              (4, 2.0, "b2"), (True, 4, "b1"), (4, False, "b2")])
     def test_bad_block_lengths_rejected_by_name(self, b1, b2, name):
+        # cache the equal integer lengths first: True == 1 and 2.0 == 2 as keys
+        admissible_blocks(1, 4), admissible_blocks(4, 2)
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             block_wage_max(np.ones(24), b1, b2)
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):

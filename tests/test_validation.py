@@ -32,7 +32,8 @@ NUMERIC_FIELDS = [
     if isinstance(getattr(obj, f.name), (int, float, tuple))
 ]
 
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# an int beyond float range cannot be compared as a float either
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400])
 
 
 def test_every_validated_dataclass_has_numeric_fields():
@@ -83,7 +84,8 @@ CONFIG_TEMPLATES = [
 ]
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
+                                     pytest.param("1" + "0" * 400, id="10**400")])
 @pytest.mark.parametrize("template, key", CONFIG_TEMPLATES)
 def test_config_non_finite_number_names_the_key(tmp_path, template, key, literal):
     f = tmp_path / "config.json"
