@@ -13,7 +13,8 @@ into a one-dimensional root problem: the labour-balance residual
 ``supply(e_z, J) - L1(z)`` is continuous, negative as z -> 0 and positive
 as z -> inf whenever J > 0, so every equilibrium is a sign change.  The
 solver scans a geometric z-grid for sign changes and refines each bracket
-by bisection.
+by bisection; the optimizer's path refines only the brackets whose value
+enclosure reaches the best of their (tau, J) cell.
 
 The solver is vectorized over a whole price grid, idle-wage grid and list
 of commissions at once, as the grid-search optimizer uses it; a
@@ -33,7 +34,9 @@ from .model import (
     _require_int,
     demand,
     idle_from_time,
+    social_cost,
     supply,
+    surplus,
 )
 
 __all__ = [
@@ -153,11 +156,16 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # so the residual changes sign between them, exactly when
 # min(k) <= i < max(k).  Refinement takes coef = beta * (1 - tau) per
 # bracket, elementwise, so a period's earnings weights bisect together in
-# chunks of _MAX_BATCH brackets or more (a default-grid slice fills one
-# alone).  The bound is per stream of weights, whatever the thread count.
+# chunks of _MAX_BATCH refined brackets or more.  The bound is per stream
+# of weights, whatever the thread count.
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
+
+# Relative pad by which a bracket's value enclosure is widened on each
+# side, times the size of the value's terms: it covers the last-bit
+# wobble of pow, expit and logaddexp, under 1e-15 relative.
+_BOUND_PAD = 1e-12
 
 # Budget on the cells of any table the solver or optimizer allocates:
 # price x scan grid, price x wage grid, commission x wage grid.  The
@@ -243,6 +251,13 @@ class RootSet:
     z: np.ndarray        # (m,) refined pickup times
 
 
+def _runs(lo: np.ndarray, counts: np.ndarray):
+    """(owner, idx): the indices lo[i], ..., lo[i] + counts[i] - 1 of each
+    run i in turn, and the run each one belongs to."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+
+
 def _brackets(W: np.ndarray, j_values: np.ndarray):
     """(p_idx, cell_idx, j_idx, s_lo) of every (scan cell, wage) bracket.
 
@@ -261,26 +276,41 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
     flat = flat[flat % n_z != n_z - 1]
     rows, cells = np.divmod(flat, n_z)
     k_lo, k_hi = k[flat], k[flat + 1]
-    ia = np.minimum(k_lo, k_hi)
-    counts = np.abs(k_hi - k_lo)
 
     # One bracket per (cell, wage) pair; owner maps each to its cell.
-    owner = np.repeat(np.arange(counts.size), counts)
-    j_idx = ia[owner] + np.arange(owner.size) - np.cumsum(counts)[owner] + counts[owner]
+    owner, j_idx = _runs(np.minimum(k_lo, k_hi), np.abs(k_hi - k_lo))
     order = np.argsort(j_idx, kind="stable")
     owner, j_idx = owner[order], j_idx[order]
     return rows[owner], cells[owner], j_idx, (k_lo > k_hi)[owner]
 
 
-def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs):
-    """Locate every labour-balance root for each earnings weight in coefs.
+def _stack(parts: list) -> list:
+    """The columns of parts (tuples of parallel arrays), each concatenated."""
+    return [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts)]
+
+
+def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
+    """Locate the labour-balance roots for each earnings weight in coefs.
 
     A weight is risk_beta * (1 - tau); the roots depend on the commission
     and the risk weight only through it.  Yields ``(rows, roots)`` per
     chunk: the range of consecutive indices into coefs and their roots.  A
     scan cell brackets exactly the (ascending) wages its count steps over.
-    A chunk closes at the first weight that brings it to ``_MAX_BATCH``
-    brackets, or at the last weight; its brackets bisect together, each
+
+    With reads None every bracket is refined, so every root is found.
+    Otherwise reads holds three parallel arrays over the value-table rows
+    that read the roots: k, each row's index into coefs; tau, its
+    commission; welfare, whether it scores welfare (else profit).  Then
+    only the brackets whose root may win or tie a row's (tau, J) cell are
+    refined (see :func:`_prune`), and a cell with J > 0 that lacks a
+    bracket at some price raises :class:`BracketingError`.  Should a
+    bracket that set a cell's threshold give no root, its weight is solved
+    again with every bracket refined.
+
+    Weights are bounded in batches: a batch closes at the first weight that
+    brings the chunk's refined and unbounded brackets to ``_MAX_BATCH``,
+    and a chunk at the first batch that brings its refined brackets there,
+    or at the last weight.  A chunk's brackets bisect together, each
     steered by the table's sign at its low end.  A bracket ends when it is
     narrower than ``bisect_tol`` with the residual at its midpoint within
     half of ``tol_eq``, or when float spacing is exhausted (the midpoint
@@ -289,22 +319,165 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs):
     """
     j_values = np.asarray(j_values, dtype=float)
     W = np.empty_like(tables.H)   # the margin H - coef*G, one buffer for every weight
-    chunk, start, size = [], 0, 0
+    found, kept, start, batch, size = [], [], 0, 0, 0
     for t, coef in enumerate(coefs):
         np.multiply(tables.G, coef, out=W)
         np.subtract(tables.H, W, out=W)
         p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
         size += (n := p_idx.size)
-        chunk.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef, dtype=float)))
-        if size >= _MAX_BATCH or t == len(coefs) - 1:
-            cols = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*chunk)]
-            chunk.clear()
-            yield range(start, t + 1), _refine(tables, j_values, cols)
-            start, size = t + 1, 0
+        found.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef, dtype=float)))
+        last = t == len(coefs) - 1
+        if size < _MAX_BATCH and not last:
+            continue
+        cols = _stack(found)
+        found.clear()
+        if reads is not None:
+            keep, sets = _prune(tables, j_values, cols, range(batch, t + 1), reads)
+            cols = [c[keep] for c in cols] + [sets[keep]]
+            size -= keep.size - cols[0].size
+            del keep, sets
+        kept.append(cols)
+        batch = t + 1
+        if size < _MAX_BATCH and not last:
+            continue
+        cols = _stack(kept)
+        kept.clear()
+        sets = cols.pop() if reads is not None else None
+        t_idx, p_idx, j_idx = cols[0], cols[1], cols[3]
+        z = _refine(tables, j_values, cols)
+        ok = ~np.isnan(z)
+        roots = RootSet(t_idx[ok], p_idx[ok], j_idx[ok], z[ok])
+        if sets is not None and (lost := np.unique(t_idx[sets & ~ok])).size:
+            roots = _solve_in_full(tables, j_values, coefs, roots, lost)
+        del t_idx, p_idx, j_idx, z, ok, sets
+        yield range(start, t + 1), roots
+        start, size = t + 1, 0
 
 
-def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
-    """Bisect a chunk's brackets and keep the roots within tol_eq, in bracket order.
+def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:
+    """roots with those of the weights lost (indices into coefs) replaced by
+    all of their roots, still sorted by (t, j, p, z)."""
+    other = ~np.isin(roots.t_idx, lost)
+    parts = [(roots.t_idx[other], roots.p_idx[other], roots.j_idx[other], roots.z[other])]
+    for t in lost:
+        ((_, r),) = solve_slices(tables, j_values, [coefs[t]])
+        parts.append((np.full_like(r.t_idx, t), r.p_idx, r.j_idx, r.z))
+    cols = _stack(parts)
+    order = np.argsort(cols[0], kind="stable")
+    return RootSet(*(c[order] for c in cols))
+
+
+def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
+    """(keep, sets) over a batch of brackets: keep marks those whose root
+    may win or tie the (tau, J) cell of a row that reads it, sets those
+    whose lower bound is a cell's threshold.
+
+    cols holds the brackets of the weights in range weights, as in
+    :func:`_refine`; reads is as in :func:`solve_slices`.  Each objective's
+    rows are bounded in one pass by :func:`_value_bounds`, and
+    :func:`_cut` keeps what can reach the best.  A cell with J > 0 needs a
+    bracket at every price, else BracketingError.
+    """
+    t_idx, p_idx, cell_idx, j_idx = cols[0], cols[1], cols[2], cols[3]
+    has = np.zeros((len(weights), j_values.size, tables.p.size), dtype=bool)
+    has[t_idx - weights.start, j_idx, p_idx] = True
+    if not has[:, j_values > 0.0].all():
+        raise BracketingError(
+            "grid evaluation: a cell with J > 0 has no labour-balance sign change at "
+            "some price in the scan window; widen SolverConfig.z_min/z_max"
+        )
+    del has
+
+    k, tau, welfare = reads
+    edge = np.searchsorted(t_idx, np.arange(weights.start, weights.stop + 1))
+    keep, sets = np.zeros(t_idx.size, dtype=bool), np.zeros(t_idx.size, dtype=bool)
+    for w in (False, True):
+        r = np.flatnonzero((welfare == w) & (k >= weights.start) & (k < weights.stop))
+        owner, b = _runs(edge[k[r] - weights.start], np.diff(edge)[k[r] - weights.start])
+        if b.size:
+            J = j_values[j_idx[b]]
+            lo, hi = _value_bounds(tables, p_idx[b], cell_idx[b], J, tau[r][owner], w)
+            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J)
+            keep[b[keep_b]] = True
+            sets[b[sets_b]] = True
+    return keep, sets
+
+
+def _value_bounds(tables: PeriodTables, p_idx, cell_idx, J, tau, welfare: bool):
+    """(lo, hi) enclosing the value of any root in each scan cell (p_idx,
+    cell_idx) at wage J: welfare if welfare, else profit at commission tau.
+
+    On a cell [z_lo, z_hi] the idle drivers I(z) fall (alpha_T < 0) and so
+    does the throughput Q(z) (beta_T < 0), while t + z rises.  So a root of
+    the cell has Q in [Q(z_hi), Q(z_lo)] and L = I + (t+z)Q in [I(z_hi) +
+    (t+z_lo)Q(z_hi), I(z_lo) + (t+z_hi)Q(z_lo)].  Profit tau*p*Q - J*L and
+    welfare S(p, z) + p*Q - C(L) are monotone in z, Q and L with known
+    signs (prices are >= 0; a wage may take either sign), so their values
+    at these ends, computed by the model functions and in the order the
+    value table uses, enclose the root's value.  Each bound is padded
+    outward by _BOUND_PAD times the size of the value's terms.
+    """
+    s = tables.scenario
+    p, z_lo, z_hi = tables.p[p_idx], tables.z[cell_idx], tables.z[cell_idx + 1]
+    iz = idle_from_time(s.pickup, tables.z)
+    Q_a, Q_b = demand(s.demand, p, z_lo), demand(s.demand, p, z_hi)   # Q_a >= Q >= Q_b
+    L_min = iz[cell_idx + 1] + (s.trip_time + z_lo) * Q_b
+    L_max = iz[cell_idx] + (s.trip_time + z_hi) * Q_a
+    # names are dropped once used and sums built in place (a + b == b + a
+    # bit for bit), since a batch's bounds are the solver's peak memory
+    del iz
+    if welfare:
+        hi, lo = surplus(s.demand, p, z_lo), surplus(s.demand, p, z_hi)
+        del z_lo, z_hi
+        hi += p * Q_a
+        lo += p * Q_b
+        del p, Q_a, Q_b
+        pad = social_cost(s.supply, L_max)
+        lo -= pad
+        pad += hi
+        hi -= social_cost(s.supply, L_min)
+    else:
+        del z_lo, z_hi
+        a = tau * p
+        del p
+        hi, lo = a * Q_a, a * Q_b
+        del a, Q_a, Q_b
+        L_min *= J
+        L_max *= J
+        pad = np.abs(L_max)
+        pad += hi
+        hi -= np.minimum(L_min, L_max)
+        lo -= np.maximum(L_min, L_max)
+    del L_min, L_max
+    pad *= _BOUND_PAD
+    lo -= pad
+    hi += pad
+    return lo, hi
+
+
+def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray):
+    """(keep, sets) for value enclosures [lo, hi] whose cells come in runs
+    of ascending cell id, J being each one's wage.
+
+    A cell's threshold is its largest lo, and at least 0 at J <= 0, where
+    the shutdown equilibrium (value 0) stands; a NaN lo is skipped, so it
+    never raises a threshold.  An enclosure is kept unless its hi falls
+    below the threshold (a NaN hi is kept), so a root that can win or tie
+    is kept.  sets marks the enclosures whose lo is a threshold above that
+    floor, and those are kept too.
+    """
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    floor = np.where(J[starts] > 0.0, -np.inf, 0.0)
+    thr = np.fmax(np.fmax.reduceat(lo, starts), floor)
+    widths = np.diff(starts, append=lo.size)
+    above = np.repeat(thr > floor, widths)
+    thr = np.repeat(thr, widths)
+    sets = (lo == thr) & above
+    return ~(hi < thr) | sets, sets
+
+
+def _refine(tables: PeriodTables, j_values, cols: list) -> np.ndarray:
+    """Bisect a chunk's brackets: each one's root within tol_eq, NaN where none.
 
     cols holds the bracket columns (t_idx, p_idx, cell_idx, j_idx, s_lo,
     coef) and is emptied: only the live brackets' state stays held, since
@@ -315,7 +488,7 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
     scan cell, so the roots in bracket order are sorted by (t, j, p, z).
     """
     s, cfg = tables.scenario, tables.cfg
-    t_idx, p_idx, cell_idx, j_idx, s_lo, coef = cols
+    _, p_idx, cell_idx, j_idx, s_lo, coef = cols
     cols.clear()
     p_arr, J_arr, ep = tables.p[p_idx], j_values[j_idx], np.exp(s.demand.beta_p * tables.p)[p_idx]
     z_lo, z_hi = tables.z[cell_idx], tables.z[cell_idx + 1]
@@ -326,8 +499,8 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
     # when its residual is within tol_eq.  The pass budget guards against a
     # midpoint that cannot halve: its last pass accepts all.
     half_tol, passes_left = 0.5 * cfg.tol_eq, _MAX_BISECT_ITER
-    ids = np.arange(t_idx.size)
-    z_root = np.full(t_idx.size, np.nan)
+    ids = np.arange(p_idx.size)
+    z_root = np.full(p_idx.size, np.nan)
     while ids.size:
         passes_left -= 1
         mid = 0.5 * (z_lo + z_hi)
@@ -363,8 +536,7 @@ def _refine(tables: PeriodTables, j_values, cols: list) -> RootSet:
                 z_hi = z_hi[go]
         del mid, narrow, stalled, r_mid   # not held into the next pass
 
-    keep = ~np.isnan(z_root)
-    return RootSet(t_idx[keep], p_idx[keep], j_idx[keep], z_root[keep])
+    return z_root
 
 
 def equilibrium_components(s: PeriodScenario, tau: float, p, z):

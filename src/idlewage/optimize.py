@@ -8,9 +8,11 @@ minimum-wage constraint on a pair of cyclic hour blocks.
 Every regime reduces one object, a period's value table: the best value
 over the price grid at each (tau, J) cell, with the winning price and
 equilibrium.  Every grid cell is evaluated through the bracketing
-equilibrium solver, and each (tau, J) cell keeps its winning root in one
-lexicographic pass over value, price, throughput and labour.  Ties between
-cells break lexicographically through one helper, ``_lex_first``.
+equilibrium solver, which refines only the brackets whose value enclosure
+reaches the best of their cell, and each (tau, J) cell keeps its winning
+root in one lexicographic pass over value, price, throughput and labour.
+Ties between cells break lexicographically through one helper,
+``_lex_first``.
 
 Tables come from one planner, :func:`value_tables`.  A
 :class:`TableRequest` names a table by everything it depends on; requests
@@ -44,6 +46,7 @@ from .equilibrium import (
     PolicyPoint,
     RootSet,
     SolverConfig,
+    _runs,
     equilibrium_at,
     equilibrium_components,
     solve_slices,
@@ -315,12 +318,11 @@ def _best_over_prices(
     roots.t_idx indexes taus.  A cell's winner is its root of largest value,
     then smallest price, throughput and labour.  At J = 0 the shutdown
     equilibrium (value 0, price index 0, z NaN) wins unless a root is worth
-    more.  Every price of a cell with J > 0 must hold a root, else
-    BracketingError.  Roots come sorted by cell, as in :class:`RootSet`: the
-    largest value comes from one reduction over each cell's run, and only
-    the roots that reach it go into the (price, throughput, labour) sort.
+    more.  Roots come sorted by cell, as in :class:`RootSet`: the largest
+    value comes from one reduction over each cell's run, and only the roots
+    that reach it go into the (price, throughput, labour) sort.
     """
-    s, n_p, n_j = tables.scenario, tables.p.size, j_values.size
+    s, n_j = tables.scenario, j_values.size
     tau, p_arr = taus[roots.t_idx], tables.p[roots.p_idx]
     T, I, Q, L, e = equilibrium_components(s, tau, p_arr, roots.z)
     if obj is Objective.PROFIT:
@@ -328,14 +330,6 @@ def _best_over_prices(
     else:
         vals = welfare_values(s, p_arr, T, Q, L)
     cell = roots.t_idx * n_j + roots.j_idx
-
-    has_root = np.zeros((taus.size, n_j, n_p), dtype=bool)
-    has_root[roots.t_idx, roots.j_idx, roots.p_idx] = True
-    if not has_root[:, j_values > 0.0].all():
-        raise BracketingError(
-            "grid evaluation: a cell with J > 0 produced no equilibrium in the "
-            "scan window; widen SolverConfig.z_min/z_max"
-        )
 
     # fmax skips a NaN value, so a NaN never wins over a number
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
@@ -356,9 +350,7 @@ def _roots_of(roots: RootSet, rows: range, k: np.ndarray) -> RootSet:
     """The roots of the slices k (indices into the chunk's weights, all in
     rows), each renumbered to its position in k; a repeated slice repeats."""
     bounds = np.searchsorted(roots.t_idx, np.arange(rows.start, rows.stop + 1))
-    lo, counts = bounds[k - rows.start], np.diff(bounds)[k - rows.start]
-    owner = np.repeat(np.arange(k.size), counts)
-    take = lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    owner, take = _runs(bounds[k - rows.start], np.diff(bounds)[k - rows.start])
     return RootSet(owner, roots.p_idx[take], roots.j_idx[take], roots.z[take])
 
 
@@ -375,12 +367,15 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     # here on objs, w and taus hold the distinct rows; row maps each row to one
     u, row = np.unique(np.stack((objs, w, taus.view(np.int64)), 1), axis=0, return_inverse=True)
     objs, w, taus = u[:, 0], u[:, 1], u[:, 2].view(float)
+    welfare = objs == list(Objective).index(Objective.WELFARE)
     # unfilled; the group's chunks fill every row
     values, p_idx, z = (np.empty((len(u), wages.size), d) for d in (float, np.intp, float))
 
     def stream(part):
         k = w - part[0]   # each row's index into the part's weights
-        for rows, roots in solve_slices(tables, wages, coefs[part]):
+        ours = (k >= 0) & (k < part.size)
+        reads = k[ours], taus[ours], welfare[ours]   # only brackets that can win are refined
+        for rows, roots in solve_slices(tables, wages, coefs[part], reads):
             for o, obj in enumerate(Objective):
                 mine = np.flatnonzero((objs == o) & (k >= rows.start) & (k < rows.stop))
                 if mine.size:

@@ -173,6 +173,16 @@ def _numeric_object(pairs: list) -> dict:
     return dict(pairs)
 
 
+def _parse_int(literal: str) -> int:
+    """JSON integer hook: int(literal), or, for a literal past int()'s digit
+    limit, an int of its sign just as far beyond any float, so that
+    _numeric_object rejects it by key."""
+    try:
+        return int(literal)
+    except ValueError:
+        return -(10**400) if literal.startswith("-") else 10**400
+
+
 def load_config(path) -> ScenarioConfig:
     """Read a JSON config; absent keys fall back to the built-in defaults.
 
@@ -185,7 +195,7 @@ def load_config(path) -> ScenarioConfig:
     if not text.strip():
         return default_config()
     try:
-        data = json.loads(text, object_pairs_hook=_numeric_object)
+        data = json.loads(text, object_pairs_hook=_numeric_object, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -199,6 +199,21 @@ class TestUsageErrors:
         assert f"{key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, key", [
+        ('{"kappa": %s}', "kappa"),
+        ('{"blocks": {"b1": %s}}', "b1"),
+        ('{"pool_by_hour": [%s]}', "pool_by_hour"),
+    ])
+    def test_integer_past_the_digit_limit_names_the_key(self, tmp_path, capsys, text, key):
+        # 5000 digits: past the 4300 that int() converts from a string
+        f = tmp_path / "long.json"
+        f.write_text(text % ("1" + "0" * 5000))
+        rc = main(["equilibrium", "--hour", "19", "--p", "2", "--J", "0.5", "--tau", "0.3",
+                   "--config", str(f)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err and "4300" not in err
+
+    @pytest.mark.parametrize("text, key", [
         ('{"kappa": false}', "kappa"),
         ('{"risk_beta": "0.5"}', "risk_beta"),
         ('{"blocks": {"b1": true}}', "b1"),
@@ -327,9 +342,9 @@ class TestReproduceAllPlan:
         slices, builds = [], []
         solve, build = optimize.solve_slices, PeriodTables.build
 
-        def counting_solve(tables, j_values, coefs):
+        def counting_solve(tables, j_values, coefs, reads):
             slices.extend(coefs)
-            yield from solve(tables, j_values, coefs)
+            yield from solve(tables, j_values, coefs, reads)
 
         def counting_build(*args):
             builds.append(args)

@@ -431,9 +431,9 @@ class TestValueTablesPlan:
     def test_mixed_batch_refines_each_distinct_slice_once(self, monkeypatch):
         solved = []
 
-        def counting(tables, j_values, coefs):
+        def counting(tables, j_values, coefs, reads):
             solved.extend((tables.scenario, j_values.tobytes(), float(c)) for c in coefs)
-            yield from solve_slices(tables, j_values, coefs)
+            yield from solve_slices(tables, j_values, coefs, reads)
 
         monkeypatch.setattr(optimize, "solve_slices", counting)
         value_tables(self.mixed_batch(), threads=2)
@@ -448,8 +448,8 @@ class TestValueTablesPlan:
         local, per_chunk, rows = threading.local(), [], []
         solve, best = optimize.solve_slices, optimize._best_over_prices
 
-        def recording_solve(tables, j_values, coefs):
-            for chunk in solve(tables, j_values, coefs):
+        def recording_solve(tables, j_values, coefs, reads):
+            for chunk in solve(tables, j_values, coefs, reads):
                 local.calls = 0
                 yield chunk
                 per_chunk.append(local.calls)   # the chunk's reductions are done
@@ -550,10 +550,10 @@ class TestValueTablesPlan:
             local.t_idx = cols[0]
             return refine(tables, j_values, cols)
 
-        def recording_solve(tables, j_values, coefs):
+        def recording_solve(tables, j_values, coefs, reads):
             chunks = []
             streams.append((len(coefs), chunks))
-            for rows, roots in solve(tables, j_values, coefs):
+            for rows, roots in solve(tables, j_values, coefs, reads):
                 chunks.append((rows, np.bincount(local.t_idx, minlength=rows.stop)[rows.start:]))
                 yield rows, roots
 
@@ -569,7 +569,10 @@ class TestValueTablesPlan:
                 for a4, a19 in ((3.5, 44.0), (5.5, 46.0))
                 for r in day_requests(two_period_day(b, a4, a19), obj, table2, CRIT10_SOLVER)]
         reqs += day_requests(builtin_day(), Objective.PROFIT, CRIT10, CRIT10_SOLVER)
-        bound, seen = equilibrium._MAX_BATCH, []
+        # the bound counts refined brackets only, and this plan's largest
+        # chunk refines about 4.9k at the default 2^14: a lower bound closes several
+        bound, seen = 2**10, []
+        monkeypatch.setattr(equilibrium, "_MAX_BATCH", bound)
         for threads in (1, 2, 3):
             with monkeypatch.context() as m:
                 streams = self.record_chunks(m)
@@ -606,9 +609,9 @@ class TestValueTablesPlan:
                 builds.append(tables)
                 return tables
 
-            def recording_solve(tables, j_values, coefs):
+            def recording_solve(tables, j_values, coefs, reads):
                 streams.append((tables, list(coefs)))
-                yield from solve(tables, j_values, coefs)
+                yield from solve(tables, j_values, coefs, reads)
 
             with monkeypatch.context() as m:
                 m.setattr(PeriodTables, "build", staticmethod(recording_build))

@@ -85,7 +85,10 @@ CONFIG_TEMPLATES = [
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
-                                     pytest.param("1" + "0" * 400, id="10**400")])
+                                     pytest.param("1" + "0" * 400, id="10**400"),
+                                     # past int()'s 4300-digit limit for a string
+                                     pytest.param("1" + "0" * 5000, id="10**5000"),
+                                     pytest.param("-1" + "0" * 5000, id="-10**5000")])
 @pytest.mark.parametrize("template, key", CONFIG_TEMPLATES)
 def test_config_non_finite_number_names_the_key(tmp_path, template, key, literal):
     f = tmp_path / "config.json"
