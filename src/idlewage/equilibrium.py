@@ -13,8 +13,10 @@ into a one-dimensional root problem: the labour-balance residual
 ``supply(e_z, J) - L1(z)`` is continuous, negative as z -> 0 and positive
 as z -> inf whenever J > 0, so every equilibrium is a sign change.  The
 solver scans a geometric z-grid for sign changes and refines each bracket
-by bisection; the optimizer's path refines only the brackets whose value
-enclosure reaches the best of their (tau, J) cell.
+by bisection.  The optimizer's path first bounds whole blocks of the grid,
+scans finely only the blocks whose value enclosure reaches the threshold
+of a (tau, J) cell it reads, and refines only the brackets that can win
+or tie that cell.
 
 The solver is vectorized over a whole price grid, idle-wage grid and list
 of commissions at once, as the grid-search optimizer uses it; a
@@ -24,6 +26,7 @@ agrees bitwise with the corresponding optimizer cell.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +161,27 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # bracket, elementwise, so a period's earnings weights bisect together in
 # chunks of _MAX_BATCH refined brackets or more.  The bound is per stream
 # of weights, whatever the thread count.
+#
+# The optimizer's path scans by tiles: a tile is one price's block of
+# _BLOCK scan cells at one weight.  The coarse scan (every _BLOCK-th point)
+# gives each value-table cell a threshold, an enclosure of W on each block
+# gives the wages a tile can bracket, and only the tiles whose value bound
+# reaches one of those wages' thresholds are scanned finely.
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
+_BLOCK = 16
+# Budget on the tiles (or coarse scan cells) that one batch of weights holds.
+_MAX_TILES = 2**18
+# Widest z-ratio of a block at which rows read in full take the tile path:
+# with wider blocks (under about 2048 scan points at the default window)
+# their enclosures are too loose to prune a profit table, and the coarse
+# brackets cost more than the fine scan they save.
+_MAX_BLOCK_RATIO = 1.12
+# Tiles refined to find a best table's witness value, and the share of
+# all tiles, 1/_WITNESS_SHARE, ranked for them.
+_WITNESS_TILES = 32
+_WITNESS_SHARE = 32
 
 # Relative pad by which a bracket's value enclosure is widened on each
 # side, times the size of the value's terms: it covers the last-bit
@@ -187,10 +208,15 @@ def _kernel(s: PeriodScenario, p, z, ep=None):
     del iz   # names are dropped once used, so a pass holds few temporaries
     G = p * Q / L1
     del Q
-    H = L1 / sp.pool_size   # ufunc calls below: in-place operators cost more on tiny arrays
+    return L1, G, _supply_margin(sp, L1)
+
+
+def _supply_margin(sp, L):
+    """c*(L/A)**(1/eps): the wage margin's supply term at labour L."""
+    H = L / sp.pool_size   # ufunc calls below: in-place operators cost more on tiny arrays
     np.power(H, 1.0 / sp.elasticity, out=H)
     np.multiply(H, 1.0 + 1.0 / sp.elasticity, out=H)
-    return L1, G, H
+    return H
 
 
 @dataclass
@@ -215,6 +241,52 @@ class PeriodTables:
         z = cfg.z_grid()
         _, G, H = _kernel(s, p[:, None], z[None, :])
         return PeriodTables(s, cfg, p, z, G, H)
+
+    @functools.cached_property
+    def blocks(self) -> "_Blocks":
+        """The weight-free pieces of every (price, z-block) tile's enclosures."""
+        return _Blocks.of(self)
+
+
+@dataclass
+class _Blocks:
+    """Weight-free pieces of the enclosures of every (price, z-block) tile,
+    flattened price-major.  The n_b blocks end at the scan points of
+    :func:`_block_points`."""
+
+    n_b: int
+    p: np.ndarray            # the tile's price
+    Q_a: np.ndarray          # the throughput and labour ranges of _cell_ends
+    Q_b: np.ndarray
+    L_min: np.ndarray
+    L_max: np.ndarray
+    H_lo: np.ndarray         # supply margin at L_min and at L_max
+    H_hi: np.ndarray
+    G_lo: np.ndarray         # earnings base bounds pQ_b/L_max and pQ_a/L_min
+    G_hi: np.ndarray
+    welfare_lo: np.ndarray   # the block's welfare enclosure (J- and tau-free)
+    welfare_hi: np.ndarray
+    bad: np.ndarray          # the block holds a non-finite G or H
+
+    @staticmethod
+    def of(tables: PeriodTables) -> "_Blocks":
+        s, n_z, n_p = tables.scenario, tables.z.size, tables.p.size
+        pts = _block_points(n_z)
+        z = tables.z[pts]
+        p_idx, b = np.divmod(np.arange(n_p * (pts.size - 1)), pts.size - 1)
+        p = tables.p[p_idx]
+        _, _, Q_a, Q_b, L_min, L_max = _cell_ends(s, z, p, b)
+        G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
+        H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
+        # a block's sum of G and H is finite only if each term is (an
+        # overflowing sum of finite terms marks it too, which only scans more)
+        ends = tables.G[:, pts[1:]] + tables.H[:, pts[1:]]
+        for a in (tables.G, tables.H):
+            ends += np.add.reduceat(a, pts[:-1], axis=1)
+        bad = ~np.isfinite(ends.ravel() + H_lo + H_hi + G_lo + G_hi)
+        welfare = _value_bounds(tables, p_idx, b, 0.0, 0.0, True, z)
+        return _Blocks(pts.size - 1, p, Q_a, Q_b, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
+                       *welfare, bad)
 
 
 def _margin(s: PeriodScenario, coef, p, z, ep=None):
@@ -258,17 +330,19 @@ def _runs(lo: np.ndarray, counts: np.ndarray):
     return owner, lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
-def _brackets(W: np.ndarray, j_values: np.ndarray):
-    """(p_idx, cell_idx, j_idx, s_lo) of every (scan cell, wage) bracket.
+def _brackets(W: np.ndarray, j_values: np.ndarray, weight=None):
+    """(row, cell_idx, j_idx, s_lo) of every (scan cell, wage) bracket of W's rows.
 
-    A cell (p, z_c..z_c+1) brackets wage J_i when i lies between the counts
-    k of wages below the margin at its two ends; W > J_i at the low end
-    exactly when the count falls across the cell.  Brackets come
-    wage-major, in (j, p, z cell) order, from one stable sort by wage.  A
-    NaN margin (exp overflow) counts above every wage; a root from its
-    brackets is still emitted only if it passes the residual filter.  The
-    count steps come from one compare over the flattened table; a step
-    across a row boundary is no cell and is dropped.
+    A cell (row, z_c..z_c+1) brackets wage J_i when i lies between the
+    counts k of wages below the margin at its two ends; W > J_i at the low
+    end exactly when the count falls across the cell.  Brackets come
+    wage-major, in (j, row, z cell) order, from one stable sort by wage;
+    given weight, each row's index into the earnings weights, they come in
+    (weight, j, row, z cell) order.  A NaN margin (exp overflow) counts
+    above every wage; a root from its brackets is still emitted only if it
+    passes the residual filter.  The count steps come from one compare over
+    the flattened table; a step across a row boundary is no cell and is
+    dropped.
     """
     n_z = W.shape[1]
     k = np.searchsorted(j_values, W).ravel()
@@ -279,14 +353,25 @@ def _brackets(W: np.ndarray, j_values: np.ndarray):
 
     # One bracket per (cell, wage) pair; owner maps each to its cell.
     owner, j_idx = _runs(np.minimum(k_lo, k_hi), np.abs(k_hi - k_lo))
-    order = np.argsort(j_idx, kind="stable")
+    key = j_idx if weight is None else weight[rows[owner]] * j_values.size + j_idx
+    order = np.argsort(key, kind="stable")
     owner, j_idx = owner[order], j_idx[order]
     return rows[owner], cells[owner], j_idx, (k_lo > k_hi)[owner]
 
 
 def _stack(parts: list) -> list:
-    """The columns of parts (tuples of parallel arrays), each concatenated."""
-    return [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts)]
+    """The columns of parts (tuples of parallel arrays), each concatenated;
+    parts is emptied, so the pieces are not held beside the result."""
+    cols = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts)]
+    parts.clear()
+    return cols
+
+
+def _batches(n: int, per: int) -> list[range]:
+    """Consecutive ranges of n weights, each holding at most _MAX_TILES
+    cells at per cells a weight, or one weight."""
+    step = max(1, _MAX_TILES // per)
+    return [range(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
@@ -297,61 +382,367 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     chunk: the range of consecutive indices into coefs and their roots.  A
     scan cell brackets exactly the (ascending) wages its count steps over.
 
-    With reads None every bracket is refined, so every root is found.
-    Otherwise reads holds three parallel arrays over the value-table rows
-    that read the roots: k, each row's index into coefs; tau, its
-    commission; welfare, whether it scores welfare (else profit).  Then
-    only the brackets whose root may win or tie a row's (tau, J) cell are
-    refined (see :func:`_prune`), and a cell with J > 0 that lacks a
-    bracket at some price raises :class:`BracketingError`.  Should a
-    bracket that set a cell's threshold give no root, its weight is solved
-    again with every bracket refined.
+    With reads None every scan cell is scanned and every bracket refined,
+    so every root is found.  Otherwise reads holds five arrays indexed
+    first by the value-table rows that read the roots: k, each row's index
+    into coefs; tau, its commission; welfare, whether it scores welfare
+    (else profit); and floor and mins, as :func:`coarse_thresholds` gives
+    them.  Then only the tiles whose enclosure can reach a row's thresholds
+    are scanned (see :func:`_needed`; every tile where mins is None), and
+    only the brackets whose root may win or tie a row's (tau, J) cell, at
+    or above its floor, are refined (see :func:`_prune`).  Should a bracket
+    that set a cell's threshold give no root, its weight is solved again
+    with every bracket refined.
 
-    Weights are bounded in batches: a batch closes at the first weight that
-    brings the chunk's refined and unbounded brackets to ``_MAX_BATCH``,
-    and a chunk at the first batch that brings its refined brackets there,
-    or at the last weight.  A chunk's brackets bisect together, each
-    steered by the table's sign at its low end.  A bracket ends when it is
-    narrower than ``bisect_tol`` with the residual at its midpoint within
-    half of ``tol_eq``, or when float spacing is exhausted (the midpoint
-    equals an end); that midpoint is emitted only if its residual is within
+    Weights are bracketed one at a time with reads None, else in batches
+    of at most _MAX_TILES tiles, or, where every tile is scanned, in
+    batches that close at the first weight bringing the open chunk's
+    refined brackets and the batch's to ``_MAX_BATCH``.  A chunk closes at
+    the first weight that brings its refined brackets there, or at the last
+    weight.
+    A chunk's brackets bisect together, each steered by the table's sign
+    at its low end.  A bracket ends when it is narrower than
+    ``bisect_tol`` with the residual at its midpoint within half of
+    ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
+    end); that midpoint is emitted only if its residual is within
     ``tol_eq``.
     """
-    j_values = np.asarray(j_values, dtype=float)
+    j_values, coefs = np.asarray(j_values, dtype=float), np.asarray(coefs, dtype=float)
+    room = [1 if reads is None else _MAX_BATCH]   # what a full-scan batch may add
+    if reads is None or reads[4] is None:
+        batches = _scan(tables, j_values, coefs, room)
+    else:
+        batches = _tile_scan(tables, j_values, coefs, reads)
+    held, start, size = [], 0, 0
+    for weights, cols in batches:
+        if reads is not None:
+            keep, sets = _prune(tables, j_values, cols, weights, reads)
+            cols = [c[keep] for c in cols] + [sets[keep]]
+            del keep, sets
+        chunks, cut, prev = [], 0, 0
+        for t, end in zip(weights, np.searchsorted(cols[0], weights, side="right").tolist()):
+            size, prev = size + end - prev, end
+            if size < _MAX_BATCH and t < coefs.size - 1:
+                continue
+            held.append([c[cut:end] for c in cols])
+            chunks.append((range(start, t + 1), _stack(held)))
+            cut, start, size = end, t + 1, 0
+        if cut < cols[0].size:
+            held.append([c[cut:] for c in cols])
+        del cols   # the batch is held only through its chunks and the held tail
+        if reads is not None:
+            room[0] = _MAX_BATCH - size
+        for rows, chunk in chunks:
+            yield rows, _chunk_roots(tables, j_values, coefs, chunk, reads is not None)
+
+
+def _chunk_roots(tables: PeriodTables, j_values, coefs, cols: list, pruned: bool) -> RootSet:
+    """The roots of a chunk's bracket columns, emptied as :func:`_refine`
+    does; when pruned, a last column marks the brackets that set a
+    threshold, and a weight that loses one is solved in full."""
+    sets = cols.pop() if pruned else None
+    t_idx, p_idx, j_idx = cols[0], cols[1], cols[3]
+    z = _refine(tables, j_values, cols)
+    ok = ~np.isnan(z)
+    roots = RootSet(t_idx[ok], p_idx[ok], j_idx[ok], z[ok])
+    if sets is not None and (lost := np.unique(t_idx[sets & ~ok])).size:
+        roots = _solve_in_full(tables, j_values, coefs, roots, lost)
+    return roots
+
+
+def _scan(tables: PeriodTables, j_values, coefs, room: list):
+    """(weights, cols): the bracket columns (t_idx, p_idx, cell_idx, j_idx,
+    s_lo, coef) of whole scan tables, per batch of weights that closes at
+    the first weight bringing its brackets to room[0], or at the last; the
+    caller may change room[0] between batches."""
     W = np.empty_like(tables.H)   # the margin H - coef*G, one buffer for every weight
-    found, kept, start, batch, size = [], [], 0, 0, 0
+    found, start, n_found = [], 0, 0
     for t, coef in enumerate(coefs):
         np.multiply(tables.G, coef, out=W)
         np.subtract(tables.H, W, out=W)
         p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
-        size += (n := p_idx.size)
-        found.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef, dtype=float)))
-        last = t == len(coefs) - 1
-        if size < _MAX_BATCH and not last:
+        n = p_idx.size
+        found.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef)))
+        n_found += n
+        if n_found >= room[0] or t == coefs.size - 1:
+            yield range(start, t + 1), _stack(found)
+            start, n_found = t + 1, 0
+
+
+def _tile_scan(tables: PeriodTables, j_values, coefs, reads):
+    """(weights, cols) per batch of weights: the bracket columns, as
+    :func:`_scan` gives them, of the tiles :func:`_needed` keeps."""
+    for weights in _batches(coefs.size, tables.blocks.bad.size):
+        t, tile = _needed(tables, j_values, coefs, weights, reads)
+        yield weights, _tile_brackets(tables, j_values, coefs, t, tile)
+
+
+def _block_points(n_z: int) -> np.ndarray:
+    """The scan-point index of each block end: every _BLOCK-th point and the last."""
+    return np.unique(np.append(np.arange(0, n_z, _BLOCK), n_z - 1))
+
+
+def _tile_brackets(tables: PeriodTables, j_values, coefs, t, tile) -> list:
+    """The bracket columns of the scan cells of tiles (t, tile), t ascending:
+    the same brackets, in the same (t, j, p, z cell) order, as a full scan
+    of those weights has in these tiles.  The margin is gathered on the
+    tiles' scan points only; a short last block repeats its end point,
+    which adds no count step."""
+    n_z = tables.z.size
+    p, b = np.divmod(tile, tables.blocks.n_b)
+    pts = np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1), n_z - 1)
+    pts += (p * n_z)[:, None]
+    W = tables.G.reshape(-1)[pts]
+    W *= coefs[t, None]   # H - coef*G with the full scan's operations, so the same bits
+    np.subtract(tables.H.reshape(-1)[pts], W, out=W)
+    del pts
+    rows, cells, j_idx, s_lo = _brackets(W, j_values, t)
+    t = t[rows]
+    return [t, p[rows], b[rows] * _BLOCK + cells, j_idx, s_lo, coefs[t]]
+
+
+def _needed(tables: PeriodTables, j_values, coefs, weights: range, reads):
+    """(t, tile) of the tiles of the weights in range weights that a row
+    of reads needs scanned, weight-major: flat (price, block) indices.
+
+    A tile can bracket only the wages J_i0..J_i1-1 in its margin
+    enclosure.  It is needed when it holds one and a row's value upper
+    bound at the smallest (:func:`_wage_ub`) reaches the least of the row's
+    thresholds over J_i0..J_i1-1, read from its range-minimum table.  Two
+    relaxed passes (:func:`_relaxed_ub`) come first, each keeping a superset
+    of the next: one per tile, for the rows' whole ranges of weight and
+    commission against their least threshold, then one per (row, tile)
+    against the row's.  So the exact pass runs on the survivors alone.  A
+    NaN bound is kept.
+    """
+    k, tau, welfare, _, mins = reads
+    B, n_j = tables.blocks, j_values.size
+    lev = n_j.bit_length() - 1
+    least = np.minimum(mins[:, lev, 0], mins[:, lev, n_j - (1 << lev)])
+    need = np.zeros((len(weights), B.bad.size), dtype=bool)
+    for w in (False, True):
+        r = np.flatnonzero((welfare == w) & (k >= weights.start) & (k < weights.stop))
+        if not r.size:
             continue
-        cols = _stack(found)
-        found.clear()
-        if reads is not None:
-            keep, sets = _prune(tables, j_values, cols, range(batch, t + 1), reads)
-            cols = [c[keep] for c in cols] + [sets[keep]]
-            size -= keep.size - cols[0].size
-            del keep, sets
-        kept.append(cols)
-        batch = t + 1
-        if size < _MAX_BATCH and not last:
+        c = coefs[k[r]]
+        ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[r].max(), slice(None), w)
+        tile = np.flatnonzero(~(ub < least[r].min()))
+        ub = _relaxed_ub(B, j_values, c[:, None], c[:, None], tau[r, None], tile, w)
+        ri, ti = np.nonzero(~(ub < least[r, None]))
+        del ub
+        r, tile = r[ri], tile[ti]
+        a, b, ub = _wage_ub(B, j_values, coefs[k[r]], tau[r], tile, w)
+        some = a < b
+        r, tile, a, b, ub = r[some], tile[some], a[some], b[some], ub[some]
+        lev = np.frexp(b - a)[1] - 1   # floor(log2(b - a))
+        keep = ~(ub < np.minimum(mins[r, lev, a], mins[r, lev, b - (1 << lev)]))
+        need[k[r[keep]] - weights.start, tile[keep]] = True
+    tw, tile = np.nonzero(need)
+    return tw + weights.start, tile
+
+
+def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi, tau, tile, welfare: bool):
+    """A value upper bound on tiles for every weight in [c_lo, c_hi] and
+    commission up to tau, taken at the margin range's lower end (or J_0):
+    -inf where the margin range misses [J_0, J_last]."""
+    w_lo, w_hi = _margin_range(B, c_lo, c_hi, tile)
+    ub = _value_ub(B, tile, np.maximum(w_lo, j_values[0]), tau, welfare)
+    return np.where((w_hi >= j_values[0]) & (w_lo <= j_values[-1]), ub, -np.inf)
+
+
+def _wage_ub(B: "_Blocks", j_values, c, tau, tile, welfare: bool):
+    """(a, b, ub): the wages J_a..J_b-1 in the margin ranges of tiles at
+    weights c, and the value upper bound at J_a, -inf where a >= b."""
+    w_lo, w_hi = _margin_range(B, c, c, tile)
+    a = np.searchsorted(j_values, w_lo)
+    b = np.searchsorted(j_values, w_hi, side="right")
+    ub = _value_ub(B, tile, j_values[np.minimum(a, j_values.size - 1)], tau, welfare)
+    return a, b, np.where(a < b, ub, -np.inf)
+
+
+def _margin_range(B: "_Blocks", c_lo, c_hi, tile):
+    """(w_lo, w_hi) enclosing the margin H - c*G on tiles for every weight
+    c in [c_lo, c_hi], padded as the value bounds are; (-inf, inf) on a
+    block with a non-finite G or H.
+
+    On a block H rises with L, so H lies in [H(L_min), H(L_max)], and G =
+    pQ/L in [pQ_b/L_max, pQ_a/L_min]; c >= 0.
+    """
+    cG = c_hi * B.G_hi[tile]
+    pad = B.H_hi[tile] + cG
+    pad *= _BOUND_PAD
+    w_lo = B.H_lo[tile] - cG
+    w_lo -= pad
+    cG = c_lo * B.G_lo[tile]
+    w_hi = B.H_hi[tile] - cG
+    w_hi += pad
+    bad = B.bad[tile]
+    w_lo[..., bad], w_hi[..., bad] = -np.inf, np.inf
+    return w_lo, w_hi
+
+
+def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
+    """Upper bound on the value of a root in tiles at wage J >= 0, padded
+    as :func:`_bounds` pads: welfare's (J-free), else profit
+    tau*p*Q_a - J*L_min, which falls in J."""
+    if welfare:
+        return B.welfare_hi[tile]
+    ub = tau * B.p[tile]
+    ub *= B.Q_a[tile]
+    pad = J * B.L_max[tile]
+    pad += ub
+    pad *= _BOUND_PAD
+    ub -= J * B.L_min[tile]
+    ub += pad
+    return ub
+
+
+def coarse_thresholds(tables: PeriodTables, j_values, coefs, reads, best=(), cells=None):
+    """(floor, mins) over the value-table rows of reads = (k, tau, welfare)
+    (as in :func:`solve_slices`): the thresholds that decide which tiles
+    and brackets the rows need.
+
+    best lists the rows of each table read only for its best cell; cells
+    marks the rows that some request reads in full (default: every row).
+    A row's floor is -inf if cells marks it, else the least witness
+    (:func:`_witness`) of the best tables that read it: a value the table
+    provably attains.  A cell's threshold is the largest of its row's
+    floor, 0 at J <= 0 (the shutdown's value), and, in a row read in full,
+    its coarse lower bounds.  The coarse scan takes the table's columns at
+    every _BLOCK-th scan point and the last, so the same bits, and
+    brackets them.  A coarse count step for J proves a fine one in its
+    block, hence a root there, so a coarse bracket's value lower bound
+    (:func:`_value_bounds` on the coarse grid) bounds its (tau, J) cell's
+    value from below.  mins is the range-minimum table of the thresholds,
+    (row, level, J), as :func:`_range_mins` builds it; it is None, and no
+    coarse bracket is bounded, when some row is read in full and the blocks
+    are wider than _MAX_BLOCK_RATIO: then every tile is scanned.
+
+    Every weight's table must bracket each (price, J > 0) cell
+    (:func:`_complete`), else :class:`BracketingError`.  The pass runs
+    once per group of weights, so the tiles scanned do not depend on how
+    the weights are split.
+    """
+    k, tau, welfare = reads
+    n_p, n_j, pts = tables.p.size, j_values.size, _block_points(tables.z.size)
+    full = np.ones(k.size, dtype=bool) if cells is None else cells
+    tiles = not full.any() or np.max(tables.z[pts[1:]] / tables.z[pts[:-1]]) <= _MAX_BLOCK_RATIO
+    n_c = pts.size
+    Gc, Hc = tables.G[:, pts], tables.H[:, pts]
+    top = np.full((k.size, n_j), -np.inf)   # each (row, J) cell's largest coarse lower bound
+    for weights in _batches(coefs.size, n_p * n_c):
+        W = Hc - coefs[weights, None, None] * Gc
+        _complete(tables, j_values, coefs[weights], W)
+        ours = full & (k >= weights.start) & (k < weights.stop)
+        if not (tiles and ours.any()):
             continue
-        cols = _stack(kept)
-        kept.clear()
-        sets = cols.pop() if reads is not None else None
-        t_idx, p_idx, j_idx = cols[0], cols[1], cols[3]
-        z = _refine(tables, j_values, cols)
-        ok = ~np.isnan(z)
-        roots = RootSet(t_idx[ok], p_idx[ok], j_idx[ok], z[ok])
-        if sets is not None and (lost := np.unique(t_idx[sets & ~ok])).size:
-            roots = _solve_in_full(tables, j_values, coefs, roots, lost)
-        del t_idx, p_idx, j_idx, z, ok, sets
-        yield range(start, t + 1), roots
-        start, size = t + 1, 0
+        rows, block, j_idx, _ = _brackets(
+            W.reshape(-1, n_c), j_values, np.repeat(np.arange(len(weights)), n_p))
+        del W
+        B = tables.blocks
+        t, p_idx = np.divmod(rows, n_p)
+        edge = np.searchsorted(t, np.arange(len(weights) + 1))
+        for w in (False, True):
+            r = np.flatnonzero(ours & (welfare == w))
+            if not r.size:
+                continue
+            owner, e = _runs(edge[k[r] - weights.start], np.diff(edge)[k[r] - weights.start])
+            tile = p_idx[e] * B.n_b + block[e]
+            if w:
+                lo = B.welfare_lo[tile]
+            else:   # the coarse cells' ends, as _cell_ends gives them, are the tiles'
+                ends = (None, None, B.Q_a[tile], B.Q_b[tile], B.L_min[tile], B.L_max[tile])
+                lo, _ = _bounds(tables.scenario, B.p[tile], ends, j_values[j_idx[e]],
+                                tau[r][owner], False)
+            starts = np.flatnonzero(np.diff(owner * n_j + j_idx[e], prepend=-1))
+            top[r[owner[starts]], j_idx[e[starts]]] = np.fmax.reduceat(lo, starts)
+
+    shutdown = np.where(j_values > 0.0, -np.inf, 0.0)
+    floor = np.where(full, -np.inf, np.inf)
+    for rows in best:
+        if (floor[rows] > -np.inf).any():   # some row is read only for a best cell
+            w = _witness(tables, j_values, coefs, reads, np.unique(rows), shutdown.max())
+            floor[rows] = np.minimum(floor[rows], w)
+    floor[floor == np.inf] = -np.inf
+    if not tiles:
+        return floor, None
+    thr = np.fmax(top, shutdown)   # fmax: a NaN bound raises no threshold
+    np.maximum(thr, floor[:, None], out=thr)
+    return floor, _range_mins(thr)
+
+
+def _complete(tables: PeriodTables, j_values, coefs, W) -> None:
+    """BracketingError unless every (weight, price) row of the scan table
+    brackets each J > 0; W is the coarse margin, (weight, price, point).
+
+    The brackets of a row span the counts between its least and largest,
+    so a row brackets each J > 0 exactly when some margin is <= the least
+    J > 0 and some is above the last wage or NaN.  The coarse points are
+    scan points, so a row that passes there passes; one that does not is
+    checked on its full scan row.
+    """
+    pos = np.flatnonzero(j_values > 0.0)
+    if not pos.size:
+        return
+
+    def ok(W):
+        return (np.fmin.reduce(W, axis=-1) <= j_values[pos[0]]) & ~(W.max(axis=-1) <= j_values[-1])
+
+    tw, p = np.nonzero(~ok(W))
+    for t in np.unique(tw):   # each weight's failed rows, scanned in full
+        rows = p[tw == t]
+        if not ok(tables.H[rows] - coefs[t] * tables.G[rows]).all():
+            raise BracketingError(
+                "grid evaluation: a cell with J > 0 has no labour-balance sign change at "
+                "some price in the scan window; widen SolverConfig.z_min/z_max"
+            )
+
+
+def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
+    """A value that some cell of the rows (one table's) attains: base, or
+    the largest value lower bound of the roots refined in the tiles of the
+    rows' largest value upper bounds, whichever is larger.
+
+    The tiles are ranked best first, as in branch and bound, with the
+    bounds of :func:`_needed`: the 1/_WITNESS_SHARE of tiles with the
+    largest relaxed bound over all the rows' weights and commissions, then
+    the _WITNESS_TILES (row, tile) pairs among those with the largest bound
+    at the smallest wage their margin range holds.
+    """
+    k, tau, welfare = reads
+    B, w, c = tables.blocks, bool(welfare[rows[0]]), coefs[k[rows]]
+
+    def best(ub, m):
+        ub = ub.reshape(-1)
+        top = np.argpartition(ub, -m)[-m:] if m < ub.size else np.arange(ub.size)
+        return top[ub[top] > -np.inf]   # drops NaN too
+
+    ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[rows].max(), slice(None), w)
+    tile = best(ub, max(_WITNESS_TILES, B.bad.size // _WITNESS_SHARE))
+    _, _, ub = _wage_ub(B, j_values, c[:, None], tau[rows, None], tile, w)
+    ri, ti = np.divmod(best(ub, _WITNESS_TILES), tile.size)
+    t, tile = np.unique(np.stack((k[rows[ri]], tile[ti])), axis=1)   # by weight, then tile
+    cols = _tile_brackets(tables, j_values, coefs, t, tile)
+    t, p_idx, cell_idx, j_idx = cols[:4]
+    ok = ~np.isnan(_refine(tables, j_values, cols))
+    by_k = rows[np.argsort(k[rows])]   # a table's rows have distinct weights
+    r = by_k[np.searchsorted(k[by_k], t[ok])]
+    lo, _ = _value_bounds(tables, p_idx[ok], cell_idx[ok], j_values[j_idx[ok]], tau[r], w)
+    return max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
+
+
+def _range_mins(thr: np.ndarray) -> np.ndarray:
+    """Sparse range-minimum table of thr's rows: [:, l, i] is the least of
+    thr[:, i:i + 2**l], so [i0, i1) is read as the lesser of [:, l, i0] and
+    [:, l, i1 - 2**l] with l = floor(log2(i1 - i0))."""
+    n, n_j = thr.shape
+    mins = np.empty((n, n_j.bit_length(), n_j))
+    mins[:, 0] = thr
+    for lev in range(1, n_j.bit_length()):
+        h = 1 << (lev - 1)
+        mins[:, lev] = mins[:, lev - 1]
+        np.minimum(mins[:, lev - 1, :-h], mins[:, lev - 1, h:], out=mins[:, lev, :-h])
+    return mins
 
 
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:
@@ -375,20 +766,10 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
     cols holds the brackets of the weights in range weights, as in
     :func:`_refine`; reads is as in :func:`solve_slices`.  Each objective's
     rows are bounded in one pass by :func:`_value_bounds`, and
-    :func:`_cut` keeps what can reach the best.  A cell with J > 0 needs a
-    bracket at every price, else BracketingError.
+    :func:`_cut` keeps what can reach the best, above each row's floor.
     """
     t_idx, p_idx, cell_idx, j_idx = cols[0], cols[1], cols[2], cols[3]
-    has = np.zeros((len(weights), j_values.size, tables.p.size), dtype=bool)
-    has[t_idx - weights.start, j_idx, p_idx] = True
-    if not has[:, j_values > 0.0].all():
-        raise BracketingError(
-            "grid evaluation: a cell with J > 0 has no labour-balance sign change at "
-            "some price in the scan window; widen SolverConfig.z_min/z_max"
-        )
-    del has
-
-    k, tau, welfare = reads
+    k, tau, welfare, floor, _ = reads
     edge = np.searchsorted(t_idx, np.arange(weights.start, weights.stop + 1))
     keep, sets = np.zeros(t_idx.size, dtype=bool), np.zeros(t_idx.size, dtype=bool)
     for w in (False, True):
@@ -397,35 +778,51 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
         if b.size:
             J = j_values[j_idx[b]]
             lo, hi = _value_bounds(tables, p_idx[b], cell_idx[b], J, tau[r][owner], w)
-            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J)
+            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, floor[r][owner])
             keep[b[keep_b]] = True
             sets[b[sets_b]] = True
     return keep, sets
 
 
-def _value_bounds(tables: PeriodTables, p_idx, cell_idx, J, tau, welfare: bool):
-    """(lo, hi) enclosing the value of any root in each scan cell (p_idx,
-    cell_idx) at wage J: welfare if welfare, else profit at commission tau.
-
-    On a cell [z_lo, z_hi] the idle drivers I(z) fall (alpha_T < 0) and so
-    does the throughput Q(z) (beta_T < 0), while t + z rises.  So a root of
-    the cell has Q in [Q(z_hi), Q(z_lo)] and L = I + (t+z)Q in [I(z_hi) +
-    (t+z_lo)Q(z_hi), I(z_lo) + (t+z_hi)Q(z_lo)].  Profit tau*p*Q - J*L and
-    welfare S(p, z) + p*Q - C(L) are monotone in z, Q and L with known
-    signs (prices are >= 0; a wage may take either sign), so their values
-    at these ends, computed by the model functions and in the order the
-    value table uses, enclose the root's value.  Each bound is padded
-    outward by _BOUND_PAD times the size of the value's terms.
-    """
-    s = tables.scenario
-    p, z_lo, z_hi = tables.p[p_idx], tables.z[cell_idx], tables.z[cell_idx + 1]
-    iz = idle_from_time(s.pickup, tables.z)
+def _cell_ends(s: PeriodScenario, z, p, cell_idx):
+    """(z_lo, z_hi, Q_a, Q_b, L_min, L_max) of the cells [z_lo, z_hi] of
+    grid z at prices p: on a cell the idle drivers I(z) fall (alpha_T < 0)
+    and so does the throughput Q(z) (beta_T < 0), while t + z rises, so Q
+    lies in [Q_b, Q_a] = [Q(z_hi), Q(z_lo)] and L = I + (t+z)Q in [L_min,
+    L_max] = [I(z_hi) + (t+z_lo)Q_b, I(z_lo) + (t+z_hi)Q_a]."""
+    z_lo, z_hi = z[cell_idx], z[cell_idx + 1]
+    iz = idle_from_time(s.pickup, z)
     Q_a, Q_b = demand(s.demand, p, z_lo), demand(s.demand, p, z_hi)   # Q_a >= Q >= Q_b
     L_min = iz[cell_idx + 1] + (s.trip_time + z_lo) * Q_b
     L_max = iz[cell_idx] + (s.trip_time + z_hi) * Q_a
+    return z_lo, z_hi, Q_a, Q_b, L_min, L_max
+
+
+def _value_bounds(tables: PeriodTables, p_idx, cell_idx, J, tau, welfare: bool, z=None):
+    """(lo, hi) enclosing the value of any root in each cell (p_idx,
+    cell_idx) of the grid z (default: the scan grid) at wage J: welfare if
+    welfare, else profit at commission tau; see :func:`_bounds`."""
+    p = tables.p[p_idx]
+    ends = _cell_ends(tables.scenario, tables.z if z is None else z, p, cell_idx)
+    return _bounds(tables.scenario, p, ends, J, tau, welfare)
+
+
+def _bounds(s: PeriodScenario, p, ends, J, tau, welfare: bool):
+    """(lo, hi) enclosing the value of any root in cells at prices p with
+    ends = (z_lo, z_hi, Q_a, Q_b, L_min, L_max) from :func:`_cell_ends`
+    (z_lo, z_hi are read for welfare only).
+
+    Profit tau*p*Q - J*L and welfare S(p, z) + p*Q - C(L) are monotone in
+    z, Q and L with known signs (prices are >= 0; a wage may take either
+    sign), so their values at these ends, computed by the model functions
+    and in the order the value table uses, enclose the root's value.  Each
+    bound is padded outward by _BOUND_PAD times the size of the value's
+    terms.
+    """
+    z_lo, z_hi, Q_a, Q_b, L_min, L_max = ends
+    del ends
     # names are dropped once used and sums built in place (a + b == b + a
     # bit for bit), since a batch's bounds are the solver's peak memory
-    del iz
     if welfare:
         hi, lo = surplus(s.demand, p, z_lo), surplus(s.demand, p, z_hi)
         del z_lo, z_hi
@@ -455,22 +852,26 @@ def _value_bounds(tables: PeriodTables, p_idx, cell_idx, J, tau, welfare: bool):
     return lo, hi
 
 
-def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray):
+def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor=None):
     """(keep, sets) for value enclosures [lo, hi] whose cells come in runs
-    of ascending cell id, J being each one's wage.
+    of ascending cell id, J being each one's wage and floor, if given, a
+    value below which no root is needed (for a table read for its best
+    cell, one that the table attains).
 
     A cell's threshold is its largest lo, and at least 0 at J <= 0, where
-    the shutdown equilibrium (value 0) stands; a NaN lo is skipped, so it
-    never raises a threshold.  An enclosure is kept unless its hi falls
-    below the threshold (a NaN hi is kept), so a root that can win or tie
-    is kept.  sets marks the enclosures whose lo is a threshold above that
-    floor, and those are kept too.
+    the shutdown equilibrium (value 0) stands, and at least its floor; a
+    NaN lo is skipped, so it never raises a threshold.  An enclosure is
+    kept unless its hi falls below the threshold (a NaN hi is kept), so a
+    root that can win or tie is kept.  sets marks the enclosures whose lo
+    is a threshold above those floors, and those are kept too.
     """
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    floor = np.where(J[starts] > 0.0, -np.inf, 0.0)
-    thr = np.fmax(np.fmax.reduceat(lo, starts), floor)
+    base = np.where(J[starts] > 0.0, -np.inf, 0.0)
+    if floor is not None:
+        np.maximum(base, floor[starts], out=base)
+    thr = np.fmax(np.fmax.reduceat(lo, starts), base)
     widths = np.diff(starts, append=lo.size)
-    above = np.repeat(thr > floor, widths)
+    above = np.repeat(thr > base, widths)
     thr = np.repeat(thr, widths)
     sets = (lo == thr) & above
     return ~(hi < thr) | sets, sets

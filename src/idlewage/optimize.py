@@ -8,8 +8,9 @@ minimum-wage constraint on a pair of cyclic hour blocks.
 Every regime reduces one object, a period's value table: the best value
 over the price grid at each (tau, J) cell, with the winning price and
 equilibrium.  Every grid cell is evaluated through the bracketing
-equilibrium solver, which refines only the brackets whose value enclosure
-reaches the best of their cell, and each (tau, J) cell keeps its winning
+equilibrium solver, which scans only the tiles and refines only the
+brackets whose value enclosure reaches what the table is read for (every
+cell, or only its best one), and each (tau, J) cell keeps its winning
 root in one lexicographic pass over value, price, throughput and labour.
 Ties between cells break lexicographically through one helper,
 ``_lex_first``.
@@ -47,6 +48,7 @@ from .equilibrium import (
     RootSet,
     SolverConfig,
     _runs,
+    coarse_thresholds,
     equilibrium_at,
     equilibrium_components,
     solve_slices,
@@ -95,12 +97,14 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _wage_list(values, name: str) -> np.ndarray:
     """values as a float array; ValueError naming the argument unless a finite,
-    ascending, one-dimensional list."""
+    non-negative, ascending, one-dimensional list."""
     js = np.asarray(values, dtype=float)
     if js.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional list")
     if not np.all(np.isfinite(js)):
         raise ValueError(f"{name} must be finite")
+    if np.any(js < 0):
+        raise ValueError(f"{name} must be >= 0 (idle wages are never negative)")
     if np.any(np.diff(js) < 0):
         raise ValueError(f"{name} must be in ascending order")
     return js
@@ -261,7 +265,8 @@ class ValueTable:
     """Best value over the price grid per cell, with its price index and root.
 
     Arrays are (n_tau, n_j).  z is the winning equilibrium's pickup-time
-    root; NaN marks the shutdown equilibrium (only possible at J = 0).
+    root; NaN marks the shutdown equilibrium (only possible at J = 0).  A
+    NaN value marks a cell that a ``"best"`` table did not compute.
     """
 
     values: np.ndarray
@@ -276,6 +281,12 @@ class TableRequest:
     Equal requests have equal tables, so a mapping from requests to tables
     never returns a table computed for other inputs.  Build one with
     :meth:`of`, which validates the commission and wage lists.
+
+    reduction names what the table is read for.  ``"cells"``: every cell
+    holds its best value.  ``"best"``: only the table's best cell and the
+    cells at or above some value the table provably attains are computed,
+    so its lexicographic winner is the ``"cells"`` table's; every other
+    cell's value is NaN.
     """
 
     period: PeriodScenario
@@ -284,22 +295,28 @@ class TableRequest:
     taus: tuple[float, ...]
     wages: tuple[float, ...]
     cfg: SolverConfig
+    reduction: str = "cells"
 
     @staticmethod
     def of(
         s: PeriodScenario, obj: Objective, g: GridSpec = GridSpec(),
         cfg: SolverConfig = DEFAULT_SOLVER, tau_values=None, j_values=None,
+        reduction: str = "cells",
     ) -> "TableRequest":
         """The table of s over g's price grid at tau_values x j_values.
 
         tau_values and j_values default to g's grids; tau_values must be a
-        nonempty list of commissions in [0, 1], j_values finite and ascending.
+        nonempty list of commissions in [0, 1], j_values finite, >= 0 and
+        ascending; reduction is ``"cells"`` or ``"best"``.
         """
         taus = g.tau_values() if tau_values is None else np.asarray(tau_values, dtype=float)
         if taus.ndim != 1 or not taus.size or not np.all((taus >= 0.0) & (taus <= 1.0)):
             raise ValueError("tau_values must be a nonempty list of commissions in [0, 1]")
         js = g.j_values() if j_values is None else _wage_list(j_values, "j_values")
-        return TableRequest(s, obj, *(tuple(a.tolist()) for a in (g.p_values(), taus, js)), cfg)
+        if reduction not in ("cells", "best"):
+            raise ValueError(f"reduction must be 'cells' or 'best', got {reduction!r}")
+        grids = (tuple(a.tolist()) for a in (g.p_values(), taus, js))
+        return TableRequest(s, obj, *grids, cfg, reduction)
 
     def slice_key(self) -> tuple:
         """What the roots depend on besides the weight beta * (1 - tau): the
@@ -368,13 +385,23 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     u, row = np.unique(np.stack((objs, w, taus.view(np.int64)), 1), axis=0, return_inverse=True)
     objs, w, taus = u[:, 0], u[:, 1], u[:, 2].view(float)
     welfare = objs == list(Objective).index(Objective.WELFARE)
+    rows_of = np.split(row, np.cumsum(n)[:-1])   # each request's rows
+    cells = np.zeros(len(u), dtype=bool)
+    for r, i in zip(requests, rows_of):
+        cells[i] |= r.reduction == "cells"
+    best = [i for r, i in zip(requests, rows_of) if r.reduction == "best"]
+    # thresholds from the coarse scan, before the parts split, so the tiles
+    # scanned do not depend on the thread count
+    floor, mins = coarse_thresholds(tables, wages, coefs, (w, taus, welfare), best, cells)
     # unfilled; the group's chunks fill every row
     values, p_idx, z = (np.empty((len(u), wages.size), d) for d in (float, np.intp, float))
 
     def stream(part):
         k = w - part[0]   # each row's index into the part's weights
         ours = (k >= 0) & (k < part.size)
-        reads = k[ours], taus[ours], welfare[ours]   # only brackets that can win are refined
+        # only tiles and brackets that can win are scanned and refined
+        reads = (k[ours], taus[ours], welfare[ours], floor[ours],
+                 None if mins is None else mins[ours])
         for rows, roots in solve_slices(tables, wages, coefs[part], reads):
             for o, obj in enumerate(Objective):
                 mine = np.flatnonzero((objs == o) & (k >= rows.start) & (k < rows.stop))
@@ -384,8 +411,11 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
             del roots   # before the next chunk refines
 
     _parallel_map(stream, np.array_split(np.arange(coefs.size), min(threads, coefs.size)), threads)
-    return {r: ValueTable(values[i], p_idx[i], z[i])
-            for r, i in zip(requests, np.split(row, np.cumsum(n)[:-1]))}
+    # a row read only for best cells is exact at or above its floor, and a
+    # J > 0 cell without a root was never reached: neither is computed
+    floor = floor[:, None]
+    values[(values < floor) | (np.isnan(z) & (wages > 0.0) & (floor > -np.inf))] = np.nan
+    return {r: ValueTable(values[i], p_idx[i], z[i]) for r, i in zip(requests, rows_of)}
 
 
 def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
@@ -397,7 +427,10 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     streams through :func:`solve_slices`.  A group keeps one table of its
     distinct (objective, weight, commission) rows: each chunk's roots are
     reduced once per objective into the rows they serve, then dropped, and
-    a request's table is a copy of its rows.  Groups run largest
+    a request's table is a copy of its rows.  A row read in full by some
+    request is computed in full; one read only by ``"best"`` requests is
+    computed at or above the least of their floors (see
+    :func:`coarse_thresholds`), and NaN elsewhere.  Groups run largest
     first; with n groups and n < threads, group i holds threads // n +
     (i < threads % n) threads, else one: at most threads streams at once.
     """
@@ -419,18 +452,21 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
 
 def _tables_for(requests, tables, threads: int) -> list[ValueTable]:
     """The table of each request: from the tables mapping when it holds
-    one, else computed in one :func:`value_tables` call."""
+    one (a "cells" table serves a "best" request too, being exact in every
+    cell), else computed in one :func:`value_tables` call."""
     have = tables or {}
-    new = value_tables([r for r in requests if r not in have], threads)
-    return [have[r] if r in have else new[r] for r in requests]
+    held = [next((have[q] for q in (r, replace(r, reduction="cells")) if q in have), None)
+            for r in requests]
+    new = value_tables([r for r, t in zip(requests, held) if t is None], threads)
+    return [new[r] if t is None else t for r, t in zip(requests, held)]
 
 
 def day_requests(
     d: DayScenario, obj: Objective, g: GridSpec = GridSpec(),
-    cfg: SolverConfig = DEFAULT_SOLVER, tau_values=None,
+    cfg: SolverConfig = DEFAULT_SOLVER, tau_values=None, reduction: str = "cells",
 ) -> list[TableRequest]:
     """The :class:`TableRequest` of every period of the day, in period order."""
-    first = TableRequest.of(d.periods[0], obj, g, cfg, tau_values)
+    first = TableRequest.of(d.periods[0], obj, g, cfg, tau_values, reduction=reduction)
     return [replace(first, period=s) for s in d.periods]   # the periods share one set of grids
 
 
@@ -466,7 +502,7 @@ def optimize_single_period(
 ) -> OptimResult:
     """Maximize the objective over the full (p, J, tau) grid for one period."""
     p_vals, j_vals, tau_vals = g.p_values(), g.j_values(), g.tau_values()
-    r = TableRequest.of(s, obj, g, cfg)
+    r = TableRequest.of(s, obj, g, cfg, reduction="best")
     (t,) = _tables_for([r], None, threads)
     ti, ji = divmod(
         _lex_first(-t.values, p_vals[t.p_idx], j_vals, tau_vals[:, None]), j_vals.size
@@ -548,7 +584,7 @@ def optimize_day_flexible(
     over (p, J) at tau = 1.  tables as in :func:`sweep_idle_wage`.
     """
     p_vals, j_vals = g.p_values(), g.j_values()
-    requests = day_requests(d, obj, g, cfg, tau_values=[1.0])
+    requests = day_requests(d, obj, g, cfg, tau_values=[1.0], reduction="best")
     eqs = [
         _winner(r, t, 0, _lex_first(-t.values[0], p_vals[t.p_idx[0]], j_vals))
         for r, t in zip(requests, _tables_for(requests, tables, threads))

@@ -366,12 +366,15 @@ def test_criterion_10_reproduce_all_determinism(tmp_path):
         "solver": {"scan_points": 512},
     }))
     outs = []
+    # the child imports idlewage from wherever this process does, installed
+    # or not: pytest's pythonpath setting reaches only its own process
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     for threads, sub in (("1", "a"), (str(THREADS), "b")):
         outdir = tmp_path / sub
         proc = subprocess.run(
             [sys.executable, "-m", "idlewage.cli", "reproduce-all",
              "--outdir", str(outdir), "--config", str(cfg), "--threads", threads],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(outdir)

@@ -1,8 +1,11 @@
 """Pruned refinement: each bracket's value enclosure, the cut that keeps the
-brackets able to win, and the full solve when a threshold's root is lost."""
+brackets able to win, the full solve when a threshold's root is lost, the
+tiles the coarse thresholds leave to scan, and the tables read only for
+their best cell."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,16 +15,21 @@ from hypothesis import strategies as st
 from idlewage import GridSpec, Objective, SolverConfig, TableRequest, period_for_hour, value_tables
 from idlewage import equilibrium
 from idlewage.equilibrium import (
+    _BLOCK,
+    BracketingError,
     PeriodTables,
     _brackets,
+    _complete,
     _cut,
+    _needed,
     _refine,
     _value_bounds,
+    coarse_thresholds,
     equilibrium_components,
     solve_slices,
 )
 from idlewage.objectives import profit_values, welfare_values
-from idlewage.optimize import _best_over_prices
+from idlewage.optimize import _best_over_prices, _lex_first
 
 COARSE = GridSpec(p_step=0.1, j_step=0.2, tau_step=0.25)
 FAST_SOLVER = SolverConfig(scan_points=1024)
@@ -161,3 +169,148 @@ class TestLostThreshold:
         value_tables([TableRequest.of(period_for_hour(h), obj, COARSE, FAST_SOLVER)
                       for h in (4, 19) for obj in Objective])
         assert lost == []
+
+
+def default_group(hour, beta):
+    """A default-grid period's tables, wages, weights and its (objective,
+    commission) rows: k, tau, welfare."""
+    g, s = GridSpec(), period_for_hour(hour, beta)
+    tables = PeriodTables.build(s, g.p_values(), SolverConfig())
+    taus = g.tau_values()
+    coefs = beta * (1.0 - taus[::-1])   # ascending, as value_tables orders them
+    k = np.tile(np.arange(taus.size)[::-1], 2)
+    return tables, g.j_values(), coefs, (k, np.tile(taus, 2), np.repeat([False, True], taus.size))
+
+
+class TestTiles:
+    @pytest.mark.parametrize("hour, beta", [(19, 0.25), (4, 0.2), (12, 0.95)])
+    def test_kept_and_threshold_brackets_lie_in_needed_tiles(self, hour, beta):
+        # every bracket that the per-cell cut of the full scan keeps or sets a
+        # threshold with, and every one whose bound reaches a best table's
+        # floor, lies in a tile the tile test scans
+        tables, wages, coefs, rows = default_group(hour, beta)
+        k, tau, welfare = rows
+        best = [np.flatnonzero(~welfare), np.flatnonzero(welfare)]
+        for cells in (None, np.zeros(k.size, dtype=bool)):
+            floor, mins = coarse_thresholds(tables, wages, coefs, rows, best, cells)
+            assert mins is not None
+            t, tile = _needed(tables, wages, coefs, range(coefs.size), (*rows, floor, mins))
+            need = np.zeros((coefs.size, tables.blocks.bad.size), dtype=bool)
+            need[t, tile] = True
+            kept = 0
+            for r in range(k.size):
+                p_idx, cell_idx, j_idx, _ = _brackets(tables.H - coefs[k[r]] * tables.G, wages)
+                J = wages[j_idx]
+                lo, hi = _value_bounds(tables, p_idx, cell_idx, J, tau[r], welfare[r])
+                if cells is None:
+                    keep, sets = _cut(lo, hi, j_idx, J)
+                    keep |= sets
+                else:
+                    assert floor[r] > 0.0
+                    keep = ~(hi < floor[r])
+                blocks = p_idx * tables.blocks.n_b + cell_idx // _BLOCK
+                assert need[k[r], blocks[keep]].all()
+                kept += keep.sum()
+            assert 0 < need.mean() < (0.1 if cells is None else 0.01)
+            assert kept > 0
+
+    @pytest.mark.parametrize("hour", [4, 19])
+    def test_tile_path_tables_equal_the_unpruned_reduction(self, hour, monkeypatch):
+        # the fast grids' blocks are wide, so rows read in full scan every
+        # tile; with the bound lifted they take the tile path, bit for bit
+        monkeypatch.setattr(equilibrium, "_MAX_BLOCK_RATIO", math.inf)
+        reqs = [TableRequest.of(period_for_hour(hour, b), obj, COARSE, FAST_SOLVER)
+                for b in (0.25, 1.0) for obj in Objective]
+        assert_tables_equal_unpruned(reqs, value_tables(reqs, threads=2))
+
+    def test_completeness_scans_a_row_finely_before_raising(self):
+        # row 0 has no coarse count step over J = 1 but a fine one inside
+        # its first block; row 1 has none at all
+        n_z = 2 * _BLOCK + 1
+        H = np.full((2, n_z), 2.0)
+        H[0, 5] = 0.5
+        tables = SimpleNamespace(H=H, G=np.zeros_like(H))
+        wages, coefs = np.array([0.0, 1.0]), np.array([0.3])
+        coarse = H[:, [0, _BLOCK, 2 * _BLOCK]][None]
+        _, _, j_idx, _ = _brackets(H[:1], wages)
+        assert 1 in j_idx
+        _complete(tables, wages, coefs, coarse[:, :1])
+        with pytest.raises(BracketingError, match="widen"):
+            _complete(tables, wages, coefs, coarse)
+
+    @pytest.mark.parametrize("reduction", ["cells", "best"])
+    def test_overflowing_table_still_raises(self, reduction):
+        # kappa = 720: NaN margins everywhere, no bracket for most prices
+        s = period_for_hour(19)
+        s = dataclasses.replace(s, demand=dataclasses.replace(s.demand, kappa=720.0))
+        r = TableRequest.of(s, Objective.PROFIT, COARSE, FAST_SOLVER, reduction=reduction)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BracketingError, match="widen"):
+                value_tables([r])
+
+
+def lex_winner(r, t):
+    p, j, tau = np.array(r.prices), np.array(r.wages), np.array(r.taus)
+    return _lex_first(-t.values, p[t.p_idx], j, tau[:, None])
+
+
+class TestBestReduction:
+    @pytest.mark.parametrize("obj", list(Objective))
+    @pytest.mark.parametrize("hour, beta, grid, cfg", [
+        (19, 0.25, GridSpec(), SolverConfig()),
+        (4, 0.2, GridSpec(), SolverConfig()),
+        (19, 0.25, COARSE, FAST_SOLVER),
+        (12, 0.95, COARSE, FAST_SOLVER),
+    ], ids=["default-19", "default-4", "coarse-19", "coarse-12"])
+    def test_best_table_agrees_with_cells_table(self, obj, hour, beta, grid, cfg):
+        cells = TableRequest.of(period_for_hour(hour, beta), obj, grid, cfg)
+        best = dataclasses.replace(cells, reduction="best")
+        want, got = value_tables([cells])[cells], value_tables([best])[best]
+        i = lex_winner(cells, want)
+        assert lex_winner(best, got) == i
+        for a, b in zip((want.values, want.p_idx, want.z), (got.values, got.p_idx, got.z)):
+            assert np.array_equal(a.flat[i:i + 1].view(np.int64), b.flat[i:i + 1].view(np.int64))
+        # every cell the best table skipped is NaN; every other one is exact
+        skipped = np.isnan(got.values)
+        assert skipped.any() and not skipped.all()
+        for a, b in zip((want.values, want.p_idx, want.z), (got.values, got.p_idx, got.z)):
+            assert np.array_equal(a[~skipped].view(np.int64), b[~skipped].view(np.int64))
+
+    def test_rows_read_in_full_are_not_skipped(self):
+        # the same rows read for every cell by one request and for the best
+        # cell by another: the finest reduction wins, so neither has a NaN
+        cells = TableRequest.of(period_for_hour(19), Objective.PROFIT, COARSE, FAST_SOLVER)
+        best = dataclasses.replace(cells, reduction="best")
+        got = value_tables([cells, best])
+        assert not np.isnan(got[best].values).any()
+        for a, b in zip((got[cells].values, got[cells].z), (got[best].values, got[best].z)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_shared_rows_take_the_lowest_floor(self):
+        # two best tables of one period at betas 0.25 and 0.5 share their
+        # tau = 1 row (weight 0); each keeps the winner it has alone
+        reqs = [TableRequest.of(period_for_hour(19, b), obj, COARSE, FAST_SOLVER,
+                                reduction="best") for b in (0.25, 0.5) for obj in Objective]
+        together = value_tables(reqs, threads=2)
+        for r in reqs:
+            alone = value_tables([r])[r]
+            i = lex_winner(r, alone)
+            assert lex_winner(r, together[r]) == i
+            assert together[r].values.flat[i] == alone.values.flat[i]
+
+    @pytest.mark.parametrize("wages", [[0.0, 0.7], [0.7, 1.4]])
+    def test_floor_is_a_value_the_table_attains(self, wages):
+        # the floor is at least 0 exactly when the wage grid holds J = 0 (the
+        # shutdown's value) and never above the best cell
+        s = period_for_hour(19)
+        r = TableRequest.of(s, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages,
+                            reduction="best")
+        tables = PeriodTables.build(s, COARSE.p_values(), FAST_SOLVER)
+        taus = COARSE.tau_values()
+        coefs = s.supply.risk_beta * (1.0 - taus[::-1])
+        rows = (np.arange(taus.size)[::-1], taus, np.zeros(taus.size, dtype=bool))
+        floor, _ = coarse_thresholds(tables, np.array(wages), coefs, rows,
+                                     [np.arange(taus.size)], np.zeros(taus.size, dtype=bool))
+        assert np.all(floor == floor[0])
+        assert floor[0] <= np.nanmax(value_tables([r])[r].values)
+        assert floor[0] >= 0.0 if wages[0] == 0.0 else np.isfinite(floor[0])

@@ -157,7 +157,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "wages, problem",
         [([2.0, 1.2, 0.4], "ascending"), ([np.nan], "finite"), ([0.4, np.inf], "finite"),
-         ([[0.4, 0.8]], "one-dimensional")],
+         ([[0.4, 0.8]], "one-dimensional"), ([-0.5, 0.0, 0.7], ">= 0")],
     )
     def test_bad_wage_list_rejected_by_name(self, wages, problem):
         with pytest.raises(ValueError, match=f"J_values must be .*{problem}"):
