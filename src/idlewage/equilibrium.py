@@ -13,10 +13,11 @@ into a one-dimensional root problem: the labour-balance residual
 ``supply(e_z, J) - L1(z)`` is continuous, negative as z -> 0 and positive
 as z -> inf whenever J > 0, so every equilibrium is a sign change.  The
 solver scans a geometric z-grid for sign changes and refines each bracket
-by bisection.  The optimizer's path first bounds whole blocks of the grid,
-scans finely only the blocks whose value enclosure reaches the threshold
-of a (tau, J) cell it reads, and refines only the brackets that can win
-or tie that cell.
+by bisection.  The optimizer's path refines only the brackets whose value
+enclosure reaches the best of their (tau, J) cell; for a table read only
+for its best cell it first bounds whole blocks of the grid, and scans
+finely only the blocks whose value enclosure reaches a value the table
+attains.
 
 The solver is vectorized over a whole price grid, idle-wage grid and list
 of commissions at once, as the grid-search optimizer uses it; a
@@ -162,22 +163,17 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # chunks of _MAX_BATCH refined brackets or more.  The bound is per stream
 # of weights, whatever the thread count.
 #
-# The optimizer's path scans by tiles: a tile is one price's block of
-# _BLOCK scan cells at one weight.  The coarse scan (every _BLOCK-th point)
-# gives each value-table cell a threshold, an enclosure of W on each block
-# gives the wages a tile can bracket, and only the tiles whose value bound
-# reaches one of those wages' thresholds are scanned finely.
+# A table read only for its best cell is scanned by tiles: a tile is one
+# price's block of _BLOCK scan cells at one weight.  A floor, a value the
+# table attains, comes first; an enclosure of W on each block gives the
+# wages a tile can bracket, and only the tiles whose value bound at those
+# wages reaches the floor are scanned finely.
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
 _BLOCK = 16
-# Budget on the tiles (or coarse scan cells) that one batch of weights holds.
+# Budget on the tiles (or block-end scan points) that one batch of weights holds.
 _MAX_TILES = 2**18
-# Widest z-ratio of a block at which rows read in full take the tile path:
-# with wider blocks (under about 2048 scan points at the default window)
-# their enclosures are too loose to prune a profit table, and the coarse
-# brackets cost more than the fine scan they save.
-_MAX_BLOCK_RATIO = 1.12
 # Tiles refined to find a best table's witness value, and the share of
 # all tiles, 1/_WITNESS_SHARE, ranked for them.
 _WITNESS_TILES = 32
@@ -256,16 +252,14 @@ class _Blocks:
 
     n_b: int
     p: np.ndarray            # the tile's price
-    Q_a: np.ndarray          # the throughput and labour ranges of _cell_ends
-    Q_b: np.ndarray
+    Q_a: np.ndarray          # the largest throughput and the labour range of _cell_ends
     L_min: np.ndarray
     L_max: np.ndarray
     H_lo: np.ndarray         # supply margin at L_min and at L_max
     H_hi: np.ndarray
     G_lo: np.ndarray         # earnings base bounds pQ_b/L_max and pQ_a/L_min
     G_hi: np.ndarray
-    welfare_lo: np.ndarray   # the block's welfare enclosure (J- and tau-free)
-    welfare_hi: np.ndarray
+    welfare_hi: np.ndarray   # the block's welfare upper bound (J- and tau-free)
     bad: np.ndarray          # the block holds a non-finite G or H
 
     @staticmethod
@@ -275,8 +269,12 @@ class _Blocks:
         z = tables.z[pts]
         p_idx, b = np.divmod(np.arange(n_p * (pts.size - 1)), pts.size - 1)
         p = tables.p[p_idx]
-        _, _, Q_a, Q_b, L_min, L_max = _cell_ends(s, z, p, b)
+        ends = _cell_ends(s, z, p, b)
+        _, welfare_hi = _bounds(s, p, ends, 0.0, 0.0, True)   # welfare writes no end in place
+        _, _, Q_a, Q_b, L_min, L_max = ends
+        del ends
         G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
+        del Q_b
         H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
         # a block's sum of G and H is finite only if each term is (an
         # overflowing sum of finite terms marks it too, which only scans more)
@@ -284,9 +282,8 @@ class _Blocks:
         for a in (tables.G, tables.H):
             ends += np.add.reduceat(a, pts[:-1], axis=1)
         bad = ~np.isfinite(ends.ravel() + H_lo + H_hi + G_lo + G_hi)
-        welfare = _value_bounds(tables, p_idx, b, 0.0, 0.0, True, z)
-        return _Blocks(pts.size - 1, p, Q_a, Q_b, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
-                       *welfare, bad)
+        return _Blocks(pts.size - 1, p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
+                       welfare_hi, bad)
 
 
 def _margin(s: PeriodScenario, coef, p, z, ep=None):
@@ -382,99 +379,86 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     chunk: the range of consecutive indices into coefs and their roots.  A
     scan cell brackets exactly the (ascending) wages its count steps over.
 
-    With reads None every scan cell is scanned and every bracket refined,
-    so every root is found.  Otherwise reads holds five arrays indexed
-    first by the value-table rows that read the roots: k, each row's index
-    into coefs; tau, its commission; welfare, whether it scores welfare
-    (else profit); and floor and mins, as :func:`coarse_thresholds` gives
-    them.  Then only the tiles whose enclosure can reach a row's thresholds
-    are scanned (see :func:`_needed`; every tile where mins is None), and
-    only the brackets whose root may win or tie a row's (tau, J) cell, at
-    or above its floor, are refined (see :func:`_prune`).  Should a bracket
-    that set a cell's threshold give no root, its weight is solved again
-    with every bracket refined.
+    With reads None every bracket is refined, so every root is found.
+    Otherwise reads holds four arrays over the value-table rows that read
+    the roots: k, each row's index into coefs; tau, its commission;
+    welfare, whether it scores welfare (else profit); floor, None when the
+    rows are read for every cell, else each row's floor from
+    :func:`best_floors`.  Then only the brackets whose root may win or tie
+    a row's (tau, J) cell, at or above its floor, are refined (see
+    :func:`_prune`).  With floors only the tiles whose enclosure can reach
+    a row's floor are scanned (see :func:`_needed`); without, every scan
+    cell is, and a cell with J > 0 that lacks a bracket at some price
+    raises :class:`BracketingError`.  Should a bracket that set a cell's
+    threshold give no root, its weight is solved again with every bracket
+    refined.
 
-    Weights are bracketed one at a time with reads None, else in batches
-    of at most _MAX_TILES tiles, or, where every tile is scanned, in
-    batches that close at the first weight bringing the open chunk's
-    refined brackets and the batch's to ``_MAX_BATCH``.  A chunk closes at
-    the first weight that brings its refined brackets there, or at the last
-    weight.
-    A chunk's brackets bisect together, each steered by the table's sign
-    at its low end.  A bracket ends when it is narrower than
-    ``bisect_tol`` with the residual at its midpoint within half of
-    ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
-    end); that midpoint is emitted only if its residual is within
+    Weights are bounded in batches: a batch closes at the first weight that
+    brings the chunk's refined and unbounded brackets to ``_MAX_BATCH``,
+    and a chunk at the first batch that brings its refined brackets there,
+    or at the last weight.  A chunk's brackets bisect together, each
+    steered by the table's sign at its low end.  A bracket ends when it is
+    narrower than ``bisect_tol`` with the residual at its midpoint within
+    half of ``tol_eq``, or when float spacing is exhausted (the midpoint
+    equals an end); that midpoint is emitted only if its residual is within
     ``tol_eq``.
     """
     j_values, coefs = np.asarray(j_values, dtype=float), np.asarray(coefs, dtype=float)
-    room = [1 if reads is None else _MAX_BATCH]   # what a full-scan batch may add
-    if reads is None or reads[4] is None:
-        batches = _scan(tables, j_values, coefs, room)
+    if reads is None or reads[3] is None:
+        scan = _scan(tables, j_values, coefs)
     else:
-        batches = _tile_scan(tables, j_values, coefs, reads)
-    held, start, size = [], 0, 0
-    for weights, cols in batches:
+        scan = _tile_scan(tables, j_values, coefs, reads)
+    found, kept, start, batch, size = [], [], 0, 0, 0
+    for t, cols in scan:
+        size += cols[0].size
+        found.append(cols)
+        last = t == coefs.size - 1
+        if size < _MAX_BATCH and not last:
+            continue
+        cols = _stack(found)
         if reads is not None:
-            keep, sets = _prune(tables, j_values, cols, weights, reads)
+            keep, sets = _prune(tables, j_values, cols, range(batch, t + 1), reads)
             cols = [c[keep] for c in cols] + [sets[keep]]
+            size -= keep.size - cols[0].size
             del keep, sets
-        chunks, cut, prev = [], 0, 0
-        for t, end in zip(weights, np.searchsorted(cols[0], weights, side="right").tolist()):
-            size, prev = size + end - prev, end
-            if size < _MAX_BATCH and t < coefs.size - 1:
-                continue
-            held.append([c[cut:end] for c in cols])
-            chunks.append((range(start, t + 1), _stack(held)))
-            cut, start, size = end, t + 1, 0
-        if cut < cols[0].size:
-            held.append([c[cut:] for c in cols])
-        del cols   # the batch is held only through its chunks and the held tail
-        if reads is not None:
-            room[0] = _MAX_BATCH - size
-        for rows, chunk in chunks:
-            yield rows, _chunk_roots(tables, j_values, coefs, chunk, reads is not None)
+        kept.append(cols)
+        batch = t + 1
+        if size < _MAX_BATCH and not last:
+            continue
+        cols = _stack(kept)
+        sets = cols.pop() if reads is not None else None
+        t_idx, p_idx, j_idx = cols[0], cols[1], cols[3]
+        z = _refine(tables, j_values, cols)
+        ok = ~np.isnan(z)
+        roots = RootSet(t_idx[ok], p_idx[ok], j_idx[ok], z[ok])
+        if sets is not None and (lost := np.unique(t_idx[sets & ~ok])).size:
+            roots = _solve_in_full(tables, j_values, coefs, roots, lost)
+        del t_idx, p_idx, j_idx, z, ok, sets
+        yield range(start, t + 1), roots
+        start, size = t + 1, 0
 
 
-def _chunk_roots(tables: PeriodTables, j_values, coefs, cols: list, pruned: bool) -> RootSet:
-    """The roots of a chunk's bracket columns, emptied as :func:`_refine`
-    does; when pruned, a last column marks the brackets that set a
-    threshold, and a weight that loses one is solved in full."""
-    sets = cols.pop() if pruned else None
-    t_idx, p_idx, j_idx = cols[0], cols[1], cols[3]
-    z = _refine(tables, j_values, cols)
-    ok = ~np.isnan(z)
-    roots = RootSet(t_idx[ok], p_idx[ok], j_idx[ok], z[ok])
-    if sets is not None and (lost := np.unique(t_idx[sets & ~ok])).size:
-        roots = _solve_in_full(tables, j_values, coefs, roots, lost)
-    return roots
-
-
-def _scan(tables: PeriodTables, j_values, coefs, room: list):
-    """(weights, cols): the bracket columns (t_idx, p_idx, cell_idx, j_idx,
-    s_lo, coef) of whole scan tables, per batch of weights that closes at
-    the first weight bringing its brackets to room[0], or at the last; the
-    caller may change room[0] between batches."""
+def _scan(tables: PeriodTables, j_values, coefs):
+    """(t, cols) per weight: the bracket columns (t_idx, p_idx, cell_idx,
+    j_idx, s_lo, coef) of weight t's whole scan table."""
     W = np.empty_like(tables.H)   # the margin H - coef*G, one buffer for every weight
-    found, start, n_found = [], 0, 0
     for t, coef in enumerate(coefs):
         np.multiply(tables.G, coef, out=W)
         np.subtract(tables.H, W, out=W)
         p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
         n = p_idx.size
-        found.append((np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef)))
-        n_found += n
-        if n_found >= room[0] or t == coefs.size - 1:
-            yield range(start, t + 1), _stack(found)
-            start, n_found = t + 1, 0
+        yield t, (np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef))
 
 
 def _tile_scan(tables: PeriodTables, j_values, coefs, reads):
-    """(weights, cols) per batch of weights: the bracket columns, as
-    :func:`_scan` gives them, of the tiles :func:`_needed` keeps."""
+    """(t, cols) per weight, as :func:`_scan` gives them, from the tiles
+    :func:`_needed` keeps, tested in batches of weights."""
     for weights in _batches(coefs.size, tables.blocks.bad.size):
         t, tile = _needed(tables, j_values, coefs, weights, reads)
-        yield weights, _tile_brackets(tables, j_values, coefs, t, tile)
+        cols = _tile_brackets(tables, j_values, coefs, t, tile)
+        ends = np.searchsorted(cols[0], np.arange(weights.start, weights.stop + 1)).tolist()
+        for t, a, b in zip(weights, ends, ends[1:]):
+            yield t, [c[a:b] for c in cols]
 
 
 def _block_points(n_z: int) -> np.ndarray:
@@ -505,20 +489,16 @@ def _needed(tables: PeriodTables, j_values, coefs, weights: range, reads):
     """(t, tile) of the tiles of the weights in range weights that a row
     of reads needs scanned, weight-major: flat (price, block) indices.
 
-    A tile can bracket only the wages J_i0..J_i1-1 in its margin
-    enclosure.  It is needed when it holds one and a row's value upper
-    bound at the smallest (:func:`_wage_ub`) reaches the least of the row's
-    thresholds over J_i0..J_i1-1, read from its range-minimum table.  Two
-    relaxed passes (:func:`_relaxed_ub`) come first, each keeping a superset
-    of the next: one per tile, for the rows' whole ranges of weight and
-    commission against their least threshold, then one per (row, tile)
-    against the row's.  So the exact pass runs on the survivors alone.  A
-    NaN bound is kept.
+    A tile can bracket only the wages J_a..J_b-1 in its margin enclosure.
+    It is needed when it holds one and a row's value upper bound at J_a
+    (:func:`_wage_ub`) reaches the row's floor.  Two relaxed passes
+    (:func:`_relaxed_ub`) come first, each keeping a superset of the next:
+    one per tile, for the rows' whole ranges of weight and commission
+    against their least floor, then one per (row, tile) against the row's.
+    So the exact pass runs on the survivors alone.  A NaN bound is kept.
     """
-    k, tau, welfare, _, mins = reads
-    B, n_j = tables.blocks, j_values.size
-    lev = n_j.bit_length() - 1
-    least = np.minimum(mins[:, lev, 0], mins[:, lev, n_j - (1 << lev)])
+    k, tau, welfare, floor = reads
+    B = tables.blocks
     need = np.zeros((len(weights), B.bad.size), dtype=bool)
     for w in (False, True):
         r = np.flatnonzero((welfare == w) & (k >= weights.start) & (k < weights.stop))
@@ -526,16 +506,13 @@ def _needed(tables: PeriodTables, j_values, coefs, weights: range, reads):
             continue
         c = coefs[k[r]]
         ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[r].max(), slice(None), w)
-        tile = np.flatnonzero(~(ub < least[r].min()))
+        tile = np.flatnonzero(~(ub < floor[r].min()))
         ub = _relaxed_ub(B, j_values, c[:, None], c[:, None], tau[r, None], tile, w)
-        ri, ti = np.nonzero(~(ub < least[r, None]))
+        ri, ti = np.nonzero(~(ub < floor[r, None]))
         del ub
         r, tile = r[ri], tile[ti]
         a, b, ub = _wage_ub(B, j_values, coefs[k[r]], tau[r], tile, w)
-        some = a < b
-        r, tile, a, b, ub = r[some], tile[some], a[some], b[some], ub[some]
-        lev = np.frexp(b - a)[1] - 1   # floor(log2(b - a))
-        keep = ~(ub < np.minimum(mins[r, lev, a], mins[r, lev, b - (1 << lev)]))
+        keep = (a < b) & ~(ub < floor[r])
         need[k[r[keep]] - weights.start, tile[keep]] = True
     tw, tile = np.nonzero(need)
     return tw + weights.start, tile
@@ -597,87 +574,40 @@ def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
     return ub
 
 
-def coarse_thresholds(tables: PeriodTables, j_values, coefs, reads, best=(), cells=None):
-    """(floor, mins) over the value-table rows of reads = (k, tau, welfare)
-    (as in :func:`solve_slices`): the thresholds that decide which tiles
-    and brackets the rows need.
-
-    best lists the rows of each table read only for its best cell; cells
-    marks the rows that some request reads in full (default: every row).
-    A row's floor is -inf if cells marks it, else the least witness
-    (:func:`_witness`) of the best tables that read it: a value the table
-    provably attains.  A cell's threshold is the largest of its row's
-    floor, 0 at J <= 0 (the shutdown's value), and, in a row read in full,
-    its coarse lower bounds.  The coarse scan takes the table's columns at
-    every _BLOCK-th scan point and the last, so the same bits, and
-    brackets them.  A coarse count step for J proves a fine one in its
-    block, hence a root there, so a coarse bracket's value lower bound
-    (:func:`_value_bounds` on the coarse grid) bounds its (tau, J) cell's
-    value from below.  mins is the range-minimum table of the thresholds,
-    (row, level, J), as :func:`_range_mins` builds it; it is None, and no
-    coarse bracket is bounded, when some row is read in full and the blocks
-    are wider than _MAX_BLOCK_RATIO: then every tile is scanned.
+def best_floors(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarray:
+    """Each row's floor over the value-table rows of reads = (k, tau,
+    welfare), as in :func:`solve_slices`, each read only for its table's
+    best cell; best lists each table's rows.  A row's floor is the least
+    witness (:func:`_witness`) of the tables that read it: a value the
+    table provably attains, so no root below it can win.
 
     Every weight's table must bracket each (price, J > 0) cell
-    (:func:`_complete`), else :class:`BracketingError`.  The pass runs
-    once per group of weights, so the tiles scanned do not depend on how
-    the weights are split.
+    (:func:`_complete`), else :class:`BracketingError`; the check reads the
+    scan table's columns at every block end first, the same bits.  The
+    pass runs once per group of weights, so the tiles scanned do not
+    depend on how the weights are split.
     """
-    k, tau, welfare = reads
-    n_p, n_j, pts = tables.p.size, j_values.size, _block_points(tables.z.size)
-    full = np.ones(k.size, dtype=bool) if cells is None else cells
-    tiles = not full.any() or np.max(tables.z[pts[1:]] / tables.z[pts[:-1]]) <= _MAX_BLOCK_RATIO
-    n_c = pts.size
+    pts = _block_points(tables.z.size)
     Gc, Hc = tables.G[:, pts], tables.H[:, pts]
-    top = np.full((k.size, n_j), -np.inf)   # each (row, J) cell's largest coarse lower bound
-    for weights in _batches(coefs.size, n_p * n_c):
-        W = Hc - coefs[weights, None, None] * Gc
-        _complete(tables, j_values, coefs[weights], W)
-        ours = full & (k >= weights.start) & (k < weights.stop)
-        if not (tiles and ours.any()):
-            continue
-        rows, block, j_idx, _ = _brackets(
-            W.reshape(-1, n_c), j_values, np.repeat(np.arange(len(weights)), n_p))
-        del W
-        B = tables.blocks
-        t, p_idx = np.divmod(rows, n_p)
-        edge = np.searchsorted(t, np.arange(len(weights) + 1))
-        for w in (False, True):
-            r = np.flatnonzero(ours & (welfare == w))
-            if not r.size:
-                continue
-            owner, e = _runs(edge[k[r] - weights.start], np.diff(edge)[k[r] - weights.start])
-            tile = p_idx[e] * B.n_b + block[e]
-            if w:
-                lo = B.welfare_lo[tile]
-            else:   # the coarse cells' ends, as _cell_ends gives them, are the tiles'
-                ends = (None, None, B.Q_a[tile], B.Q_b[tile], B.L_min[tile], B.L_max[tile])
-                lo, _ = _bounds(tables.scenario, B.p[tile], ends, j_values[j_idx[e]],
-                                tau[r][owner], False)
-            starts = np.flatnonzero(np.diff(owner * n_j + j_idx[e], prepend=-1))
-            top[r[owner[starts]], j_idx[e[starts]]] = np.fmax.reduceat(lo, starts)
-
-    shutdown = np.where(j_values > 0.0, -np.inf, 0.0)
-    floor = np.where(full, -np.inf, np.inf)
+    for weights in _batches(coefs.size, Gc.size):
+        _complete(tables, j_values, coefs[weights], Hc - coefs[weights, None, None] * Gc)
+    del Gc, Hc
+    base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
+    floor = np.full(reads[0].size, np.inf)
     for rows in best:
-        if (floor[rows] > -np.inf).any():   # some row is read only for a best cell
-            w = _witness(tables, j_values, coefs, reads, np.unique(rows), shutdown.max())
-            floor[rows] = np.minimum(floor[rows], w)
-    floor[floor == np.inf] = -np.inf
-    if not tiles:
-        return floor, None
-    thr = np.fmax(top, shutdown)   # fmax: a NaN bound raises no threshold
-    np.maximum(thr, floor[:, None], out=thr)
-    return floor, _range_mins(thr)
+        rows = np.unique(rows)
+        floor[rows] = np.minimum(floor[rows], _witness(tables, j_values, coefs, reads, rows, base))
+    return floor
 
 
 def _complete(tables: PeriodTables, j_values, coefs, W) -> None:
     """BracketingError unless every (weight, price) row of the scan table
-    brackets each J > 0; W is the coarse margin, (weight, price, point).
+    brackets each J > 0; W is the margin at the block ends, (weight,
+    price, point).
 
     The brackets of a row span the counts between its least and largest,
     so a row brackets each J > 0 exactly when some margin is <= the least
-    J > 0 and some is above the last wage or NaN.  The coarse points are
+    J > 0 and some is above the last wage or NaN.  The block ends are
     scan points, so a row that passes there passes; one that does not is
     checked on its full scan row.
     """
@@ -731,20 +661,6 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
     return max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
 
 
-def _range_mins(thr: np.ndarray) -> np.ndarray:
-    """Sparse range-minimum table of thr's rows: [:, l, i] is the least of
-    thr[:, i:i + 2**l], so [i0, i1) is read as the lesser of [:, l, i0] and
-    [:, l, i1 - 2**l] with l = floor(log2(i1 - i0))."""
-    n, n_j = thr.shape
-    mins = np.empty((n, n_j.bit_length(), n_j))
-    mins[:, 0] = thr
-    for lev in range(1, n_j.bit_length()):
-        h = 1 << (lev - 1)
-        mins[:, lev] = mins[:, lev - 1]
-        np.minimum(mins[:, lev - 1, :-h], mins[:, lev - 1, h:], out=mins[:, lev, :-h])
-    return mins
-
-
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:
     """roots with those of the weights lost (indices into coefs) replaced by
     all of their roots, still sorted by (t, j, p, z)."""
@@ -767,9 +683,21 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
     :func:`_refine`; reads is as in :func:`solve_slices`.  Each objective's
     rows are bounded in one pass by :func:`_value_bounds`, and
     :func:`_cut` keeps what can reach the best, above each row's floor.
+    Without floors the scan was full, and a cell with J > 0 needs a
+    bracket at every price, else BracketingError.
     """
     t_idx, p_idx, cell_idx, j_idx = cols[0], cols[1], cols[2], cols[3]
-    k, tau, welfare, floor, _ = reads
+    k, tau, welfare, floor = reads
+    if floor is None:
+        has = np.zeros((len(weights), j_values.size, tables.p.size), dtype=bool)
+        has[t_idx - weights.start, j_idx, p_idx] = True
+        if not has[:, j_values > 0.0].all():
+            raise BracketingError(
+                "grid evaluation: a cell with J > 0 has no labour-balance sign change at "
+                "some price in the scan window; widen SolverConfig.z_min/z_max"
+            )
+        del has
+
     edge = np.searchsorted(t_idx, np.arange(weights.start, weights.stop + 1))
     keep, sets = np.zeros(t_idx.size, dtype=bool), np.zeros(t_idx.size, dtype=bool)
     for w in (False, True):
@@ -778,7 +706,8 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
         if b.size:
             J = j_values[j_idx[b]]
             lo, hi = _value_bounds(tables, p_idx[b], cell_idx[b], J, tau[r][owner], w)
-            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, floor[r][owner])
+            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J,
+                                  None if floor is None else floor[r][owner])
             keep[b[keep_b]] = True
             sets[b[sets_b]] = True
     return keep, sets
@@ -798,12 +727,12 @@ def _cell_ends(s: PeriodScenario, z, p, cell_idx):
     return z_lo, z_hi, Q_a, Q_b, L_min, L_max
 
 
-def _value_bounds(tables: PeriodTables, p_idx, cell_idx, J, tau, welfare: bool, z=None):
-    """(lo, hi) enclosing the value of any root in each cell (p_idx,
-    cell_idx) of the grid z (default: the scan grid) at wage J: welfare if
-    welfare, else profit at commission tau; see :func:`_bounds`."""
+def _value_bounds(tables: PeriodTables, p_idx, cell_idx, J, tau, welfare: bool):
+    """(lo, hi) enclosing the value of any root in each scan cell (p_idx,
+    cell_idx) at wage J: welfare if welfare, else profit at commission tau;
+    see :func:`_bounds`."""
     p = tables.p[p_idx]
-    ends = _cell_ends(tables.scenario, tables.z if z is None else z, p, cell_idx)
+    ends = _cell_ends(tables.scenario, tables.z, p, cell_idx)
     return _bounds(tables.scenario, p, ends, J, tau, welfare)
 
 

@@ -48,7 +48,7 @@ from .equilibrium import (
     RootSet,
     SolverConfig,
     _runs,
-    coarse_thresholds,
+    best_floors,
     equilibrium_at,
     equilibrium_components,
     solve_slices,
@@ -286,7 +286,8 @@ class TableRequest:
     holds its best value.  ``"best"``: only the table's best cell and the
     cells at or above some value the table provably attains are computed,
     so its lexicographic winner is the ``"cells"`` table's; every other
-    cell's value is NaN.
+    cell's value is NaN.  Computed beside a ``"cells"`` request of the same
+    slices, a ``"best"`` table is computed in every cell.
     """
 
     period: PeriodScenario
@@ -386,22 +387,18 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     objs, w, taus = u[:, 0], u[:, 1], u[:, 2].view(float)
     welfare = objs == list(Objective).index(Objective.WELFARE)
     rows_of = np.split(row, np.cumsum(n)[:-1])   # each request's rows
-    cells = np.zeros(len(u), dtype=bool)
-    for r, i in zip(requests, rows_of):
-        cells[i] |= r.reduction == "cells"
-    best = [i for r, i in zip(requests, rows_of) if r.reduction == "best"]
-    # thresholds from the coarse scan, before the parts split, so the tiles
-    # scanned do not depend on the thread count
-    floor, mins = coarse_thresholds(tables, wages, coefs, (w, taus, welfare), best, cells)
+    floor = None   # a group with a "cells" request scans every cell
+    if all(r.reduction == "best" for r in requests):
+        # before the parts split, so the tiles scanned do not depend on the thread count
+        floor = best_floors(tables, wages, coefs, (w, taus, welfare), rows_of)
     # unfilled; the group's chunks fill every row
     values, p_idx, z = (np.empty((len(u), wages.size), d) for d in (float, np.intp, float))
 
     def stream(part):
         k = w - part[0]   # each row's index into the part's weights
         ours = (k >= 0) & (k < part.size)
-        # only tiles and brackets that can win are scanned and refined
-        reads = (k[ours], taus[ours], welfare[ours], floor[ours],
-                 None if mins is None else mins[ours])
+        # only brackets that can win are refined, and with floors only such tiles scanned
+        reads = k[ours], taus[ours], welfare[ours], None if floor is None else floor[ours]
         for rows, roots in solve_slices(tables, wages, coefs[part], reads):
             for o, obj in enumerate(Objective):
                 mine = np.flatnonzero((objs == o) & (k >= rows.start) & (k < rows.stop))
@@ -411,10 +408,11 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
             del roots   # before the next chunk refines
 
     _parallel_map(stream, np.array_split(np.arange(coefs.size), min(threads, coefs.size)), threads)
-    # a row read only for best cells is exact at or above its floor, and a
-    # J > 0 cell without a root was never reached: neither is computed
-    floor = floor[:, None]
-    values[(values < floor) | (np.isnan(z) & (wages > 0.0) & (floor > -np.inf))] = np.nan
+    if floor is not None:
+        # a row read only for best cells is exact at or above its floor, and
+        # a J > 0 cell without a root was never reached: neither is computed
+        floor = floor[:, None]
+        values[(values < floor) | (np.isnan(z) & (wages > 0.0) & (floor > -np.inf))] = np.nan
     return {r: ValueTable(values[i], p_idx[i], z[i]) for r, i in zip(requests, rows_of)}
 
 
@@ -427,10 +425,10 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     streams through :func:`solve_slices`.  A group keeps one table of its
     distinct (objective, weight, commission) rows: each chunk's roots are
     reduced once per objective into the rows they serve, then dropped, and
-    a request's table is a copy of its rows.  A row read in full by some
-    request is computed in full; one read only by ``"best"`` requests is
-    computed at or above the least of their floors (see
-    :func:`coarse_thresholds`), and NaN elsewhere.  Groups run largest
+    a request's table is a copy of its rows.  A group with a ``"cells"``
+    request computes every cell; in a group of ``"best"`` requests only,
+    each row is computed at or above the least floor of the requests that
+    read it (see :func:`best_floors`), and NaN elsewhere.  Groups run largest
     first; with n groups and n < threads, group i holds threads // n +
     (i < threads % n) threads, else one: at most threads streams at once.
     """

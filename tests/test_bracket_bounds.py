@@ -1,7 +1,7 @@
 """Pruned refinement: each bracket's value enclosure, the cut that keeps the
-brackets able to win, the full solve when a threshold's root is lost, the
-tiles the coarse thresholds leave to scan, and the tables read only for
-their best cell."""
+brackets able to win, the full solve when a threshold's root is lost, and
+the tables read only for their best cell, with the tiles their floors
+leave to scan."""
 
 import dataclasses
 import math
@@ -24,7 +24,8 @@ from idlewage.equilibrium import (
     _needed,
     _refine,
     _value_bounds,
-    coarse_thresholds,
+    _wage_ub,
+    best_floors,
     equilibrium_components,
     solve_slices,
 )
@@ -184,44 +185,46 @@ def default_group(hour, beta):
 
 class TestTiles:
     @pytest.mark.parametrize("hour, beta", [(19, 0.25), (4, 0.2), (12, 0.95)])
-    def test_kept_and_threshold_brackets_lie_in_needed_tiles(self, hour, beta):
-        # every bracket that the per-cell cut of the full scan keeps or sets a
-        # threshold with, and every one whose bound reaches a best table's
-        # floor, lies in a tile the tile test scans
+    def test_brackets_reaching_the_floor_lie_in_needed_tiles(self, hour, beta):
+        # every bracket whose value bound reaches its best table's floor
+        # lies in a tile the tile test scans, and few tiles are scanned
         tables, wages, coefs, rows = default_group(hour, beta)
         k, tau, welfare = rows
-        best = [np.flatnonzero(~welfare), np.flatnonzero(welfare)]
-        for cells in (None, np.zeros(k.size, dtype=bool)):
-            floor, mins = coarse_thresholds(tables, wages, coefs, rows, best, cells)
-            assert mins is not None
-            t, tile = _needed(tables, wages, coefs, range(coefs.size), (*rows, floor, mins))
-            need = np.zeros((coefs.size, tables.blocks.bad.size), dtype=bool)
-            need[t, tile] = True
-            kept = 0
-            for r in range(k.size):
-                p_idx, cell_idx, j_idx, _ = _brackets(tables.H - coefs[k[r]] * tables.G, wages)
-                J = wages[j_idx]
-                lo, hi = _value_bounds(tables, p_idx, cell_idx, J, tau[r], welfare[r])
-                if cells is None:
-                    keep, sets = _cut(lo, hi, j_idx, J)
-                    keep |= sets
-                else:
-                    assert floor[r] > 0.0
-                    keep = ~(hi < floor[r])
-                blocks = p_idx * tables.blocks.n_b + cell_idx // _BLOCK
-                assert need[k[r], blocks[keep]].all()
-                kept += keep.sum()
-            assert 0 < need.mean() < (0.1 if cells is None else 0.01)
-            assert kept > 0
+        floor = best_floors(tables, wages, coefs, rows,
+                            [np.flatnonzero(~welfare), np.flatnonzero(welfare)])
+        t, tile = _needed(tables, wages, coefs, range(coefs.size), (*rows, floor))
+        need = np.zeros((coefs.size, tables.blocks.bad.size), dtype=bool)
+        need[t, tile] = True
+        kept = 0
+        for r in range(k.size):
+            assert floor[r] > 0.0
+            p_idx, cell_idx, j_idx, _ = _brackets(tables.H - coefs[k[r]] * tables.G, wages)
+            _, hi = _value_bounds(tables, p_idx, cell_idx, wages[j_idx], tau[r], welfare[r])
+            keep = ~(hi < floor[r])
+            assert need[k[r], p_idx[keep] * tables.blocks.n_b + cell_idx[keep] // _BLOCK].all()
+            kept += keep.sum()
+        assert 0 < need.mean() < 0.01
+        assert kept > 0
 
-    @pytest.mark.parametrize("hour", [4, 19])
-    def test_tile_path_tables_equal_the_unpruned_reduction(self, hour, monkeypatch):
-        # the fast grids' blocks are wide, so rows read in full scan every
-        # tile; with the bound lifted they take the tile path, bit for bit
-        monkeypatch.setattr(equilibrium, "_MAX_BLOCK_RATIO", math.inf)
-        reqs = [TableRequest.of(period_for_hour(hour, b), obj, COARSE, FAST_SOLVER)
-                for b in (0.25, 1.0) for obj in Objective]
-        assert_tables_equal_unpruned(reqs, value_tables(reqs, threads=2))
+    @pytest.mark.parametrize("welfare", [False, True])
+    @pytest.mark.parametrize("hour, beta, cfg", [(19, 0.25, SolverConfig()), (4, 0.2, FAST_SOLVER)])
+    def test_tile_bound_covers_every_bracket_of_its_tile(self, hour, beta, cfg, welfare):
+        # a tile's wage range holds every wage its scan cells bracket, and its
+        # value bound at the range's least wage reaches each bracket's
+        # upper bound, so no bracket that reaches a floor is left unscanned
+        g, s = GridSpec(), period_for_hour(hour, beta)
+        tables, wages = PeriodTables.build(s, g.p_values(), cfg), g.j_values()
+        several = 0
+        for tau in (0.0, 0.5, 0.95):
+            coef = beta * (1.0 - tau)
+            p_idx, cell_idx, j_idx, _ = _brackets(tables.H - coef * tables.G, wages)
+            _, hi = _value_bounds(tables, p_idx, cell_idx, wages[j_idx], tau, welfare)
+            tile = p_idx * tables.blocks.n_b + cell_idx // _BLOCK
+            a, b, ub = _wage_ub(tables.blocks, wages, coef, tau, tile, welfare)
+            assert np.all((a <= j_idx) & (j_idx < b))
+            assert not np.any(ub < hi)
+            several += np.count_nonzero(j_idx > a)
+        assert several > 0   # some tiles hold more than one bracketed wage
 
     def test_completeness_scans_a_row_finely_before_raising(self):
         # row 0 has no coarse count step over J = 1 but a fine one inside
@@ -276,9 +279,13 @@ class TestBestReduction:
         for a, b in zip((want.values, want.p_idx, want.z), (got.values, got.p_idx, got.z)):
             assert np.array_equal(a[~skipped].view(np.int64), b[~skipped].view(np.int64))
 
-    def test_rows_read_in_full_are_not_skipped(self):
+    def test_rows_read_in_full_are_not_skipped(self, monkeypatch):
         # the same rows read for every cell by one request and for the best
-        # cell by another: the finest reduction wins, so neither has a NaN
+        # cell by another: the group scans in full, so neither has a NaN
+        def no_tiles(*args):
+            raise AssertionError("a group with a cells request took the tile path")
+
+        monkeypatch.setattr(equilibrium, "_needed", no_tiles)
         cells = TableRequest.of(period_for_hour(19), Objective.PROFIT, COARSE, FAST_SOLVER)
         best = dataclasses.replace(cells, reduction="best")
         got = value_tables([cells, best])
@@ -309,8 +316,7 @@ class TestBestReduction:
         taus = COARSE.tau_values()
         coefs = s.supply.risk_beta * (1.0 - taus[::-1])
         rows = (np.arange(taus.size)[::-1], taus, np.zeros(taus.size, dtype=bool))
-        floor, _ = coarse_thresholds(tables, np.array(wages), coefs, rows,
-                                     [np.arange(taus.size)], np.zeros(taus.size, dtype=bool))
+        floor = best_floors(tables, np.array(wages), coefs, rows, [np.arange(taus.size)])
         assert np.all(floor == floor[0])
         assert floor[0] <= np.nanmax(value_tables([r])[r].values)
         assert floor[0] >= 0.0 if wages[0] == 0.0 else np.isfinite(floor[0])
