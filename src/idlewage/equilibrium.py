@@ -158,10 +158,11 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # count table k = searchsorted(j_values, W) holds how many wages lie below
 # each margin; J_i lies in the W-range [min, max) of two adjacent z points,
 # so the residual changes sign between them, exactly when
-# min(k) <= i < max(k).  Refinement takes coef = beta * (1 - tau) per
-# bracket, elementwise, so a period's earnings weights bisect together in
-# chunks of _MAX_BATCH refined brackets or more.  The bound is per stream
-# of weights, whatever the thread count.
+# min(k) <= i < max(k).  solve_slices runs in stages over bracket columns
+# (t_idx, p_idx, cell_idx, j_idx, s_lo, coef): scan yields each weight's
+# brackets, prune keeps those of a batch of weights that can win, and
+# refine bisects those of a chunk together; coef = beta * (1 - tau)
+# enters elementwise, so chunk boundaries change no bit.
 #
 # A table read only for its best cell is scanned by tiles: a tile is one
 # price's block of _BLOCK scan cells at one weight.  A floor, a value the
@@ -384,48 +385,49 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     the roots: k, each row's index into coefs; tau, its commission;
     welfare, whether it scores welfare (else profit); floor, None when the
     rows are read for every cell, else each row's floor from
-    :func:`best_floors`.  Then only the brackets whose root may win or tie
-    a row's (tau, J) cell, at or above its floor, are refined (see
-    :func:`_prune`).  With floors only the tiles whose enclosure can reach
-    a row's floor are scanned (see :func:`_needed`); without, every scan
-    cell is, and a cell with J > 0 that lacks a bracket at some price
-    raises :class:`BracketingError`.  Should a bracket that set a cell's
-    threshold give no root, its weight is solved again with every bracket
-    refined.
+    :func:`best_floors`.  Then a cell with J > 0 that lacks a bracket at
+    some price raises :class:`BracketingError` first (:func:`_complete`),
+    with floors only the tiles that can reach a row's floor are scanned
+    (:func:`_needed`), and only the brackets whose root may win or tie a
+    row's (tau, J) cell are refined (:func:`_prune`).  Should a bracket
+    that set a cell's threshold give no root, its weight is solved again
+    with every bracket refined.
 
-    Weights are bounded in batches: a batch closes at the first weight that
-    brings the chunk's refined and unbounded brackets to ``_MAX_BATCH``,
-    and a chunk at the first batch that brings its refined brackets there,
-    or at the last weight.  A chunk's brackets bisect together, each
-    steered by the table's sign at its low end.  A bracket ends when it is
-    narrower than ``bisect_tol`` with the residual at its midpoint within
-    half of ``tol_eq``, or when float spacing is exhausted (the midpoint
-    equals an end); that midpoint is emitted only if its residual is within
-    ``tol_eq``.
+    The stages scan per weight, prune per batch of weights and refine per
+    chunk.  A chunk closes at the first weight that brings its refined
+    brackets to ``_MAX_BATCH``, or at the last weight; a batch at the
+    first that brings the open chunk's kept brackets and its own found
+    ones there.  A chunk's brackets bisect together, each steered by the
+    table's sign at its low end.  A bracket ends when it is narrower than
+    ``bisect_tol`` with the residual at its midpoint within half of
+    ``tol_eq``, or when float spacing is exhausted (the midpoint equals an
+    end); that midpoint is emitted only if its residual is within ``tol_eq``.
     """
     j_values, coefs = np.asarray(j_values, dtype=float), np.asarray(coefs, dtype=float)
+    if reads is not None:
+        pts = _block_points(tables.z.size)
+        Gc, Hc = tables.G[:, pts], tables.H[:, pts]
+        for weights in _batches(coefs.size, Gc.size):
+            W = coefs[weights, None, None] * Gc   # H - coef*G in place: tables and blocks are held
+            _complete(tables, j_values, coefs[weights], np.subtract(Hc, W, out=W))
+            del W
+        del Gc, Hc
     if reads is None or reads[3] is None:
         scan = _scan(tables, j_values, coefs)
     else:
         scan = _tile_scan(tables, j_values, coefs, reads)
-    found, kept, start, batch, size = [], [], 0, 0, 0
-    for t, cols in scan:
-        size += cols[0].size
-        found.append(cols)
-        last = t == coefs.size - 1
-        if size < _MAX_BATCH and not last:
-            continue
-        cols = _stack(found)
-        if reads is not None:
-            keep, sets = _prune(tables, j_values, cols, range(batch, t + 1), reads)
-            cols = [c[keep] for c in cols] + [sets[keep]]
-            size -= keep.size - cols[0].size
-            del keep, sets
-        kept.append(cols)
-        batch = t + 1
-        if size < _MAX_BATCH and not last:
-            continue
-        cols = _stack(kept)
+
+    def found(size):   # the next weight's brackets
+        return next(scan)
+
+    def kept(size):   # the next batch's brackets that can win, and the sets column
+        rows, cols = _gather(found, coefs.size, size)
+        keep, sets = _prune(tables, j_values, cols, rows, reads)
+        return rows, [c[keep] for c in cols] + [sets[keep]]
+
+    rows = range(0)
+    while rows.stop < coefs.size:
+        rows, cols = _gather(found if reads is None else kept, coefs.size)
         sets = cols.pop() if reads is not None else None
         t_idx, p_idx, j_idx = cols[0], cols[1], cols[3]
         z = _refine(tables, j_values, cols)
@@ -434,36 +436,54 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
         if sets is not None and (lost := np.unique(t_idx[sets & ~ok])).size:
             roots = _solve_in_full(tables, j_values, coefs, roots, lost)
         del t_idx, p_idx, j_idx, z, ok, sets
-        yield range(start, t + 1), roots
-        start, size = t + 1, 0
+        yield rows, roots
+
+
+def _gather(take, n: int, size: int = 0):
+    """(rows, cols): the items (rows, cols) that take(size) gives in turn,
+    size counting the brackets gathered, stacked through the first that
+    brings size to _MAX_BATCH or reaches weight n - 1; rows spans them."""
+    rows, cols = take(size)
+    start, parts = rows.start, [cols]
+    size += cols[0].size
+    while size < _MAX_BATCH and rows.stop < n:
+        rows, cols = take(size)
+        parts.append(cols)
+        size += cols[0].size
+    return range(start, rows.stop), _stack(parts)
+
+
+def _edges(t_idx: np.ndarray, weights: range) -> np.ndarray:
+    """Where each weight of weights starts in the sorted t_idx, and where the last ends."""
+    return np.searchsorted(t_idx, np.arange(weights.start, weights.stop + 1))
 
 
 def _scan(tables: PeriodTables, j_values, coefs):
-    """(t, cols) per weight: the bracket columns (t_idx, p_idx, cell_idx,
-    j_idx, s_lo, coef) of weight t's whole scan table."""
+    """(range(t, t + 1), cols) per weight t: the bracket columns (t_idx,
+    p_idx, cell_idx, j_idx, s_lo, coef) of its whole scan table."""
     W = np.empty_like(tables.H)   # the margin H - coef*G, one buffer for every weight
     for t, coef in enumerate(coefs):
         np.multiply(tables.G, coef, out=W)
         np.subtract(tables.H, W, out=W)
         p_idx, cell_idx, j_idx, s_lo = _brackets(W, j_values)
         n = p_idx.size
-        yield t, (np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef))
+        yield range(t, t + 1), (np.full(n, t), p_idx, cell_idx, j_idx, s_lo, np.full(n, coef))
 
 
 def _tile_scan(tables: PeriodTables, j_values, coefs, reads):
-    """(t, cols) per weight, as :func:`_scan` gives them, from the tiles
-    :func:`_needed` keeps, tested in batches of weights."""
+    """Per weight, as :func:`_scan` gives them, the bracket columns of the
+    tiles :func:`_needed` keeps, tested in batches of weights."""
     for weights in _batches(coefs.size, tables.blocks.bad.size):
         t, tile = _needed(tables, j_values, coefs, weights, reads)
         cols = _tile_brackets(tables, j_values, coefs, t, tile)
-        ends = np.searchsorted(cols[0], np.arange(weights.start, weights.stop + 1)).tolist()
+        ends = _edges(cols[0], weights).tolist()
         for t, a, b in zip(weights, ends, ends[1:]):
-            yield t, [c[a:b] for c in cols]
+            yield range(t, t + 1), [c[a:b] for c in cols]
 
 
 def _block_points(n_z: int) -> np.ndarray:
     """The scan-point index of each block end: every _BLOCK-th point and the last."""
-    return np.unique(np.append(np.arange(0, n_z, _BLOCK), n_z - 1))
+    return np.append(np.arange(0, n_z - 1, _BLOCK), n_z - 1)
 
 
 def _tile_brackets(tables: PeriodTables, j_values, coefs, t, tile) -> list:
@@ -579,19 +599,10 @@ def best_floors(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarra
     welfare), as in :func:`solve_slices`, each read only for its table's
     best cell; best lists each table's rows.  A row's floor is the least
     witness (:func:`_witness`) of the tables that read it: a value the
-    table provably attains, so no root below it can win.
-
-    Every weight's table must bracket each (price, J > 0) cell
-    (:func:`_complete`), else :class:`BracketingError`; the check reads the
-    scan table's columns at every block end first, the same bits.  The
-    pass runs once per group of weights, so the tiles scanned do not
-    depend on how the weights are split.
+    table provably attains, so no root below it can win.  The pass runs
+    once per group of weights, so the tiles scanned do not depend on how
+    the weights are split.
     """
-    pts = _block_points(tables.z.size)
-    Gc, Hc = tables.G[:, pts], tables.H[:, pts]
-    for weights in _batches(coefs.size, Gc.size):
-        _complete(tables, j_values, coefs[weights], Hc - coefs[weights, None, None] * Gc)
-    del Gc, Hc
     base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
     floor = np.full(reads[0].size, np.inf)
     for rows in best:
@@ -662,13 +673,13 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
 
 
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:
-    """roots with those of the weights lost (indices into coefs) replaced by
-    all of their roots, still sorted by (t, j, p, z)."""
+    """roots with those of the weights lost (indices into coefs, ascending)
+    replaced by all of their roots, from one unpruned pass through the
+    stages, still sorted by (t, j, p, z)."""
     other = ~np.isin(roots.t_idx, lost)
     parts = [(roots.t_idx[other], roots.p_idx[other], roots.j_idx[other], roots.z[other])]
-    for t in lost:
-        ((_, r),) = solve_slices(tables, j_values, [coefs[t]])
-        parts.append((np.full_like(r.t_idx, t), r.p_idx, r.j_idx, r.z))
+    for _, r in solve_slices(tables, j_values, coefs[lost]):
+        parts.append((lost[r.t_idx], r.p_idx, r.j_idx, r.z))
     cols = _stack(parts)
     order = np.argsort(cols[0], kind="stable")
     return RootSet(*(c[order] for c in cols))
@@ -683,22 +694,10 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
     :func:`_refine`; reads is as in :func:`solve_slices`.  Each objective's
     rows are bounded in one pass by :func:`_value_bounds`, and
     :func:`_cut` keeps what can reach the best, above each row's floor.
-    Without floors the scan was full, and a cell with J > 0 needs a
-    bracket at every price, else BracketingError.
     """
     t_idx, p_idx, cell_idx, j_idx = cols[0], cols[1], cols[2], cols[3]
     k, tau, welfare, floor = reads
-    if floor is None:
-        has = np.zeros((len(weights), j_values.size, tables.p.size), dtype=bool)
-        has[t_idx - weights.start, j_idx, p_idx] = True
-        if not has[:, j_values > 0.0].all():
-            raise BracketingError(
-                "grid evaluation: a cell with J > 0 has no labour-balance sign change at "
-                "some price in the scan window; widen SolverConfig.z_min/z_max"
-            )
-        del has
-
-    edge = np.searchsorted(t_idx, np.arange(weights.start, weights.stop + 1))
+    edge = _edges(t_idx, weights)
     keep, sets = np.zeros(t_idx.size, dtype=bool), np.zeros(t_idx.size, dtype=bool)
     for w in (False, True):
         r = np.flatnonzero((welfare == w) & (k >= weights.start) & (k < weights.stop))
@@ -731,9 +730,9 @@ def _value_bounds(tables: PeriodTables, p_idx, cell_idx, J, tau, welfare: bool):
     """(lo, hi) enclosing the value of any root in each scan cell (p_idx,
     cell_idx) at wage J: welfare if welfare, else profit at commission tau;
     see :func:`_bounds`."""
-    p = tables.p[p_idx]
-    ends = _cell_ends(tables.scenario, tables.z, p, cell_idx)
-    return _bounds(tables.scenario, p, ends, J, tau, welfare)
+    p = tables.p[p_idx]   # the ends go unnamed, so _bounds frees each one once used
+    return _bounds(tables.scenario, p, _cell_ends(tables.scenario, tables.z, p, cell_idx),
+                   J, tau, welfare)
 
 
 def _bounds(s: PeriodScenario, p, ends, J, tau, welfare: bool):

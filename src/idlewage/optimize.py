@@ -47,6 +47,7 @@ from .equilibrium import (
     PolicyPoint,
     RootSet,
     SolverConfig,
+    _edges,
     _runs,
     best_floors,
     equilibrium_at,
@@ -367,7 +368,7 @@ def _best_over_prices(
 def _roots_of(roots: RootSet, rows: range, k: np.ndarray) -> RootSet:
     """The roots of the slices k (indices into the chunk's weights, all in
     rows), each renumbered to its position in k; a repeated slice repeats."""
-    bounds = np.searchsorted(roots.t_idx, np.arange(rows.start, rows.stop + 1))
+    bounds = _edges(roots.t_idx, rows)
     owner, take = _runs(bounds[k - rows.start], np.diff(bounds)[k - rows.start])
     return RootSet(owner, roots.p_idx[take], roots.j_idx[take], roots.z[take])
 

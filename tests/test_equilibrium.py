@@ -1,7 +1,11 @@
 import dataclasses
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idlewage import (
     BracketingError,
@@ -18,7 +22,16 @@ from idlewage import (
     supply,
 )
 from idlewage import equilibrium
-from idlewage.equilibrium import PeriodTables, _brackets, _margin, _residual, solve_slices
+from idlewage.equilibrium import (
+    _BLOCK,
+    PeriodTables,
+    _block_points,
+    _brackets,
+    _complete,
+    _margin,
+    _residual,
+    solve_slices,
+)
 from oracles import dense_scan_equilibria, random_instance
 
 H19 = period_for_hour(19)
@@ -307,6 +320,38 @@ class TestVectorizedKernelParity:
         assert roots.z.size == 0
         assert roots.t_idx.dtype == roots.p_idx.dtype == roots.j_idx.dtype == np.int64
         assert roots.z.dtype == np.float64
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_completeness_verdict_is_the_bracket_verdict(self, data):
+        # on small random margin tables with NaN, +-inf and repeated values,
+        # the check on block ends and failing rows raises exactly when some
+        # (weight, price) row brackets no J > 0 wage, as _brackets finds them
+        n_w, n_p, n_z = (data.draw(st.integers(lo, hi)) for lo, hi in
+                         ((1, 3), (1, 3), (2, 2 * _BLOCK + 3)))
+        wage = st.sampled_from([0.0, 0.5, 1.0, 1.5])   # margins hit wages exactly
+        value = st.sampled_from([np.nan, np.inf, -np.inf, 2.0]) | wage | st.floats(-1.0, 3.0)
+        H, G = (np.array(data.draw(st.lists(value, min_size=n_p * n_z, max_size=n_p * n_z)))
+                .reshape(n_p, n_z) for _ in range(2))
+        coefs = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                            min_size=n_w, max_size=n_w)))
+        wages = np.sort(data.draw(st.lists(wage | st.floats(0.0, 2.0), min_size=1, max_size=4)))
+        tables = SimpleNamespace(H=H, G=G)
+        with np.errstate(invalid="ignore", over="ignore"):
+            missing = False
+            for c in coefs:
+                p_idx, _, j_idx, _ = _brackets(tables.H - c * tables.G, wages)
+                has = np.zeros((n_p, wages.size), dtype=bool)
+                has[p_idx, j_idx] = True
+                missing |= not has[:, wages > 0.0].all()
+            pts = _block_points(n_z)
+            ends = tables.H[:, pts] - coefs[:, None, None] * tables.G[:, pts]
+            if missing:
+                with pytest.raises(BracketingError, match="widen"):
+                    _complete(tables, wages, coefs, ends)
+            else:
+                _complete(tables, wages, coefs, ends)
 
 
 class TestSelectEquilibrium:

@@ -721,10 +721,11 @@ class TestGridCompleteness:
                 missed += 1
         assert 0 < missed < self.G.p_values().size
 
+    @pytest.mark.parametrize("reduction", ["cells", "best"])
     @pytest.mark.parametrize("obj", list(Objective))
     @pytest.mark.parametrize("wages", [[1.2], [0.0, 1.2]])
-    def test_missing_price_raises(self, obj, wages):
-        r = TableRequest.of(self.S, obj, self.G, self.NARROW, [1.0], wages)
+    def test_missing_price_raises(self, obj, wages, reduction):
+        r = TableRequest.of(self.S, obj, self.G, self.NARROW, [1.0], wages, reduction=reduction)
         with pytest.raises(equilibrium.BracketingError, match="widen"):
             value_tables([r])
 
