@@ -168,7 +168,9 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # price's block of _BLOCK scan cells at one weight.  A floor, a value the
 # table attains, comes first; an enclosure of W on each block gives the
 # wages a tile can bracket, and only the tiles whose value bound at those
-# wages reaches the floor are scanned finely.
+# wages reaches the floor are scanned finely.  Such a table never builds
+# the full (price x z) scan table: the kernel is evaluated at the block
+# ends and at the scanned tiles' points alone (PeriodTables.kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
@@ -218,26 +220,47 @@ def _supply_margin(sp, L):
 
 @dataclass
 class PeriodTables:
-    """Scan tables for one period over a fixed price grid (read-only)."""
+    """The scan grids of one period over a fixed price grid, and the scan
+    table of G and H on them: in full from :meth:`build`, else gathered
+    by :meth:`kernel` where it is read (read-only either way)."""
 
     scenario: PeriodScenario
     cfg: SolverConfig
     p: np.ndarray        # (n_p,) price grid
     z: np.ndarray        # (n_z,) geometric pickup-time grid
-    G: np.ndarray        # (n_p, n_z) untaxed earnings base p*Q/L1
-    H: np.ndarray        # (n_p, n_z) supply margin c*(L1/A)**(1/eps)
+    G: np.ndarray | None = None   # (n_p, n_z) untaxed earnings base p*Q/L1, when built
+    H: np.ndarray | None = None   # (n_p, n_z) supply margin c*(L1/A)**(1/eps), when built
 
     @staticmethod
-    def build(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
+    def of(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
+        """The grids alone, for a reader that gathers what it reads."""
         p = np.asarray(p, dtype=float)
         if p.size * cfg.scan_points > _MAX_TABLE_CELLS:
             raise ValueError(
                 f"scan_points {cfg.scan_points} times a {p.size}-point price grid is "
                 f"{p.size * cfg.scan_points} table cells, over the budget of {_MAX_TABLE_CELLS}"
             )
-        z = cfg.z_grid()
-        _, G, H = _kernel(s, p[:, None], z[None, :])
-        return PeriodTables(s, cfg, p, z, G, H)
+        return PeriodTables(s, cfg, p, cfg.z_grid())
+
+    @staticmethod
+    def build(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
+        """The grids and the full (price x z) scan table."""
+        t = PeriodTables.of(s, p, cfg)
+        _, t.G, t.H = _kernel(s, t.p[:, None], t.z[None, :])
+        return t
+
+    def kernel(self, p_idx, z_idx):
+        """(G, H) at the scan points (p[p_idx], z[z_idx]), indices broadcast:
+        read from the full table when built, else evaluated there alone.
+        The kernel is elementwise, so both give the table's bits."""
+        if self.G is not None:
+            return self.G[p_idx, z_idx], self.H[p_idx, z_idx]
+        _, G, H = _kernel(self.scenario, self.p[p_idx], self.z[z_idx])
+        return G, H
+
+    def block_ends(self):
+        """(G, H) at every price's block ends, the points of :func:`_block_points`."""
+        return self.kernel(np.arange(self.p.size)[:, None], _block_points(self.z.size))
 
     @functools.cached_property
     def blocks(self) -> "_Blocks":
@@ -248,11 +271,11 @@ class PeriodTables:
 @dataclass
 class _Blocks:
     """Weight-free pieces of the enclosures of every (price, z-block) tile,
-    flattened price-major.  The n_b blocks end at the scan points of
-    :func:`_block_points`."""
+    flattened price-major: tile = p_idx * n_b + block.  The n_b blocks
+    end at the scan points of :func:`_block_points`."""
 
     n_b: int
-    p: np.ndarray            # the tile's price
+    prices: np.ndarray       # the price grid; a tile's price is prices[tile // n_b]
     Q_a: np.ndarray          # the largest throughput and the labour range of _cell_ends
     L_min: np.ndarray
     L_max: np.ndarray
@@ -275,15 +298,22 @@ class _Blocks:
         _, _, Q_a, Q_b, L_min, L_max = ends
         del ends
         G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
-        del Q_b
+        del p, Q_b
         H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
-        # a block's sum of G and H is finite only if each term is (an
-        # overflowing sum of finite terms marks it too, which only scans more)
-        ends = tables.G[:, pts[1:]] + tables.H[:, pts[1:]]
-        for a in (tables.G, tables.H):
-            ends += np.add.reduceat(a, pts[:-1], axis=1)
+        # G or H is non-finite inside a block only if it is at the block's
+        # ends or a piece is: the kernel's exp(kappa + beta_T*z) and I(z)
+        # fall with z, so an overflow inside shows at the first point and
+        # an underflow to L1 = 0 at the last, and on the block G = pQ/L1
+        # <= G_hi and H(L1) <= H_hi.  A sum is finite only if each term is
+        # (an overflowing sum of finite terms marks a block too, which only
+        # scans more).
+        G, H = tables.block_ends()
+        G += H
+        del H
+        ends = G[:, :-1] + G[:, 1:]
+        del G
         bad = ~np.isfinite(ends.ravel() + H_lo + H_hi + G_lo + G_hi)
-        return _Blocks(pts.size - 1, p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
+        return _Blocks(pts.size - 1, tables.p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
                        welfare_hi, bad)
 
 
@@ -405,8 +435,7 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     """
     j_values, coefs = np.asarray(j_values, dtype=float), np.asarray(coefs, dtype=float)
     if reads is not None:
-        pts = _block_points(tables.z.size)
-        Gc, Hc = tables.G[:, pts], tables.H[:, pts]
+        Gc, Hc = tables.block_ends()
         for weights in _batches(coefs.size, Gc.size):
             W = coefs[weights, None, None] * Gc   # H - coef*G in place: tables and blocks are held
             _complete(tables, j_values, coefs[weights], np.subtract(Hc, W, out=W))
@@ -489,17 +518,15 @@ def _block_points(n_z: int) -> np.ndarray:
 def _tile_brackets(tables: PeriodTables, j_values, coefs, t, tile) -> list:
     """The bracket columns of the scan cells of tiles (t, tile), t ascending:
     the same brackets, in the same (t, j, p, z cell) order, as a full scan
-    of those weights has in these tiles.  The margin is gathered on the
+    of those weights has in these tiles.  The kernel is gathered on the
     tiles' scan points only; a short last block repeats its end point,
     which adds no count step."""
-    n_z = tables.z.size
     p, b = np.divmod(tile, tables.blocks.n_b)
-    pts = np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1), n_z - 1)
-    pts += (p * n_z)[:, None]
-    W = tables.G.reshape(-1)[pts]
+    W, H = tables.kernel(p[:, None], np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1),
+                                                tables.z.size - 1))
     W *= coefs[t, None]   # H - coef*G with the full scan's operations, so the same bits
-    np.subtract(tables.H.reshape(-1)[pts], W, out=W)
-    del pts
+    np.subtract(H, W, out=W)
+    del H
     rows, cells, j_idx, s_lo = _brackets(W, j_values, t)
     t = t[rows]
     return [t, p[rows], b[rows] * _BLOCK + cells, j_idx, s_lo, coefs[t]]
@@ -584,8 +611,11 @@ def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
     tau*p*Q_a - J*L_min, which falls in J."""
     if welfare:
         return B.welfare_hi[tile]
-    ub = tau * B.p[tile]
-    ub *= B.Q_a[tile]
+    if isinstance(tile, slice):   # a slice of all tiles, at one tau: by price rows
+        ub = np.multiply((tau * B.prices)[:, None], B.Q_a.reshape(-1, B.n_b)).reshape(-1)[tile]
+    else:
+        ub = tau * B.prices[tile // B.n_b]
+        ub *= B.Q_a[tile]
     pad = J * B.L_max[tile]
     pad += ub
     pad *= _BOUND_PAD
@@ -620,7 +650,7 @@ def _complete(tables: PeriodTables, j_values, coefs, W) -> None:
     so a row brackets each J > 0 exactly when some margin is <= the least
     J > 0 and some is above the last wage or NaN.  The block ends are
     scan points, so a row that passes there passes; one that does not is
-    checked on its full scan row.
+    checked on its full scan row, gathered from the tables.
     """
     pos = np.flatnonzero(j_values > 0.0)
     if not pos.size:
@@ -631,8 +661,8 @@ def _complete(tables: PeriodTables, j_values, coefs, W) -> None:
 
     tw, p = np.nonzero(~ok(W))
     for t in np.unique(tw):   # each weight's failed rows, scanned in full
-        rows = p[tw == t]
-        if not ok(tables.H[rows] - coefs[t] * tables.G[rows]).all():
+        G, H = tables.kernel(p[tw == t, None], np.arange(tables.z.size))
+        if not ok(H - coefs[t] * G).all():
             raise BracketingError(
                 "grid evaluation: a cell with J > 0 has no labour-balance sign change at "
                 "some price in the scan window; widen SolverConfig.z_min/z_max"
@@ -675,10 +705,13 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:
     """roots with those of the weights lost (indices into coefs, ascending)
     replaced by all of their roots, from one unpruned pass through the
-    stages, still sorted by (t, j, p, z)."""
+    stages, still sorted by (t, j, p, z).  That pass reads the full scan
+    table; one the tables lack is built here for this call alone."""
+    full = tables if tables.G is not None else PeriodTables.build(tables.scenario, tables.p,
+                                                                   tables.cfg)
     other = ~np.isin(roots.t_idx, lost)
     parts = [(roots.t_idx[other], roots.p_idx[other], roots.j_idx[other], roots.z[other])]
-    for _, r in solve_slices(tables, j_values, coefs[lost]):
+    for _, r in solve_slices(full, j_values, coefs[lost]):
         parts.append((lost[r.t_idx], r.p_idx, r.j_idx, r.z))
     cols = _stack(parts)
     order = np.argsort(cols[0], kind="stable")

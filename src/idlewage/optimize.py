@@ -18,7 +18,7 @@ Ties between cells break lexicographically through one helper,
 Tables come from one planner, :func:`value_tables`.  A
 :class:`TableRequest` names a table by everything it depends on; requests
 that share a slice key (the period without its risk weight, the price and
-wage grids, the solver config) share one scan table, each distinct
+wage grids, the solver config) share one set of scan grids, each distinct
 earnings weight beta * (1 - tau) among them is refined once, and each
 distinct (objective, weight, commission) row is reduced once.  One rule
 splits the work: the groups, largest first, deal out the threads, and a
@@ -379,7 +379,11 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     in request order, one row each; coefs are the rows' distinct weights,
     ascending, and w holds each row's index into coefs."""
     s, prices, wages, cfg = key
-    tables, wages = PeriodTables.build(s, np.array(prices), cfg), np.array(wages)
+    best = all(r.reduction == "best" for r in requests)
+    # a "best" group gathers the scan kernel where it reads it; a "cells"
+    # group builds the full table here, once, before the parts split
+    tables = (PeriodTables.of if best else PeriodTables.build)(s, np.array(prices), cfg)
+    wages = np.array(wages)
     n = [len(r.taus) for r in requests]
     objs = np.repeat([list(Objective).index(r.obj) for r in requests], n)
     # equal (objective, weight, commission) rows have equal values, so from
@@ -389,7 +393,7 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     welfare = objs == list(Objective).index(Objective.WELFARE)
     rows_of = np.split(row, np.cumsum(n)[:-1])   # each request's rows
     floor = None   # a group with a "cells" request scans every cell
-    if all(r.reduction == "best" for r in requests):
+    if best:
         # before the parts split, so the tiles scanned do not depend on the thread count
         floor = best_floors(tables, wages, coefs, (w, taus, welfare), rows_of)
     # unfilled; the group's chunks fill every row
@@ -420,8 +424,10 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
 def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     """The value table of every request, each distinct slice refined once.
 
-    Requests group by :meth:`TableRequest.slice_key`.  A group builds one
-    scan table and cuts its distinct weights beta * (1 - tau), compared as
+    Requests group by :meth:`TableRequest.slice_key`.  A group with a
+    ``"cells"`` request builds one full scan table; a group of ``"best"``
+    requests only gathers the scan kernel at the points it reads.  A group
+    cuts its distinct weights beta * (1 - tau), compared as
     exact floats, into one contiguous part per thread it holds; each part
     streams through :func:`solve_slices`.  A group keeps one table of its
     distinct (objective, weight, commission) rows: each chunk's roots are

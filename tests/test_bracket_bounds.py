@@ -18,6 +18,7 @@ from idlewage.equilibrium import (
     _BLOCK,
     BracketingError,
     PeriodTables,
+    _block_points,
     _brackets,
     _complete,
     _cut,
@@ -165,6 +166,25 @@ class TestLostThreshold:
         assert lost
         assert_tables_equal_unpruned(reqs, got)
 
+    def test_best_table_weight_is_solved_in_full(self, monkeypatch):
+        # the same on a "best" group, which holds no scan table: the full
+        # solve builds its own, and every cell the table computes holds the
+        # winner of every accepted root; it refines fewer brackets, so four
+        # passes lose a threshold there
+        monkeypatch.setattr(equilibrium, "_MAX_BISECT_ITER", 4)
+        cfg = SolverConfig(tol_eq=1e-3)
+        lost = self.record_full_solves(monkeypatch)
+        reqs = [TableRequest.of(period_for_hour(19, 0.25), obj, COARSE, cfg, reduction="best")
+                for obj in Objective]
+        got = value_tables(reqs)
+        assert lost
+        for r in reqs:
+            t, want = got[r], unpruned_table(r)
+            done = ~np.isnan(t.values)
+            assert done.any()
+            for a, b in zip(want, (t.values, t.p_idx, t.z)):
+                assert np.array_equal(a[done].view(np.int64), b[done].view(np.int64))
+
     def test_default_tolerances_lose_no_threshold(self, monkeypatch):
         lost = self.record_full_solves(monkeypatch)
         value_tables([TableRequest.of(period_for_hour(h), obj, COARSE, FAST_SOLVER)
@@ -232,7 +252,8 @@ class TestTiles:
         n_z = 2 * _BLOCK + 1
         H = np.full((2, n_z), 2.0)
         H[0, 5] = 0.5
-        tables = SimpleNamespace(H=H, G=np.zeros_like(H))
+        tables = SimpleNamespace(kernel=lambda i, j: (np.zeros_like(H)[i, j], H[i, j]),
+                                 z=np.empty(n_z))
         wages, coefs = np.array([0.0, 1.0]), np.array([0.3])
         coarse = H[:, [0, _BLOCK, 2 * _BLOCK]][None]
         _, _, j_idx, _ = _brackets(H[:1], wages)
@@ -250,6 +271,84 @@ class TestTiles:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BracketingError, match="widen"):
                 value_tables([r])
+
+
+def full_table_bad(tables):
+    """The tiles whose block holds a non-finite G or H, by a sum over each
+    block's every point of the full scan table, plus the enclosure pieces."""
+    pts, B = _block_points(tables.z.size), tables.blocks
+    ends = tables.G[:, pts[1:]] + tables.H[:, pts[1:]]
+    for a in (tables.G, tables.H):
+        ends += np.add.reduceat(a, pts[:-1], axis=1)
+    return ~np.isfinite(ends.ravel() + B.H_lo + B.H_hi + B.G_lo + B.G_hi)
+
+
+class TestGatheredKernel:
+    """A "best" group evaluates the scan kernel only where it reads it."""
+
+    @pytest.mark.parametrize("scan_points", [4096, 512])
+    @pytest.mark.parametrize("kappa", [None, 709.0, 710.0, 720.0, 740.0])
+    @pytest.mark.parametrize("hour", [4, 19])
+    def test_block_ends_mark_every_non_finite_block(self, hour, kappa, scan_points):
+        # exp(kappa + beta_T*z) overflows from kappa ~709.8 on; the blocks
+        # marked from their ends and enclosure pieces cover those a sum over
+        # every point of the full table marks
+        s = period_for_hour(hour)
+        if kappa is not None:
+            s = dataclasses.replace(s, demand=dataclasses.replace(s.demand, kappa=kappa))
+        p, cfg = GridSpec().p_values(), SolverConfig(scan_points=scan_points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = full_table_bad(PeriodTables.build(s, p, cfg))
+            got = PeriodTables.of(s, p, cfg).blocks.bad
+        assert not np.any(want & ~got)
+        assert want.any() == (kappa is not None and kappa >= 710.0)
+
+    @pytest.mark.parametrize("hour", [4, 19])
+    def test_gathered_kernel_equals_the_full_table(self, hour):
+        s, p, cfg = period_for_hour(hour), GridSpec().p_values(), SolverConfig()
+        full, lean = PeriodTables.build(s, p, cfg), PeriodTables.of(s, p, cfg)
+        rng = np.random.default_rng(hour)
+        n_b = lean.blocks.n_b
+        tile = rng.integers(0, p.size * n_b, 5000)
+        p_idx, b = np.divmod(tile, n_b)
+        z_idx = np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1), cfg.scan_points - 1)
+        for idx in ((p_idx[:, None], z_idx), (np.repeat(p_idx, _BLOCK + 1), z_idx.ravel())):
+            for got, want in zip(lean.kernel(*idx), (full.G[idx], full.H[idx])):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @staticmethod
+    def spy_kernel(monkeypatch):
+        """The broadcast shape of every scan-kernel call, from any thread."""
+        shapes, kernel = [], equilibrium._kernel
+
+        def spying(s, p, z, ep=None):
+            shapes.append(np.broadcast_shapes(np.shape(p), np.shape(z)))
+            return kernel(s, p, z, ep)
+
+        monkeypatch.setattr(equilibrium, "_kernel", spying)
+        return shapes
+
+    def test_best_tables_never_evaluate_the_full_grid(self, monkeypatch):
+        g, cfg = GridSpec(), SolverConfig()
+        shapes = self.spy_kernel(monkeypatch)
+        reqs = [TableRequest.of(period_for_hour(19, 0.25), obj, g, cfg, reduction="best")
+                for obj in Objective]
+        value_tables(reqs)
+        assert shapes
+        assert max(math.prod(sh) for sh in shapes) < g.p_values().size * cfg.scan_points
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("hours", [(19,), (4, 19)])
+    def test_cells_groups_build_the_full_table_once(self, monkeypatch, hours, threads):
+        # a period is a group of several weights: one group on two threads
+        # streams two parts, two groups on two threads one part each
+        shapes = self.spy_kernel(monkeypatch)
+        reqs = [TableRequest.of(period_for_hour(h), obj, COARSE, FAST_SOLVER)
+                for h in hours for obj in Objective]
+        value_tables(reqs, threads)
+        full = (COARSE.p_values().size, FAST_SOLVER.scan_points)
+        assert shapes.count(full) == len(hours)
+        assert all(math.prod(sh) < math.prod(full) for sh in shapes if sh != full)
 
 
 def lex_winner(r, t):

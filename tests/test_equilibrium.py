@@ -337,16 +337,16 @@ class TestVectorizedKernelParity:
         coefs = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                             min_size=n_w, max_size=n_w)))
         wages = np.sort(data.draw(st.lists(wage | st.floats(0.0, 2.0), min_size=1, max_size=4)))
-        tables = SimpleNamespace(H=H, G=G)
+        tables = SimpleNamespace(kernel=lambda i, j: (G[i, j], H[i, j]), z=np.empty(n_z))
         with np.errstate(invalid="ignore", over="ignore"):
             missing = False
             for c in coefs:
-                p_idx, _, j_idx, _ = _brackets(tables.H - c * tables.G, wages)
+                p_idx, _, j_idx, _ = _brackets(H - c * G, wages)
                 has = np.zeros((n_p, wages.size), dtype=bool)
                 has[p_idx, j_idx] = True
                 missing |= not has[:, wages > 0.0].all()
             pts = _block_points(n_z)
-            ends = tables.H[:, pts] - coefs[:, None, None] * tables.G[:, pts]
+            ends = H[:, pts] - coefs[:, None, None] * G[:, pts]
             if missing:
                 with pytest.raises(BracketingError, match="widen"):
                     _complete(tables, wages, coefs, ends)
