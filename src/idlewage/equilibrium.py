@@ -27,7 +27,6 @@ agrees bitwise with the corresponding optimizer cell.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,14 +167,16 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # price's block of _BLOCK scan cells at one weight.  A floor, a value the
 # table attains, comes first; an enclosure of W on each block gives the
 # wages a tile can bracket, and only the tiles whose value bound at those
-# wages reaches the floor are scanned finely.  Such a table never builds
-# the full (price x z) scan table: the kernel is evaluated at the block
-# ends and at the scanned tiles' points alone (PeriodTables.kernel).
+# wages reaches the floor are scanned finely: one relaxed pass per stream
+# and objective, then one exact pass per weight.  Such a table never
+# builds the full (price x z) scan table: the kernel is evaluated at the
+# block ends, once per group (check_and_bound), and at the scanned tiles'
+# points alone (PeriodTables.kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
 _BLOCK = 16
-# Budget on the tiles (or block-end scan points) that one batch of weights holds.
+# Budget on the block-end scan points that one completeness batch holds.
 _MAX_TILES = 2**18
 # Tiles refined to find a best table's witness value, and the share of
 # all tiles, 1/_WITNESS_SHARE, ranked for them.
@@ -230,6 +231,7 @@ class PeriodTables:
     z: np.ndarray        # (n_z,) geometric pickup-time grid
     G: np.ndarray | None = None   # (n_p, n_z) untaxed earnings base p*Q/L1, when built
     H: np.ndarray | None = None   # (n_p, n_z) supply margin c*(L1/A)**(1/eps), when built
+    blocks: _Blocks | None = None   # the tile enclosures, once check_and_bound sets them
 
     @staticmethod
     def of(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
@@ -262,11 +264,6 @@ class PeriodTables:
         """(G, H) at every price's block ends, the points of :func:`_block_points`."""
         return self.kernel(np.arange(self.p.size)[:, None], _block_points(self.z.size))
 
-    @functools.cached_property
-    def blocks(self) -> "_Blocks":
-        """The weight-free pieces of every (price, z-block) tile's enclosures."""
-        return _Blocks.of(self)
-
 
 @dataclass
 class _Blocks:
@@ -287,7 +284,8 @@ class _Blocks:
     bad: np.ndarray          # the block holds a non-finite G or H
 
     @staticmethod
-    def of(tables: PeriodTables) -> "_Blocks":
+    def of(tables: PeriodTables, sums: np.ndarray) -> "_Blocks":
+        """The pieces on tables' grids; sums: each tile's G + H at its two block ends."""
         s, n_z, n_p = tables.scenario, tables.z.size, tables.p.size
         pts = _block_points(n_z)
         z = tables.z[pts]
@@ -307,12 +305,7 @@ class _Blocks:
         # <= G_hi and H(L1) <= H_hi.  A sum is finite only if each term is
         # (an overflowing sum of finite terms marks a block too, which only
         # scans more).
-        G, H = tables.block_ends()
-        G += H
-        del H
-        ends = G[:, :-1] + G[:, 1:]
-        del G
-        bad = ~np.isfinite(ends.ravel() + H_lo + H_hi + G_lo + G_hi)
+        bad = ~np.isfinite(sums.ravel() + H_lo + H_hi + G_lo + G_hi)
         return _Blocks(pts.size - 1, tables.p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
                        welfare_hi, bad)
 
@@ -395,11 +388,24 @@ def _stack(parts: list) -> list:
     return cols
 
 
-def _batches(n: int, per: int) -> list[range]:
-    """Consecutive ranges of n weights, each holding at most _MAX_TILES
-    cells at per cells a weight, or one weight."""
-    step = max(1, _MAX_TILES // per)
-    return [range(i, min(i + step, n)) for i in range(0, n, step)]
+def check_and_bound(tables: PeriodTables, j_values, coefs, tiles: bool) -> None:
+    """BracketingError unless every (weight, price) row of the scan table
+    brackets each J > 0 at every weight of coefs (:func:`_complete`, in
+    batches of at most _MAX_TILES points); with tiles, then set
+    tables.blocks, the tile enclosures.  Both read one evaluation of the
+    block ends, dropped once read: it runs once per group of weights."""
+    G, H = tables.block_ends()
+    step = max(1, _MAX_TILES // G.size)
+    for c in (coefs[i:i + step] for i in range(0, coefs.size, step)):
+        W = c[:, None, None] * G   # H - coef*G in place: the tables are held
+        _complete(tables, j_values, c, np.subtract(H, W, out=W))
+        del W
+    if tiles:
+        G += H
+        del H
+        sums = G[:, :-1] + G[:, 1:]
+        del G
+        tables.blocks = _Blocks.of(tables, sums)
 
 
 def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
@@ -415,13 +421,12 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     the roots: k, each row's index into coefs; tau, its commission;
     welfare, whether it scores welfare (else profit); floor, None when the
     rows are read for every cell, else each row's floor from
-    :func:`best_floors`.  Then a cell with J > 0 that lacks a bracket at
-    some price raises :class:`BracketingError` first (:func:`_complete`),
-    with floors only the tiles that can reach a row's floor are scanned
-    (:func:`_needed`), and only the brackets whose root may win or tie a
-    row's (tau, J) cell are refined (:func:`_prune`).  Should a bracket
-    that set a cell's threshold give no root, its weight is solved again
-    with every bracket refined.
+    :func:`best_floors`.  Then, on tables that :func:`check_and_bound`
+    has checked (and with floors, bounded), only the tiles that can reach
+    a row's floor are scanned (:func:`_needed`), and only the brackets
+    whose root may win or tie a row's (tau, J) cell are refined
+    (:func:`_prune`).  Should a bracket that set a cell's threshold give
+    no root, its weight is solved again with every bracket refined.
 
     The stages scan per weight, prune per batch of weights and refine per
     chunk.  A chunk closes at the first weight that brings its refined
@@ -434,13 +439,6 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     end); that midpoint is emitted only if its residual is within ``tol_eq``.
     """
     j_values, coefs = np.asarray(j_values, dtype=float), np.asarray(coefs, dtype=float)
-    if reads is not None:
-        Gc, Hc = tables.block_ends()
-        for weights in _batches(coefs.size, Gc.size):
-            W = coefs[weights, None, None] * Gc   # H - coef*G in place: tables and blocks are held
-            _complete(tables, j_values, coefs[weights], np.subtract(Hc, W, out=W))
-            del W
-        del Gc, Hc
     if reads is None or reads[3] is None:
         scan = _scan(tables, j_values, coefs)
     else:
@@ -501,13 +499,9 @@ def _scan(tables: PeriodTables, j_values, coefs):
 
 def _tile_scan(tables: PeriodTables, j_values, coefs, reads):
     """Per weight, as :func:`_scan` gives them, the bracket columns of the
-    tiles :func:`_needed` keeps, tested in batches of weights."""
-    for weights in _batches(coefs.size, tables.blocks.bad.size):
-        t, tile = _needed(tables, j_values, coefs, weights, reads)
-        cols = _tile_brackets(tables, j_values, coefs, t, tile)
-        ends = _edges(cols[0], weights).tolist()
-        for t, a, b in zip(weights, ends, ends[1:]):
-            yield range(t, t + 1), [c[a:b] for c in cols]
+    tiles :func:`_needed` keeps."""
+    for t, tile in enumerate(_needed(tables, j_values, coefs, reads)):
+        yield range(t, t + 1), _tile_brackets(tables, j_values, coefs, np.full(tile.size, t), tile)
 
 
 def _block_points(n_z: int) -> np.ndarray:
@@ -532,45 +526,44 @@ def _tile_brackets(tables: PeriodTables, j_values, coefs, t, tile) -> list:
     return [t, p[rows], b[rows] * _BLOCK + cells, j_idx, s_lo, coefs[t]]
 
 
-def _needed(tables: PeriodTables, j_values, coefs, weights: range, reads):
-    """(t, tile) of the tiles of the weights in range weights that a row
-    of reads needs scanned, weight-major: flat (price, block) indices.
+def _needed(tables: PeriodTables, j_values, coefs, reads):
+    """Per weight of coefs in turn, the tiles that a row of reads needs
+    scanned: flat (price, block) indices, ascending.
 
     A tile can bracket only the wages J_a..J_b-1 in its margin enclosure.
     It is needed when it holds one and a row's value upper bound at J_a
-    (:func:`_wage_ub`) reaches the row's floor.  Two relaxed passes
-    (:func:`_relaxed_ub`) come first, each keeping a superset of the next:
-    one per tile, for the rows' whole ranges of weight and commission
-    against their least floor, then one per (row, tile) against the row's.
-    So the exact pass runs on the survivors alone.  A NaN bound is kept.
+    (:func:`_wage_ub`) reaches the row's floor.  A relaxed pass
+    (:func:`_relaxed_ub`) comes first, one per objective over every tile,
+    for its rows' whole ranges of weight and commission against their
+    least floor.  It keeps a superset of the needed tiles, so each
+    weight's exact pass runs on its survivors alone.  A NaN bound is kept.
     """
     k, tau, welfare, floor = reads
     B = tables.blocks
-    need = np.zeros((len(weights), B.bad.size), dtype=bool)
+    passes = []   # (objective, its rows, the tiles its relaxed pass keeps)
     for w in (False, True):
-        r = np.flatnonzero((welfare == w) & (k >= weights.start) & (k < weights.stop))
-        if not r.size:
-            continue
-        c = coefs[k[r]]
-        ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[r].max(), slice(None), w)
-        tile = np.flatnonzero(~(ub < floor[r].min()))
-        ub = _relaxed_ub(B, j_values, c[:, None], c[:, None], tau[r, None], tile, w)
-        ri, ti = np.nonzero(~(ub < floor[r, None]))
-        del ub
-        r, tile = r[ri], tile[ti]
-        a, b, ub = _wage_ub(B, j_values, coefs[k[r]], tau[r], tile, w)
-        keep = (a < b) & ~(ub < floor[r])
-        need[k[r[keep]] - weights.start, tile[keep]] = True
-    tw, tile = np.nonzero(need)
-    return tw + weights.start, tile
+        r = np.flatnonzero(welfare == w)
+        if r.size:
+            c = coefs[k[r]]
+            ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[r].max(), w)
+            passes.append((w, r, np.flatnonzero(~(ub < floor[r].min()))))
+            del ub
+    for t in range(coefs.size):
+        need = np.zeros(B.bad.size, dtype=bool)
+        for w, r, tile in passes:
+            r = r[k[r] == t]
+            if r.size:
+                a, b, ub = _wage_ub(B, j_values, coefs[k[r], None], tau[r, None], tile, w)
+                need[tile[((a < b) & ~(ub < floor[r, None])).any(axis=0)]] = True
+        yield np.flatnonzero(need)
 
 
-def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi, tau, tile, welfare: bool):
-    """A value upper bound on tiles for every weight in [c_lo, c_hi] and
-    commission up to tau, taken at the margin range's lower end (or J_0):
-    -inf where the margin range misses [J_0, J_last]."""
-    w_lo, w_hi = _margin_range(B, c_lo, c_hi, tile)
-    ub = _value_ub(B, tile, np.maximum(w_lo, j_values[0]), tau, welfare)
+def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi, tau, welfare: bool):
+    """A value upper bound on every tile for every weight in [c_lo, c_hi]
+    and commission up to tau, taken at the margin range's lower end (or
+    J_0): -inf where the margin range misses [J_0, J_last]."""
+    w_lo, w_hi = _margin_range(B, c_lo, c_hi, slice(None))
+    ub = _value_ub(B, slice(None), np.maximum(w_lo, j_values[0]), tau, welfare)
     return np.where((w_hi >= j_values[0]) & (w_lo <= j_values[-1]), ub, -np.inf)
 
 
@@ -629,9 +622,10 @@ def best_floors(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarra
     welfare), as in :func:`solve_slices`, each read only for its table's
     best cell; best lists each table's rows.  A row's floor is the least
     witness (:func:`_witness`) of the tables that read it: a value the
-    table provably attains, so no root below it can win.  The pass runs
-    once per group of weights, so the tiles scanned do not depend on how
-    the weights are split.
+    table provably attains, so no root below it can win.  It reads the
+    tile enclosures that :func:`check_and_bound` sets, and runs once per
+    group of weights, so the tiles scanned do not depend on how the
+    weights are split.
     """
     base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
     floor = np.full(reads[0].size, np.inf)
@@ -688,7 +682,7 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
         top = np.argpartition(ub, -m)[-m:] if m < ub.size else np.arange(ub.size)
         return top[ub[top] > -np.inf]   # drops NaN too
 
-    ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[rows].max(), slice(None), w)
+    ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[rows].max(), w)
     tile = best(ub, max(_WITNESS_TILES, B.bad.size // _WITNESS_SHARE))
     _, _, ub = _wage_ub(B, j_values, c[:, None], tau[rows, None], tile, w)
     ri, ti = np.divmod(best(ub, _WITNESS_TILES), tile.size)

@@ -50,6 +50,7 @@ from .equilibrium import (
     _edges,
     _runs,
     best_floors,
+    check_and_bound,
     equilibrium_at,
     equilibrium_components,
     solve_slices,
@@ -384,6 +385,7 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     # group builds the full table here, once, before the parts split
     tables = (PeriodTables.of if best else PeriodTables.build)(s, np.array(prices), cfg)
     wages = np.array(wages)
+    check_and_bound(tables, wages, coefs, best)   # once, before the witness and the split
     n = [len(r.taus) for r in requests]
     objs = np.repeat([list(Objective).index(r.obj) for r in requests], n)
     # equal (objective, weight, commission) rows have equal values, so from
@@ -426,18 +428,20 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
 
     Requests group by :meth:`TableRequest.slice_key`.  A group with a
     ``"cells"`` request builds one full scan table; a group of ``"best"``
-    requests only gathers the scan kernel at the points it reads.  A group
-    cuts its distinct weights beta * (1 - tau), compared as
-    exact floats, into one contiguous part per thread it holds; each part
-    streams through :func:`solve_slices`.  A group keeps one table of its
-    distinct (objective, weight, commission) rows: each chunk's roots are
-    reduced once per objective into the rows they serve, then dropped, and
-    a request's table is a copy of its rows.  A group with a ``"cells"``
-    request computes every cell; in a group of ``"best"`` requests only,
-    each row is computed at or above the least floor of the requests that
-    read it (see :func:`best_floors`), and NaN elsewhere.  Groups run largest
-    first; with n groups and n < threads, group i holds threads // n +
-    (i < threads % n) threads, else one: at most threads streams at once.
+    requests only gathers the scan kernel at the points it reads.  Each
+    group checks once that every cell with J > 0 brackets at every price
+    (:func:`check_and_bound`), then cuts its distinct weights beta * (1 -
+    tau), compared as exact floats, into one contiguous part per thread it
+    holds; each part streams through :func:`solve_slices`.  A group keeps
+    one table of its distinct (objective, weight, commission) rows: each
+    chunk's roots are reduced once per objective into the rows they serve,
+    then dropped, and a request's table is a copy of its rows.  A group
+    with a ``"cells"`` request computes every cell; in a group of
+    ``"best"`` requests only, each row is computed at or above the least
+    floor of the requests that read it (see :func:`best_floors`), and NaN
+    elsewhere.  Groups run largest first; with n groups and n < threads,
+    group i holds threads // n + (i < threads % n) threads, else one: at
+    most threads streams at once.
     """
     by_key: dict[tuple, list[TableRequest]] = {}
     for r in dict.fromkeys(requests):

@@ -5,6 +5,7 @@ leave to scan."""
 
 import dataclasses
 import math
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idlewage import GridSpec, Objective, SolverConfig, TableRequest, period_for_hour, value_tables
-from idlewage import equilibrium
+from idlewage import equilibrium, optimize
 from idlewage.equilibrium import (
     _BLOCK,
     BracketingError,
@@ -24,9 +25,11 @@ from idlewage.equilibrium import (
     _cut,
     _needed,
     _refine,
+    _tile_scan,
     _value_bounds,
     _wage_ub,
     best_floors,
+    check_and_bound,
     equilibrium_components,
     solve_slices,
 )
@@ -192,11 +195,18 @@ class TestLostThreshold:
         assert lost == []
 
 
+def with_blocks(tables):
+    """tables with its tile enclosures set, as a "best" group sets them;
+    the wage list holds no J > 0, so no completeness is checked."""
+    check_and_bound(tables, np.zeros(1), np.zeros(1), True)
+    return tables
+
+
 def default_group(hour, beta):
     """A default-grid period's tables, wages, weights and its (objective,
     commission) rows: k, tau, welfare."""
     g, s = GridSpec(), period_for_hour(hour, beta)
-    tables = PeriodTables.build(s, g.p_values(), SolverConfig())
+    tables = with_blocks(PeriodTables.build(s, g.p_values(), SolverConfig()))
     taus = g.tau_values()
     coefs = beta * (1.0 - taus[::-1])   # ascending, as value_tables orders them
     k = np.tile(np.arange(taus.size)[::-1], 2)
@@ -212,9 +222,9 @@ class TestTiles:
         k, tau, welfare = rows
         floor = best_floors(tables, wages, coefs, rows,
                             [np.flatnonzero(~welfare), np.flatnonzero(welfare)])
-        t, tile = _needed(tables, wages, coefs, range(coefs.size), (*rows, floor))
         need = np.zeros((coefs.size, tables.blocks.bad.size), dtype=bool)
-        need[t, tile] = True
+        for t, tile in enumerate(_needed(tables, wages, coefs, (*rows, floor))):
+            need[t, tile] = True
         kept = 0
         for r in range(k.size):
             assert floor[r] > 0.0
@@ -226,6 +236,31 @@ class TestTiles:
         assert 0 < need.mean() < 0.01
         assert kept > 0
 
+    @pytest.mark.parametrize("hour, beta", [(19, 0.25), (4, 0.2), (12, 0.95)])
+    def test_relaxed_pass_only_filters(self, monkeypatch, hour, beta):
+        # the tiles the tile scan scans are exactly those the exact test
+        # keeps on every (row, tile) pair, with no relaxed pass before it
+        tables, wages, coefs, rows = default_group(hour, beta)
+        k, tau, welfare = rows
+        floor = best_floors(tables, wages, coefs, rows,
+                            [np.flatnonzero(~welfare), np.flatnonzero(welfare)])
+        every = np.arange(tables.blocks.bad.size)
+        want = np.zeros((coefs.size, every.size), dtype=bool)
+        for r in range(k.size):
+            a, b, ub = _wage_ub(tables.blocks, wages, coefs[k[r]], tau[r], every, welfare[r])
+            want[k[r]] |= (a < b) & ~(ub < floor[r])
+        got, brackets = np.zeros_like(want), equilibrium._tile_brackets
+
+        def recording(tables, j_values, coefs, t, tile):
+            got[t, tile] = True
+            return brackets(tables, j_values, coefs, t, tile)
+
+        monkeypatch.setattr(equilibrium, "_tile_brackets", recording)
+        for _ in _tile_scan(tables, wages, coefs, (*rows, floor)):
+            pass
+        assert want.any()
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("welfare", [False, True])
     @pytest.mark.parametrize("hour, beta, cfg", [(19, 0.25, SolverConfig()), (4, 0.2, FAST_SOLVER)])
     def test_tile_bound_covers_every_bracket_of_its_tile(self, hour, beta, cfg, welfare):
@@ -233,7 +268,7 @@ class TestTiles:
         # value bound at the range's least wage reaches each bracket's
         # upper bound, so no bracket that reaches a floor is left unscanned
         g, s = GridSpec(), period_for_hour(hour, beta)
-        tables, wages = PeriodTables.build(s, g.p_values(), cfg), g.j_values()
+        tables, wages = with_blocks(PeriodTables.build(s, g.p_values(), cfg)), g.j_values()
         several = 0
         for tau in (0.0, 0.5, 0.95):
             coef = beta * (1.0 - tau)
@@ -276,7 +311,7 @@ class TestTiles:
 def full_table_bad(tables):
     """The tiles whose block holds a non-finite G or H, by a sum over each
     block's every point of the full scan table, plus the enclosure pieces."""
-    pts, B = _block_points(tables.z.size), tables.blocks
+    pts, B = _block_points(tables.z.size), with_blocks(tables).blocks
     ends = tables.G[:, pts[1:]] + tables.H[:, pts[1:]]
     for a in (tables.G, tables.H):
         ends += np.add.reduceat(a, pts[:-1], axis=1)
@@ -299,7 +334,7 @@ class TestGatheredKernel:
         p, cfg = GridSpec().p_values(), SolverConfig(scan_points=scan_points)
         with np.errstate(over="ignore", invalid="ignore"):
             want = full_table_bad(PeriodTables.build(s, p, cfg))
-            got = PeriodTables.of(s, p, cfg).blocks.bad
+            got = with_blocks(PeriodTables.of(s, p, cfg)).blocks.bad
         assert not np.any(want & ~got)
         assert want.any() == (kappa is not None and kappa >= 710.0)
 
@@ -308,7 +343,7 @@ class TestGatheredKernel:
         s, p, cfg = period_for_hour(hour), GridSpec().p_values(), SolverConfig()
         full, lean = PeriodTables.build(s, p, cfg), PeriodTables.of(s, p, cfg)
         rng = np.random.default_rng(hour)
-        n_b = lean.blocks.n_b
+        n_b = with_blocks(lean).blocks.n_b
         tile = rng.integers(0, p.size * n_b, 5000)
         p_idx, b = np.divmod(tile, n_b)
         z_idx = np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1), cfg.scan_points - 1)
@@ -349,6 +384,49 @@ class TestGatheredKernel:
         full = (COARSE.p_values().size, FAST_SOLVER.scan_points)
         assert shapes.count(full) == len(hours)
         assert all(math.prod(sh) < math.prod(full) for sh in shapes if sh != full)
+
+
+class TestOnePassEach:
+    """A "best" group evaluates its block ends and checks completeness
+    once, before the witness and the split; a stream bounds every tile
+    once per objective."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_passes_per_group_and_per_stream(self, monkeypatch, threads):
+        events = []   # [name, thread, note on the call], in the order the calls start
+
+        def spy(owner, name, note=lambda args, out: None):
+            fn = getattr(owner, name)
+
+            def spying(*args):
+                events.append(event := [name, threading.get_ident(), None])
+                out = fn(*args)
+                event[2] = note(args, out)
+                return out
+
+            monkeypatch.setattr(owner, name, spying)
+
+        spy(PeriodTables, "block_ends")
+        spy(equilibrium, "_complete", lambda args, out: args[2].tolist())   # the weights checked
+        spy(equilibrium, "_witness")
+        spy(equilibrium, "_relaxed_ub", lambda args, out: out.size == args[0].bad.size)
+        spy(optimize, "solve_slices")
+        reqs = [TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
+                for obj in Objective]
+        value_tables(reqs, threads)
+
+        names = [e[0] for e in events]
+        witness, split = names.index("_witness"), names.index("solve_slices")
+        assert names.count("block_ends") == 1 and names.index("block_ends") < witness
+        checks = [(i, e) for i, e in enumerate(events) if e[0] == "_complete"]
+        assert all(i < witness and e[1] == threading.get_ident() for i, e in checks)
+        weights = np.unique(0.25 * (1.0 - GridSpec().tau_values()))
+        assert sorted(c for _, e in checks for c in e[2]) == weights.tolist()
+        relaxed = [i for i, n in enumerate(names) if n == "_relaxed_ub"]
+        assert all(events[i][2] for i in relaxed)   # each bounds every tile
+        assert names.count("solve_slices") == threads
+        assert sum(i < split for i in relaxed) == names.count("_witness") == len(reqs)
+        assert sum(i > split for i in relaxed) <= len(Objective) * threads
 
 
 def lex_winner(r, t):
@@ -411,7 +489,7 @@ class TestBestReduction:
         s = period_for_hour(19)
         r = TableRequest.of(s, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages,
                             reduction="best")
-        tables = PeriodTables.build(s, COARSE.p_values(), FAST_SOLVER)
+        tables = with_blocks(PeriodTables.build(s, COARSE.p_values(), FAST_SOLVER))
         taus = COARSE.tau_values()
         coefs = s.supply.risk_beta * (1.0 - taus[::-1])
         rows = (np.arange(taus.size)[::-1], taus, np.zeros(taus.size, dtype=bool))

@@ -355,6 +355,22 @@ class TestDeterminism:
         rb = optimize_single_period(H19, Objective.PROFIT, COARSE, FAST_SOLVER, threads=3)
         assert ra.best_schedule == rb.best_schedule and ra.value == rb.value
 
+    def test_best_tables_do_not_depend_on_threads(self):
+        # default grid: every value, price index, root and NaN bit, as the
+        # weights split into 1, 2 and 3 streams
+        reqs = [TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
+                for obj in Objective]
+        want = value_tables(reqs, threads=1)
+        assert all(np.isnan(want[r].values).any() for r in reqs)
+        for threads in (2, 3):
+            got = value_tables(reqs, threads)
+            for r in reqs:
+                a, b = want[r], got[r]
+                assert np.array_equal(np.isnan(a.values), np.isnan(b.values))
+                for x, y in ((a.values, b.values), (a.p_idx, b.p_idx), (a.z, b.z)):
+                    assert x.dtype == y.dtype
+                    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
 
     @pytest.mark.parametrize("obj", [Objective.PROFIT, Objective.WELFARE])
     def test_commission_groups_do_not_change_the_table(self, obj):
