@@ -27,7 +27,7 @@ agrees bitwise with the corresponding optimizer cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,11 +167,11 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # price's block of _BLOCK scan cells at one weight.  A floor, a value the
 # table attains, comes first; an enclosure of W on each block gives the
 # wages a tile can bracket, and only the tiles whose value bound at those
-# wages reaches the floor are scanned finely: one relaxed pass per stream
-# and objective, then one exact pass per weight.  Such a table never
-# builds the full (price x z) scan table: the kernel is evaluated at the
-# block ends, once per group (check_and_bound), and at the scanned tiles'
-# points alone (PeriodTables.kernel).
+# wages reaches the floor are scanned finely: one relaxed pass per table
+# at the group's setup, then one exact pass per weight.  Such a table
+# never builds the full (price x z) scan table: the kernel is evaluated
+# at the block ends, once per group (setup_group), and at the scanned
+# tiles' points alone (PeriodTables.kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
@@ -231,7 +231,7 @@ class PeriodTables:
     z: np.ndarray        # (n_z,) geometric pickup-time grid
     G: np.ndarray | None = None   # (n_p, n_z) untaxed earnings base p*Q/L1, when built
     H: np.ndarray | None = None   # (n_p, n_z) supply margin c*(L1/A)**(1/eps), when built
-    blocks: _Blocks | None = None   # the tile enclosures, once check_and_bound sets them
+    blocks: _Blocks | None = None   # the tile enclosures, once setup_group sets them
 
     @staticmethod
     def of(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
@@ -280,19 +280,24 @@ class _Blocks:
     H_hi: np.ndarray
     G_lo: np.ndarray         # earnings base bounds pQ_b/L_max and pQ_a/L_min
     G_hi: np.ndarray
-    welfare_hi: np.ndarray   # the block's welfare upper bound (J- and tau-free)
+    welfare_hi: np.ndarray | None   # the block's welfare upper bound (J- and tau-free), if read
     bad: np.ndarray          # the block holds a non-finite G or H
+    # per objective (welfare or not), a mask of the tiles whose relaxed
+    # bound reaches the witness of one of its tables (setup_group)
+    candidates: dict = field(default_factory=dict)
 
     @staticmethod
-    def of(tables: PeriodTables, sums: np.ndarray) -> "_Blocks":
-        """The pieces on tables' grids; sums: each tile's G + H at its two block ends."""
+    def of(tables: PeriodTables, sums: np.ndarray, welfare: bool) -> "_Blocks":
+        """The pieces on tables' grids, welfare's bound only if welfare;
+        sums: each tile's G + H at its two block ends."""
         s, n_z, n_p = tables.scenario, tables.z.size, tables.p.size
         pts = _block_points(n_z)
         z = tables.z[pts]
         p_idx, b = np.divmod(np.arange(n_p * (pts.size - 1)), pts.size - 1)
         p = tables.p[p_idx]
         ends = _cell_ends(s, z, p, b)
-        _, welfare_hi = _bounds(s, p, ends, 0.0, 0.0, True)   # welfare writes no end in place
+        # welfare writes no end in place
+        welfare_hi = _bounds(s, p, ends, 0.0, 0.0, True)[1] if welfare else None
         _, _, Q_a, Q_b, L_min, L_max = ends
         del ends
         G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
@@ -388,24 +393,43 @@ def _stack(parts: list) -> list:
     return cols
 
 
-def check_and_bound(tables: PeriodTables, j_values, coefs, tiles: bool) -> None:
-    """BracketingError unless every (weight, price) row of the scan table
+def setup_group(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarray:
+    """Each floor over the value-table rows of reads = (k, tau, welfare),
+    as in :func:`solve_slices`, from one setup per group of weights,
+    before they split, so the tiles scanned do not depend on the split.
+
+    BracketingError unless every (weight, price) row of the scan table
     brackets each J > 0 at every weight of coefs (:func:`_complete`, in
-    batches of at most _MAX_TILES points); with tiles, then set
-    tables.blocks, the tile enclosures.  Both read one evaluation of the
-    block ends, dropped once read: it runs once per group of weights."""
+    batches of at most _MAX_TILES points).  best lists each table's rows
+    when the group's tables are read only for their best cell, else is
+    empty and every floor is -inf.  With best, tables.blocks is set, the
+    tile enclosures, and a row's floor is the least witness
+    (:func:`_witness`) of the tables that read it: a value the table
+    provably attains, so no root below it can win.  The check and the
+    enclosures read one evaluation of the block ends, dropped once read.
+    """
     G, H = tables.block_ends()
     step = max(1, _MAX_TILES // G.size)
     for c in (coefs[i:i + step] for i in range(0, coefs.size, step)):
         W = c[:, None, None] * G   # H - coef*G in place: the tables are held
         _complete(tables, j_values, c, np.subtract(H, W, out=W))
         del W
-    if tiles:
+    welfare = reads[2]
+    floor = np.full(welfare.size, np.inf if best else -np.inf)
+    if best:
         G += H
         del H
         sums = G[:, :-1] + G[:, 1:]
         del G
-        tables.blocks = _Blocks.of(tables, sums)
+        B = tables.blocks = _Blocks.of(tables, sums, welfare.any())
+        base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
+        for rows in best:
+            rows = np.unique(rows)
+            w = bool(welfare[rows[0]])
+            value, kept = _witness(tables, j_values, coefs, reads, rows, base)
+            floor[rows] = np.minimum(floor[rows], value)
+            B.candidates[w] = B.candidates.get(w, False) | kept
+    return floor
 
 
 def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
@@ -419,13 +443,13 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     With reads None every bracket is refined, so every root is found.
     Otherwise reads holds four arrays over the value-table rows that read
     the roots: k, each row's index into coefs; tau, its commission;
-    welfare, whether it scores welfare (else profit); floor, None when the
-    rows are read for every cell, else each row's floor from
-    :func:`best_floors`.  Then, on tables that :func:`check_and_bound`
-    has checked (and with floors, bounded), only the tiles that can reach
-    a row's floor are scanned (:func:`_needed`), and only the brackets
-    whose root may win or tie a row's (tau, J) cell are refined
-    (:func:`_prune`).  Should a bracket that set a cell's threshold give
+    welfare, whether it scores welfare (else profit); floor, each row's
+    floor from :func:`setup_group`, -inf for a row read for every cell.
+    Then, on tables that :func:`setup_group` has checked, only the
+    brackets whose root may win or tie a row's (tau, J) cell and reach
+    its floor are refined (:func:`_prune`), and on tables it has bounded
+    by tiles only the tiles that can reach a row's floor are scanned
+    (:func:`_needed`).  Should a bracket that set a cell's threshold give
     no root, its weight is solved again with every bracket refined.
 
     The stages scan per weight, prune per batch of weights and refine per
@@ -439,7 +463,7 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     end); that midpoint is emitted only if its residual is within ``tol_eq``.
     """
     j_values, coefs = np.asarray(j_values, dtype=float), np.asarray(coefs, dtype=float)
-    if reads is None or reads[3] is None:
+    if tables.blocks is None:
         scan = _scan(tables, j_values, coefs)
     else:
         scan = _tile_scan(tables, j_values, coefs, reads)
@@ -532,22 +556,16 @@ def _needed(tables: PeriodTables, j_values, coefs, reads):
 
     A tile can bracket only the wages J_a..J_b-1 in its margin enclosure.
     It is needed when it holds one and a row's value upper bound at J_a
-    (:func:`_wage_ub`) reaches the row's floor.  A relaxed pass
-    (:func:`_relaxed_ub`) comes first, one per objective over every tile,
-    for its rows' whole ranges of weight and commission against their
-    least floor.  It keeps a superset of the needed tiles, so each
-    weight's exact pass runs on its survivors alone.  A NaN bound is kept.
+    (:func:`_wage_ub`) reaches the row's floor.  Each weight's exact pass
+    runs on its objectives' candidate tiles alone, those that a table's
+    relaxed bound keeps at the setup: a row's floor is the witness of a
+    table that reads it, whose relaxed bound reaches the row's exact one,
+    so they hold every needed tile.  A NaN bound is kept.
     """
     k, tau, welfare, floor = reads
     B = tables.blocks
-    passes = []   # (objective, its rows, the tiles its relaxed pass keeps)
-    for w in (False, True):
-        r = np.flatnonzero(welfare == w)
-        if r.size:
-            c = coefs[k[r]]
-            ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[r].max(), w)
-            passes.append((w, r, np.flatnonzero(~(ub < floor[r].min()))))
-            del ub
+    # (objective, its rows, its candidate tiles)
+    passes = [(w, np.flatnonzero(welfare == w), np.flatnonzero(m)) for w, m in B.candidates.items()]
     for t in range(coefs.size):
         need = np.zeros(B.bad.size, dtype=bool)
         for w, r, tile in passes:
@@ -617,24 +635,6 @@ def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
     return ub
 
 
-def best_floors(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarray:
-    """Each row's floor over the value-table rows of reads = (k, tau,
-    welfare), as in :func:`solve_slices`, each read only for its table's
-    best cell; best lists each table's rows.  A row's floor is the least
-    witness (:func:`_witness`) of the tables that read it: a value the
-    table provably attains, so no root below it can win.  It reads the
-    tile enclosures that :func:`check_and_bound` sets, and runs once per
-    group of weights, so the tiles scanned do not depend on how the
-    weights are split.
-    """
-    base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
-    floor = np.full(reads[0].size, np.inf)
-    for rows in best:
-        rows = np.unique(rows)
-        floor[rows] = np.minimum(floor[rows], _witness(tables, j_values, coefs, reads, rows, base))
-    return floor
-
-
 def _complete(tables: PeriodTables, j_values, coefs, W) -> None:
     """BracketingError unless every (weight, price) row of the scan table
     brackets each J > 0; W is the margin at the block ends, (weight,
@@ -663,16 +663,17 @@ def _complete(tables: PeriodTables, j_values, coefs, W) -> None:
             )
 
 
-def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
-    """A value that some cell of the rows (one table's) attains: base, or
-    the largest value lower bound of the roots refined in the tiles of the
-    rows' largest value upper bounds, whichever is larger.
+def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base):
+    """(value, kept): a value that some cell of the rows (one table's)
+    attains, base or the largest value lower bound of the roots refined in
+    the tiles of the rows' largest value upper bounds, whichever is
+    larger; and a mask of the tiles whose relaxed bound reaches it.
 
     The tiles are ranked best first, as in branch and bound, with the
     bounds of :func:`_needed`: the 1/_WITNESS_SHARE of tiles with the
-    largest relaxed bound over all the rows' weights and commissions, then
-    the _WITNESS_TILES (row, tile) pairs among those with the largest bound
-    at the smallest wage their margin range holds.
+    largest relaxed bound (:func:`_relaxed_ub`) over all the rows' weights
+    and commissions, then the _WITNESS_TILES (row, tile) pairs among those
+    with the largest bound at the smallest wage their margin range holds.
     """
     k, tau, welfare = reads
     B, w, c = tables.blocks, bool(welfare[rows[0]]), coefs[k[rows]]
@@ -682,8 +683,8 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
         top = np.argpartition(ub, -m)[-m:] if m < ub.size else np.arange(ub.size)
         return top[ub[top] > -np.inf]   # drops NaN too
 
-    ub = _relaxed_ub(B, j_values, c.min(), c.max(), tau[rows].max(), w)
-    tile = best(ub, max(_WITNESS_TILES, B.bad.size // _WITNESS_SHARE))
+    relaxed = _relaxed_ub(B, j_values, c.min(), c.max(), tau[rows].max(), w)
+    tile = best(relaxed, max(_WITNESS_TILES, B.bad.size // _WITNESS_SHARE))
     _, _, ub = _wage_ub(B, j_values, c[:, None], tau[rows, None], tile, w)
     ri, ti = np.divmod(best(ub, _WITNESS_TILES), tile.size)
     t, tile = np.unique(np.stack((k[rows[ri]], tile[ti])), axis=1)   # by weight, then tile
@@ -693,16 +694,18 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base) -> float:
     by_k = rows[np.argsort(k[rows])]   # a table's rows have distinct weights
     r = by_k[np.searchsorted(k[by_k], t[ok])]
     lo, _ = _value_bounds(tables, p_idx[ok], cell_idx[ok], j_values[j_idx[ok]], tau[r], w)
-    return max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
+    value = max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
+    return value, ~(relaxed < value)
 
 
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:
     """roots with those of the weights lost (indices into coefs, ascending)
     replaced by all of their roots, from one unpruned pass through the
     stages, still sorted by (t, j, p, z).  That pass reads the full scan
-    table; one the tables lack is built here for this call alone."""
-    full = tables if tables.G is not None else PeriodTables.build(tables.scenario, tables.p,
-                                                                   tables.cfg)
+    table; tables bounded by tiles hold none, so one is built here for
+    this call alone."""
+    full = tables if tables.blocks is None else PeriodTables.build(tables.scenario, tables.p,
+                                                                    tables.cfg)
     other = ~np.isin(roots.t_idx, lost)
     parts = [(roots.t_idx[other], roots.p_idx[other], roots.j_idx[other], roots.z[other])]
     for _, r in solve_slices(full, j_values, coefs[lost]):
@@ -732,8 +735,7 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
         if b.size:
             J = j_values[j_idx[b]]
             lo, hi = _value_bounds(tables, p_idx[b], cell_idx[b], J, tau[r][owner], w)
-            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J,
-                                  None if floor is None else floor[r][owner])
+            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, floor[r][owner])
             keep[b[keep_b]] = True
             sets[b[sets_b]] = True
     return keep, sets
@@ -807,11 +809,11 @@ def _bounds(s: PeriodScenario, p, ends, J, tau, welfare: bool):
     return lo, hi
 
 
-def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor=None):
+def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor: np.ndarray):
     """(keep, sets) for value enclosures [lo, hi] whose cells come in runs
-    of ascending cell id, J being each one's wage and floor, if given, a
-    value below which no root is needed (for a table read for its best
-    cell, one that the table attains).
+    of ascending cell id, J being each one's wage and floor a value below
+    which no root is needed: -inf for a table read for every cell, and
+    for one read for its best cell a value that the table attains.
 
     A cell's threshold is its largest lo, and at least 0 at J <= 0, where
     the shutdown equilibrium (value 0) stands, and at least its floor; a
@@ -821,9 +823,7 @@ def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor=
     is a threshold above those floors, and those are kept too.
     """
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    base = np.where(J[starts] > 0.0, -np.inf, 0.0)
-    if floor is not None:
-        np.maximum(base, floor[starts], out=base)
+    base = np.maximum(np.where(J[starts] > 0.0, -np.inf, 0.0), floor[starts])
     thr = np.fmax(np.fmax.reduceat(lo, starts), base)
     widths = np.diff(starts, append=lo.size)
     above = np.repeat(thr > base, widths)

@@ -49,10 +49,9 @@ from .equilibrium import (
     SolverConfig,
     _edges,
     _runs,
-    best_floors,
-    check_and_bound,
     equilibrium_at,
     equilibrium_components,
+    setup_group,
     solve_slices,
     zero_equilibrium,
 )
@@ -385,7 +384,6 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     # group builds the full table here, once, before the parts split
     tables = (PeriodTables.of if best else PeriodTables.build)(s, np.array(prices), cfg)
     wages = np.array(wages)
-    check_and_bound(tables, wages, coefs, best)   # once, before the witness and the split
     n = [len(r.taus) for r in requests]
     objs = np.repeat([list(Objective).index(r.obj) for r in requests], n)
     # equal (objective, weight, commission) rows have equal values, so from
@@ -394,18 +392,15 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     objs, w, taus = u[:, 0], u[:, 1], u[:, 2].view(float)
     welfare = objs == list(Objective).index(Objective.WELFARE)
     rows_of = np.split(row, np.cumsum(n)[:-1])   # each request's rows
-    floor = None   # a group with a "cells" request scans every cell
-    if best:
-        # before the parts split, so the tiles scanned do not depend on the thread count
-        floor = best_floors(tables, wages, coefs, (w, taus, welfare), rows_of)
+    floor = setup_group(tables, wages, coefs, (w, taus, welfare), rows_of if best else [])
     # unfilled; the group's chunks fill every row
     values, p_idx, z = (np.empty((len(u), wages.size), d) for d in (float, np.intp, float))
 
     def stream(part):
         k = w - part[0]   # each row's index into the part's weights
         ours = (k >= 0) & (k < part.size)
-        # only brackets that can win are refined, and with floors only such tiles scanned
-        reads = k[ours], taus[ours], welfare[ours], None if floor is None else floor[ours]
+        # only brackets that can win are refined, and with tile enclosures only such tiles scanned
+        reads = k[ours], taus[ours], welfare[ours], floor[ours]
         for rows, roots in solve_slices(tables, wages, coefs[part], reads):
             for o, obj in enumerate(Objective):
                 mine = np.flatnonzero((objs == o) & (k >= rows.start) & (k < rows.stop))
@@ -415,11 +410,10 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
             del roots   # before the next chunk refines
 
     _parallel_map(stream, np.array_split(np.arange(coefs.size), min(threads, coefs.size)), threads)
-    if floor is not None:
-        # a row read only for best cells is exact at or above its floor, and
-        # a J > 0 cell without a root was never reached: neither is computed
-        floor = floor[:, None]
-        values[(values < floor) | (np.isnan(z) & (wages > 0.0) & (floor > -np.inf))] = np.nan
+    # a row read only for best cells is exact at or above its floor, and a
+    # J > 0 cell without a root was never reached: neither is computed
+    floor = floor[:, None]
+    values[(values < floor) | (np.isnan(z) & (wages > 0.0) & (floor > -np.inf))] = np.nan
     return {r: ValueTable(values[i], p_idx[i], z[i]) for r, i in zip(requests, rows_of)}
 
 
@@ -429,16 +423,17 @@ def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     Requests group by :meth:`TableRequest.slice_key`.  A group with a
     ``"cells"`` request builds one full scan table; a group of ``"best"``
     requests only gathers the scan kernel at the points it reads.  Each
-    group checks once that every cell with J > 0 brackets at every price
-    (:func:`check_and_bound`), then cuts its distinct weights beta * (1 -
-    tau), compared as exact floats, into one contiguous part per thread it
-    holds; each part streams through :func:`solve_slices`.  A group keeps
+    group's setup (:func:`setup_group`) checks once that every cell with
+    J > 0 brackets at every price and gives each row its floor; then the
+    group cuts its distinct weights beta * (1 - tau), compared as exact
+    floats, into one contiguous part per thread it holds; each part
+    streams through :func:`solve_slices`.  A group keeps
     one table of its distinct (objective, weight, commission) rows: each
     chunk's roots are reduced once per objective into the rows they serve,
     then dropped, and a request's table is a copy of its rows.  A group
     with a ``"cells"`` request computes every cell; in a group of
     ``"best"`` requests only, each row is computed at or above the least
-    floor of the requests that read it (see :func:`best_floors`), and NaN
+    floor of the requests that read it (see :func:`setup_group`), and NaN
     elsewhere.  Groups run largest first; with n groups and n < threads,
     group i holds threads // n + (i < threads % n) threads, else one: at
     most threads streams at once.

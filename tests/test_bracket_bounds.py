@@ -25,12 +25,10 @@ from idlewage.equilibrium import (
     _cut,
     _needed,
     _refine,
-    _tile_scan,
     _value_bounds,
     _wage_ub,
-    best_floors,
-    check_and_bound,
     equilibrium_components,
+    setup_group,
     solve_slices,
 )
 from idlewage.objectives import profit_values, welfare_values
@@ -99,7 +97,7 @@ def test_cut_keeps_what_can_reach_the_threshold(cells):
     sizes = [len(pairs) for _, pairs in cells]
     cell = np.repeat(np.arange(len(cells)), sizes)
     J = np.repeat([1.0 if positive else 0.0 for positive, _ in cells], sizes)
-    keep, sets = _cut(lo, hi, cell, J)
+    keep, sets = _cut(lo, hi, cell, J, np.full(lo.size, -np.inf))
     i = 0
     for positive, pairs in cells:
         floor = -math.inf if positive else 0.0
@@ -115,7 +113,7 @@ def test_nan_bound_never_prunes_nor_raises_a_threshold():
     # goes; cell 1: every lo is NaN, so nothing sets a threshold and all stay
     lo = np.array([np.nan, 1.0, 3.0, np.nan, np.nan])
     hi = np.array([5.0, 2.0, 4.0, -10.0, np.nan])
-    keep, sets = _cut(lo, hi, np.array([0, 0, 0, 1, 1]), np.ones(5))
+    keep, sets = _cut(lo, hi, np.array([0, 0, 0, 1, 1]), np.ones(5), np.full(5, -np.inf))
     assert keep.tolist() == [True, False, True, True, True]
     assert sets.tolist() == [False, False, True, False, False]
 
@@ -196,21 +194,27 @@ class TestLostThreshold:
 
 
 def with_blocks(tables):
-    """tables with its tile enclosures set, as a "best" group sets them;
-    the wage list holds no J > 0, so no completeness is checked."""
-    check_and_bound(tables, np.zeros(1), np.zeros(1), True)
+    """tables with its tile enclosures set, as a "best" group of a profit
+    and a welfare table sets them; the wage list holds no J > 0, so no
+    completeness is checked."""
+    rows = (np.zeros(2, dtype=int), np.ones(2), np.array([False, True]))
+    setup_group(tables, np.zeros(1), np.zeros(1), rows, [np.array([0]), np.array([1])])
     return tables
 
 
 def default_group(hour, beta):
-    """A default-grid period's tables, wages, weights and its (objective,
-    commission) rows: k, tau, welfare."""
+    """A default-grid period's tables, set up as a "best" group of a profit
+    and a welfare table, its wages, weights, its (objective, commission)
+    rows (k, tau, welfare) and their floors."""
     g, s = GridSpec(), period_for_hour(hour, beta)
-    tables = with_blocks(PeriodTables.build(s, g.p_values(), SolverConfig()))
+    tables = PeriodTables.build(s, g.p_values(), SolverConfig())
     taus = g.tau_values()
     coefs = beta * (1.0 - taus[::-1])   # ascending, as value_tables orders them
     k = np.tile(np.arange(taus.size)[::-1], 2)
-    return tables, g.j_values(), coefs, (k, np.tile(taus, 2), np.repeat([False, True], taus.size))
+    rows = (k, np.tile(taus, 2), np.repeat([False, True], taus.size))
+    floor = setup_group(tables, g.j_values(), coefs, rows,
+                        [np.flatnonzero(~rows[2]), np.flatnonzero(rows[2])])
+    return tables, g.j_values(), coefs, rows, floor
 
 
 class TestTiles:
@@ -218,10 +222,8 @@ class TestTiles:
     def test_brackets_reaching_the_floor_lie_in_needed_tiles(self, hour, beta):
         # every bracket whose value bound reaches its best table's floor
         # lies in a tile the tile test scans, and few tiles are scanned
-        tables, wages, coefs, rows = default_group(hour, beta)
+        tables, wages, coefs, rows, floor = default_group(hour, beta)
         k, tau, welfare = rows
-        floor = best_floors(tables, wages, coefs, rows,
-                            [np.flatnonzero(~welfare), np.flatnonzero(welfare)])
         need = np.zeros((coefs.size, tables.blocks.bad.size), dtype=bool)
         for t, tile in enumerate(_needed(tables, wages, coefs, (*rows, floor))):
             need[t, tile] = True
@@ -236,28 +238,43 @@ class TestTiles:
         assert 0 < need.mean() < 0.01
         assert kept > 0
 
-    @pytest.mark.parametrize("hour, beta", [(19, 0.25), (4, 0.2), (12, 0.95)])
-    def test_relaxed_pass_only_filters(self, monkeypatch, hour, beta):
-        # the tiles the tile scan scans are exactly those the exact test
-        # keeps on every (row, tile) pair, with no relaxed pass before it
-        tables, wages, coefs, rows = default_group(hour, beta)
-        k, tau, welfare = rows
-        floor = best_floors(tables, wages, coefs, rows,
-                            [np.flatnonzero(~welfare), np.flatnonzero(welfare)])
+    @pytest.mark.parametrize("hour, betas, threads", [
+        (19, (0.25,), 1), (4, (0.2,), 1), (12, (0.95,), 1),
+        (19, (0.25, 0.5), 1), (19, (0.25, 0.5), 2),
+    ], ids=["19-0.25", "4-0.2", "12-0.95", "19-0.25+0.5-threads1", "19-0.25+0.5-threads2"])
+    def test_relaxed_pass_only_filters(self, monkeypatch, hour, betas, threads):
+        # the tiles the streams scan are exactly those the exact test keeps
+        # on every (row, tile) pair, with no relaxed pass before it; at
+        # betas 0.25 and 0.5 two tables per objective share their tau = 1
+        # row (weight 0), whose floor is the lesser of two witnesses
+        setups, scanned = [], []
+        setup, brackets = optimize.setup_group, equilibrium._tile_brackets
+
+        def recording_setup(*args):
+            setups.append((*args, floor := setup(*args)))
+            return floor
+
+        def recording(tables, j_values, coefs, t, tile):
+            if setups:   # a stream's scan, not a witness's
+                scanned.append((coefs[t], tile))
+            return brackets(tables, j_values, coefs, t, tile)
+
+        monkeypatch.setattr(optimize, "setup_group", recording_setup)
+        monkeypatch.setattr(equilibrium, "_tile_brackets", recording)
+        value_tables([TableRequest.of(period_for_hour(hour, b), obj, reduction="best")
+                      for b in betas for obj in Objective], threads)
+        ((tables, wages, coefs, (k, tau, welfare), best, floor),) = setups
+        shared = np.flatnonzero(coefs[k] == 0.0)   # each objective's tau = 1 row
+        assert shared.size == len(Objective)
+        assert all(sum(r in rows for rows in best) == len(betas) for r in shared)
         every = np.arange(tables.blocks.bad.size)
         want = np.zeros((coefs.size, every.size), dtype=bool)
         for r in range(k.size):
             a, b, ub = _wage_ub(tables.blocks, wages, coefs[k[r]], tau[r], every, welfare[r])
             want[k[r]] |= (a < b) & ~(ub < floor[r])
-        got, brackets = np.zeros_like(want), equilibrium._tile_brackets
-
-        def recording(tables, j_values, coefs, t, tile):
-            got[t, tile] = True
-            return brackets(tables, j_values, coefs, t, tile)
-
-        monkeypatch.setattr(equilibrium, "_tile_brackets", recording)
-        for _ in _tile_scan(tables, wages, coefs, (*rows, floor)):
-            pass
+        got = np.zeros_like(want)
+        for c, tile in scanned:
+            got[np.searchsorted(coefs, c), tile] = True
         assert want.any()
         assert np.array_equal(got, want)
 
@@ -387,9 +404,9 @@ class TestGatheredKernel:
 
 
 class TestOnePassEach:
-    """A "best" group evaluates its block ends and checks completeness
-    once, before the witness and the split; a stream bounds every tile
-    once per objective."""
+    """A "best" group evaluates its block ends, checks completeness and
+    bounds every tile once per table in one setup call, before the split;
+    no stream bounds every tile."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_passes_per_group_and_per_stream(self, monkeypatch, threads):
@@ -406,6 +423,7 @@ class TestOnePassEach:
 
             monkeypatch.setattr(owner, name, spying)
 
+        spy(optimize, "setup_group")
         spy(PeriodTables, "block_ends")
         spy(equilibrium, "_complete", lambda args, out: args[2].tolist())   # the weights checked
         spy(equilibrium, "_witness")
@@ -417,6 +435,7 @@ class TestOnePassEach:
 
         names = [e[0] for e in events]
         witness, split = names.index("_witness"), names.index("solve_slices")
+        assert names.count("setup_group") == 1 and names.index("setup_group") == 0
         assert names.count("block_ends") == 1 and names.index("block_ends") < witness
         checks = [(i, e) for i, e in enumerate(events) if e[0] == "_complete"]
         assert all(i < witness and e[1] == threading.get_ident() for i, e in checks)
@@ -425,8 +444,34 @@ class TestOnePassEach:
         relaxed = [i for i, n in enumerate(names) if n == "_relaxed_ub"]
         assert all(events[i][2] for i in relaxed)   # each bounds every tile
         assert names.count("solve_slices") == threads
-        assert sum(i < split for i in relaxed) == names.count("_witness") == len(reqs)
-        assert sum(i > split for i in relaxed) <= len(Objective) * threads
+        assert all(i < split for i in relaxed)
+        assert len(relaxed) == names.count("_witness") == len(reqs)
+
+    @pytest.mark.parametrize("objs", [(Objective.PROFIT,), (Objective.WELFARE,), tuple(Objective)])
+    def test_welfare_bound_only_for_a_welfare_row(self, monkeypatch, objs):
+        # a profit-only group bounds no welfare; a group with a welfare row
+        # bounds every tile's welfare once, at the setup
+        tables, welfare_bounds = [], []
+        solve, bounds = optimize.solve_slices, equilibrium._bounds
+
+        def recording_solve(*args):
+            tables.append(args[0])
+            return solve(*args)
+
+        def recording_bounds(s, p, ends, J, tau, welfare):
+            if welfare:
+                welfare_bounds.append(np.size(p))
+            return bounds(s, p, ends, J, tau, welfare)
+
+        monkeypatch.setattr(optimize, "solve_slices", recording_solve)
+        monkeypatch.setattr(equilibrium, "_bounds", recording_bounds)
+        value_tables([TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
+                      for obj in objs])
+        (B,) = {id(t.blocks): t.blocks for t in tables}.values()
+        reads = Objective.WELFARE in objs
+        assert (B.welfare_hi is not None) == reads
+        assert welfare_bounds.count(B.bad.size) == reads
+        assert bool(welfare_bounds) == reads
 
 
 def lex_winner(r, t):
@@ -489,11 +534,11 @@ class TestBestReduction:
         s = period_for_hour(19)
         r = TableRequest.of(s, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages,
                             reduction="best")
-        tables = with_blocks(PeriodTables.build(s, COARSE.p_values(), FAST_SOLVER))
+        tables = PeriodTables.build(s, COARSE.p_values(), FAST_SOLVER)
         taus = COARSE.tau_values()
         coefs = s.supply.risk_beta * (1.0 - taus[::-1])
         rows = (np.arange(taus.size)[::-1], taus, np.zeros(taus.size, dtype=bool))
-        floor = best_floors(tables, np.array(wages), coefs, rows, [np.arange(taus.size)])
+        floor = setup_group(tables, np.array(wages), coefs, rows, [np.arange(taus.size)])
         assert np.all(floor == floor[0])
         assert floor[0] <= np.nanmax(value_tables([r])[r].values)
         assert floor[0] >= 0.0 if wages[0] == 0.0 else np.isfinite(floor[0])
