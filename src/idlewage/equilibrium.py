@@ -167,17 +167,19 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # price's block of _BLOCK scan cells at one weight.  A floor, a value the
 # table attains, comes first; an enclosure of W on each block gives the
 # wages a tile can bracket, and only the tiles whose value bound at those
-# wages reaches the floor are scanned finely: one relaxed pass per table
-# at the group's setup, then one exact pass per weight.  Such a table
-# never builds the full (price x z) scan table: the kernel is evaluated
-# at the block ends, once per group (setup_group), and at the scanned
-# tiles' points alone (PeriodTables.kernel).
+# wages reaches the floor are scanned finely: one pass per table at the
+# group's setup bounds every tile over all the table's rows (welfare's
+# relaxed bound, profit's envelope along the line c = beta*(1 - tau)),
+# then one exact pass per weight bounds only the tiles those keep.  The
+# setup decides completeness from two weights and builds the enclosures
+# from one evaluation of demand on the (price x block end) grid.  Such a
+# table never builds the full (price x z) scan table: the kernel is
+# evaluated at the block ends, once per group (setup_group), and at the
+# scanned tiles' points alone (PeriodTables.kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
 _BLOCK = 16
-# Budget on the block-end scan points that one completeness batch holds.
-_MAX_TILES = 2**18
 # Tiles refined to find a best table's witness value, and the share of
 # all tiles, 1/_WITNESS_SHARE, ranked for them.
 _WITNESS_TILES = 32
@@ -282,26 +284,33 @@ class _Blocks:
     G_hi: np.ndarray
     welfare_hi: np.ndarray | None   # the block's welfare upper bound (J- and tau-free), if read
     bad: np.ndarray          # the block holds a non-finite G or H
-    # per objective (welfare or not), a mask of the tiles whose relaxed
+    # per objective (welfare or not), a mask of the tiles whose table
     # bound reaches the witness of one of its tables (setup_group)
     candidates: dict = field(default_factory=dict)
 
     @staticmethod
     def of(tables: PeriodTables, sums: np.ndarray, welfare: bool) -> "_Blocks":
         """The pieces on tables' grids, welfare's bound only if welfare;
-        sums: each tile's G + H at its two block ends."""
-        s, n_z, n_p = tables.scenario, tables.z.size, tables.p.size
-        pts = _block_points(n_z)
-        z = tables.z[pts]
-        p_idx, b = np.divmod(np.arange(n_p * (pts.size - 1)), pts.size - 1)
-        p = tables.p[p_idx]
-        ends = _cell_ends(s, z, p, b)
-        # welfare writes no end in place
-        welfare_hi = _bounds(s, p, ends, 0.0, 0.0, True)[1] if welfare else None
-        _, _, Q_a, Q_b, L_min, L_max = ends
-        del ends
+        sums: each tile's G + H at its two block ends.
+
+        Each piece is :func:`_cell_ends`' (and :func:`_bounds`') formula
+        with the same operations on the same values, so the same bits;
+        demand is evaluated once on the (price x block end) grid, where a
+        block's Q_a and Q_b are neighbours.  Fields are (price, block)
+        tables, flattened."""
+        s = tables.scenario
+        z, p = tables.z[_block_points(tables.z.size)], tables.p[:, None]
+        Q = demand(s.demand, p, z)
+        Q_a, Q_b = Q[:, :-1], Q[:, 1:]   # Q(z_lo) >= Q >= Q(z_hi) on a block
+        iz = idle_from_time(s.pickup, z)
+        L_min = iz[1:] + (s.trip_time + z[:-1]) * Q_b
+        L_max = iz[:-1] + (s.trip_time + z[1:]) * Q_a
+        del iz
         G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
-        del p, Q_b
+        welfare_hi = _welfare_ub(s, p, z[:-1], Q_a, L_min, L_max).ravel() if welfare else None
+        Q_a = Q_a.ravel()   # a copy: Q and its views go
+        del Q, Q_b
+        L_min, L_max, G_lo, G_hi = L_min.ravel(), L_max.ravel(), G_lo.ravel(), G_hi.ravel()
         H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
         # G or H is non-finite inside a block only if it is at the block's
         # ends or a piece is: the kernel's exp(kappa + beta_T*z) and I(z)
@@ -311,8 +320,22 @@ class _Blocks:
         # (an overflowing sum of finite terms marks a block too, which only
         # scans more).
         bad = ~np.isfinite(sums.ravel() + H_lo + H_hi + G_lo + G_hi)
-        return _Blocks(pts.size - 1, tables.p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
+        return _Blocks(z.size - 1, tables.p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
                        welfare_hi, bad)
+
+
+def _welfare_ub(s: PeriodScenario, p, z_lo, Q_a, L_min, L_max):
+    """Welfare's upper bound S(p, z_lo) + p*Q_a - C(L_min) on blocks with
+    these ends (:func:`_cell_ends`), padded and computed as :func:`_bounds`
+    computes its hi."""
+    hi = surplus(s.demand, p, z_lo)
+    hi += p * Q_a
+    pad = social_cost(s.supply, L_max)
+    pad += hi
+    hi -= social_cost(s.supply, L_min)
+    pad *= _BOUND_PAD
+    hi += pad
+    return hi
 
 
 def _margin(s: PeriodScenario, coef, p, z, ep=None):
@@ -399,21 +422,18 @@ def setup_group(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarra
     before they split, so the tiles scanned do not depend on the split.
 
     BracketingError unless every (weight, price) row of the scan table
-    brackets each J > 0 at every weight of coefs (:func:`_complete`, in
-    batches of at most _MAX_TILES points).  best lists each table's rows
-    when the group's tables are read only for their best cell, else is
-    empty and every floor is -inf.  With best, tables.blocks is set, the
-    tile enclosures, and a row's floor is the least witness
-    (:func:`_witness`) of the tables that read it: a value the table
-    provably attains, so no root below it can win.  The check and the
-    enclosures read one evaluation of the block ends, dropped once read.
+    brackets each J > 0 at every weight of coefs (:func:`_complete`,
+    decided at the least and the largest weight).  best lists each
+    table's rows when the group's tables are read only for their best
+    cell, else is empty and every floor is -inf.  With best,
+    tables.blocks is set, the tile enclosures, and a row's floor is the
+    least witness (:func:`_witness`) of the tables that read it: a value
+    the table provably attains, so no root below it can win.  The check
+    and the enclosures read one evaluation of the block ends, dropped
+    once read.
     """
     G, H = tables.block_ends()
-    step = max(1, _MAX_TILES // G.size)
-    for c in (coefs[i:i + step] for i in range(0, coefs.size, step)):
-        W = c[:, None, None] * G   # H - coef*G in place: the tables are held
-        _complete(tables, j_values, c, np.subtract(H, W, out=W))
-        del W
+    _complete(tables, j_values, coefs, G, H)
     welfare = reads[2]
     floor = np.full(welfare.size, np.inf if best else -np.inf)
     if best:
@@ -558,9 +578,9 @@ def _needed(tables: PeriodTables, j_values, coefs, reads):
     It is needed when it holds one and a row's value upper bound at J_a
     (:func:`_wage_ub`) reaches the row's floor.  Each weight's exact pass
     runs on its objectives' candidate tiles alone, those that a table's
-    relaxed bound keeps at the setup: a row's floor is the witness of a
-    table that reads it, whose relaxed bound reaches the row's exact one,
-    so they hold every needed tile.  A NaN bound is kept.
+    bound over every tile keeps at the setup (:func:`_witness`): a row's
+    floor is the witness of a table that reads it, whose bound reaches the
+    row's exact one, so they hold every needed tile.  A NaN bound is kept.
     """
     k, tau, welfare, floor = reads
     B = tables.blocks
@@ -576,13 +596,49 @@ def _needed(tables: PeriodTables, j_values, coefs, reads):
         yield np.flatnonzero(need)
 
 
-def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi, tau, welfare: bool):
-    """A value upper bound on every tile for every weight in [c_lo, c_hi]
-    and commission up to tau, taken at the margin range's lower end (or
-    J_0): -inf where the margin range misses [J_0, J_last]."""
+def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi):
+    """Welfare's upper bound on every tile for every weight in [c_lo,
+    c_hi]: the tile's J- and tau-free bound, -inf where the margin range
+    at those weights misses [J_0, J_last]."""
     w_lo, w_hi = _margin_range(B, c_lo, c_hi, slice(None))
-    ub = _value_ub(B, slice(None), np.maximum(w_lo, j_values[0]), tau, welfare)
-    return np.where((w_hi >= j_values[0]) & (w_lo <= j_values[-1]), ub, -np.inf)
+    return np.where((w_hi >= j_values[0]) & (w_lo <= j_values[-1]), B.welfare_hi, -np.inf)
+
+
+def _envelope(B: "_Blocks", j_values, c, tau):
+    """Profit's upper bound on every tile for the rows (weights c,
+    commissions tau) of one table, at least each row's :func:`_wage_ub`.
+
+    A row's wage J_a is at least J_0 and its margin range's lower end, so
+    its bound is at most f = tau*pQ_a - max(J_0, H_lo - c*G_hi)*L_min plus
+    the pads (a block with a non-finite G or H takes H_lo - c*G_hi = -inf).
+    A table's rows lie on its line c = beta*(1 - tau), along which f rises
+    with tau: a step dtau adds pQ_a*dtau to the revenue and raises the
+    margin's lower end by beta*G_hi*dtau, so the wage bill by at most
+    beta*G_hi*L_min*dtau = beta*pQ_a*dtau, and beta <= 1.  So f at the row
+    of the largest commission, which has the least weight, bounds every
+    row's.  The pads of :func:`_margin_range`
+    and :func:`_value_ub` are added twice over, at the table's largest
+    terms, which also covers the rows' last-bit distance from the line.
+    """
+    J_0, J_last = j_values[0], j_values[-1]
+    t_hi, c_lo, c_hi = tau.max(), c.min(), c.max()
+    A = np.multiply(B.prices[:, None], B.Q_a.reshape(-1, B.n_b)).reshape(-1)   # p*Q_a
+    w = np.multiply(B.G_hi, c_lo)   # J_0 or the margin's lower end, times L_min
+    np.subtract(B.H_lo, w, out=w)
+    w[B.bad] = -np.inf
+    np.maximum(w, J_0, out=w)
+    w *= B.L_min
+    ub = np.multiply(A, t_hi)
+    ub -= w
+    np.multiply(B.G_hi, c_hi, out=w)   # the pad, in place: a fresh array costs more than an op
+    w += B.H_hi
+    w *= B.L_min
+    A *= t_hi
+    w += A
+    w += np.multiply(B.L_max, J_last, out=A)
+    w *= 2.0 * _BOUND_PAD
+    ub += w
+    return ub
 
 
 def _wage_ub(B: "_Blocks", j_values, c, tau, tile, welfare: bool):
@@ -603,14 +659,15 @@ def _margin_range(B: "_Blocks", c_lo, c_hi, tile):
     On a block H rises with L, so H lies in [H(L_min), H(L_max)], and G =
     pQ/L in [pQ_b/L_max, pQ_a/L_min]; c >= 0.
     """
-    cG = c_hi * B.G_hi[tile]
-    pad = B.H_hi[tile] + cG
+    pad = c_hi * B.G_hi[tile]   # c_hi*G first: three arrays, each op as before
+    w_lo = B.H_lo[tile] - pad
+    pad += B.H_hi[tile]
     pad *= _BOUND_PAD
-    w_lo = B.H_lo[tile] - cG
     w_lo -= pad
-    cG = c_lo * B.G_lo[tile]
-    w_hi = B.H_hi[tile] - cG
+    w_hi = c_lo * B.G_lo[tile]
+    np.subtract(B.H_hi[tile], w_hi, out=w_hi)
     w_hi += pad
+    del pad
     bad = B.bad[tile]
     w_lo[..., bad], w_hi[..., bad] = -np.inf, np.inf
     return w_lo, w_hi
@@ -622,11 +679,8 @@ def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
     tau*p*Q_a - J*L_min, which falls in J."""
     if welfare:
         return B.welfare_hi[tile]
-    if isinstance(tile, slice):   # a slice of all tiles, at one tau: by price rows
-        ub = np.multiply((tau * B.prices)[:, None], B.Q_a.reshape(-1, B.n_b)).reshape(-1)[tile]
-    else:
-        ub = tau * B.prices[tile // B.n_b]
-        ub *= B.Q_a[tile]
+    ub = tau * B.prices[tile // B.n_b]
+    ub *= B.Q_a[tile]
     pad = J * B.L_max[tile]
     pad += ub
     pad *= _BOUND_PAD
@@ -635,28 +689,36 @@ def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
     return ub
 
 
-def _complete(tables: PeriodTables, j_values, coefs, W) -> None:
+def _complete(tables: PeriodTables, j_values, coefs, G, H) -> None:
     """BracketingError unless every (weight, price) row of the scan table
-    brackets each J > 0; W is the margin at the block ends, (weight,
-    price, point).
+    brackets each J > 0 at every weight of coefs (all >= 0); G and H are
+    the kernel at every price's block ends, (price, point).
 
-    The brackets of a row span the counts between its least and largest,
-    so a row brackets each J > 0 exactly when some margin is <= the least
-    J > 0 and some is above the last wage or NaN.  The block ends are
-    scan points, so a row that passes there passes; one that does not is
-    checked on its full scan row, gathered from the tables.
+    The brackets of a row span the counts between its least and largest
+    margin, so a row brackets each J > 0 exactly when some margin is <=
+    the least J > 0 (fmin skips NaN) and some is above the last wage or
+    NaN (max keeps it).  G >= 0 or NaN, so at each point the margin W =
+    H - c*G falls as c grows: a W <= J at the least weight stays so at
+    every larger one, and a W above the last wage at the largest weight
+    stays so at every smaller one, as does a NaN there (it is NaN or
+    +inf at a smaller c).  So the row minimum at the least weight and the
+    row maximum at the largest decide every weight.  The block ends are
+    scan points, so a price that passes there passes; one that does not
+    is checked on its full scan row, gathered from the tables.
     """
     pos = np.flatnonzero(j_values > 0.0)
     if not pos.size:
         return
 
-    def ok(W):
-        return (np.fmin.reduce(W, axis=-1) <= j_values[pos[0]]) & ~(W.max(axis=-1) <= j_values[-1])
+    def ok(G, H):
+        W = coefs.min() * G   # H - coef*G as the scan computes it
+        low = np.fmin.reduce(np.subtract(H, W, out=W), axis=-1) <= j_values[pos[0]]
+        np.multiply(coefs.max(), G, out=W)
+        return low & ~(np.subtract(H, W, out=W).max(axis=-1) <= j_values[-1])
 
-    tw, p = np.nonzero(~ok(W))
-    for t in np.unique(tw):   # each weight's failed rows, scanned in full
-        G, H = tables.kernel(p[tw == t, None], np.arange(tables.z.size))
-        if not ok(H - coefs[t] * G).all():
+    p = np.flatnonzero(~ok(G, H))
+    if p.size:   # the prices that fail at the block ends, scanned in full
+        if not ok(*tables.kernel(p[:, None], np.arange(tables.z.size))).all():
             raise BracketingError(
                 "grid evaluation: a cell with J > 0 has no labour-balance sign change at "
                 "some price in the scan window; widen SolverConfig.z_min/z_max"
@@ -667,13 +729,15 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base):
     """(value, kept): a value that some cell of the rows (one table's)
     attains, base or the largest value lower bound of the roots refined in
     the tiles of the rows' largest value upper bounds, whichever is
-    larger; and a mask of the tiles whose relaxed bound reaches it.
+    larger; and a mask of the tiles whose table bound reaches it.
 
     The tiles are ranked best first, as in branch and bound, with the
     bounds of :func:`_needed`: the 1/_WITNESS_SHARE of tiles with the
-    largest relaxed bound (:func:`_relaxed_ub`) over all the rows' weights
-    and commissions, then the _WITNESS_TILES (row, tile) pairs among those
-    with the largest bound at the smallest wage their margin range holds.
+    largest table bound, one pass over every tile that bounds all the
+    rows' (weight, commission) pairs at once (welfare's
+    :func:`_relaxed_ub`, profit's :func:`_envelope`), then the
+    _WITNESS_TILES (row, tile) pairs among those with the largest bound
+    at the smallest wage their margin range holds.
     """
     k, tau, welfare = reads
     B, w, c = tables.blocks, bool(welfare[rows[0]]), coefs[k[rows]]
@@ -683,8 +747,11 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base):
         top = np.argpartition(ub, -m)[-m:] if m < ub.size else np.arange(ub.size)
         return top[ub[top] > -np.inf]   # drops NaN too
 
-    relaxed = _relaxed_ub(B, j_values, c.min(), c.max(), tau[rows].max(), w)
-    tile = best(relaxed, max(_WITNESS_TILES, B.bad.size // _WITNESS_SHARE))
+    if w:
+        bound = _relaxed_ub(B, j_values, c.min(), c.max())
+    else:
+        bound = _envelope(B, j_values, c, tau[rows])
+    tile = best(bound, max(_WITNESS_TILES, B.bad.size // _WITNESS_SHARE))
     _, _, ub = _wage_ub(B, j_values, c[:, None], tau[rows, None], tile, w)
     ri, ti = np.divmod(best(ub, _WITNESS_TILES), tile.size)
     t, tile = np.unique(np.stack((k[rows[ri]], tile[ti])), axis=1)   # by weight, then tile
@@ -695,7 +762,7 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base):
     r = by_k[np.searchsorted(k[by_k], t[ok])]
     lo, _ = _value_bounds(tables, p_idx[ok], cell_idx[ok], j_values[j_idx[ok]], tau[r], w)
     value = max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
-    return value, ~(relaxed < value)
+    return value, ~(bound < value)
 
 
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:
@@ -735,7 +802,9 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
         if b.size:
             J = j_values[j_idx[b]]
             lo, hi = _value_bounds(tables, p_idx[b], cell_idx[b], J, tau[r][owner], w)
-            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, floor[r][owner])
+            f = floor[r]   # a -inf floor raises no threshold, so rows all at -inf gather none
+            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, f[owner]
+                                  if (f > -np.inf).any() else np.broadcast_to(-np.inf, owner.shape))
             keep[b[keep_b]] = True
             sets[b[sets_b]] = True
     return keep, sets

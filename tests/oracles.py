@@ -4,7 +4,9 @@ These deliberately avoid the package's bracketing kernel: the dense scan
 works on the public residual formula with scipy's Brent refinement, and
 the integral oracles use adaptive quadrature.  The plain bisection is the
 reference for the bits of the batched refinement: it shares only the
-scan kernel with it.
+scan kernel with it.  The per-weight completeness check and the per-tile
+block enclosures are the references for the solver's two-weight check
+and its (price x block end) enclosures: they share the model formulas.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ from idlewage import (
     idle_from_time,
     residual,
     supply,
+)
+from idlewage.equilibrium import (
+    BracketingError,
+    _block_points,
+    _bounds,
+    _cell_ends,
+    _supply_margin,
 )
 
 
@@ -113,6 +122,46 @@ def reference_bisection(tables, j_values: np.ndarray, coef: float):
     order = np.lexsort((z, cell))
     p_idx, j_idx = np.divmod(cell[order], j_values.size)
     return p_idx, j_idx, z[order]
+
+
+def complete_per_weight(tables, j_values: np.ndarray, coefs, G, H) -> None:
+    """BracketingError unless every (weight, price) row brackets each J > 0,
+    checked weight by weight: each weight's margin H - coef*G at the block
+    ends (G, H: price x point), and each row that fails there on its full
+    scan row at that weight.  A row passes when some margin is <= the
+    least J > 0 and some is above the last wage or NaN."""
+    pos = np.flatnonzero(j_values > 0.0)
+    if not pos.size:
+        return
+
+    def ok(W):
+        return (np.fmin.reduce(W, axis=-1) <= j_values[pos[0]]) & ~(W.max(axis=-1) <= j_values[-1])
+
+    for coef in coefs:
+        p = np.flatnonzero(~ok(H - coef * G))
+        if p.size:
+            G_row, H_row = tables.kernel(p[:, None], np.arange(tables.z.size))
+            if not ok(H_row - coef * G_row).all():
+                raise BracketingError("a row brackets no J > 0 at weight %r" % coef)
+
+
+def blocks_by_tile(tables, sums: np.ndarray, welfare: bool) -> dict:
+    """The fields of the tile enclosures, each tile's built on its own:
+    its block's ends from _cell_ends at the tile's price, and welfare's
+    upper bound from _bounds; sums is each tile's G + H at its two block
+    ends, as the solver passes it."""
+    s, n_p = tables.scenario, tables.p.size
+    pts = _block_points(tables.z.size)
+    p_idx, b = np.divmod(np.arange(n_p * (pts.size - 1)), pts.size - 1)
+    p = tables.p[p_idx]
+    ends = _cell_ends(s, tables.z[pts], p, b)
+    welfare_hi = _bounds(s, p, ends, 0.0, 0.0, True)[1] if welfare else None
+    _, _, Q_a, Q_b, L_min, L_max = ends
+    G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
+    H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
+    bad = ~np.isfinite(sums.ravel() + H_lo + H_hi + G_lo + G_hi)
+    return dict(n_b=pts.size - 1, prices=tables.p, Q_a=Q_a, L_min=L_min, L_max=L_max,
+                H_lo=H_lo, H_hi=H_hi, G_lo=G_lo, G_hi=G_hi, welfare_hi=welfare_hi, bad=bad)
 
 
 def dense_scan_equilibria(s: PeriodScenario, pol: PolicyPoint, n: int = 10**6):

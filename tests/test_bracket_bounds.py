@@ -20,9 +20,11 @@ from idlewage.equilibrium import (
     BracketingError,
     PeriodTables,
     _block_points,
+    _Blocks,
     _brackets,
     _complete,
     _cut,
+    _envelope,
     _needed,
     _refine,
     _value_bounds,
@@ -33,6 +35,7 @@ from idlewage.equilibrium import (
 )
 from idlewage.objectives import profit_values, welfare_values
 from idlewage.optimize import _best_over_prices, _lex_first
+from oracles import blocks_by_tile, complete_per_weight
 
 COARSE = GridSpec(p_step=0.1, j_step=0.2, tau_step=0.25)
 FAST_SOLVER = SolverConfig(scan_points=1024)
@@ -307,12 +310,12 @@ class TestTiles:
         tables = SimpleNamespace(kernel=lambda i, j: (np.zeros_like(H)[i, j], H[i, j]),
                                  z=np.empty(n_z))
         wages, coefs = np.array([0.0, 1.0]), np.array([0.3])
-        coarse = H[:, [0, _BLOCK, 2 * _BLOCK]][None]
+        G_ends, H_ends = np.zeros((2, 3)), H[:, [0, _BLOCK, 2 * _BLOCK]]
         _, _, j_idx, _ = _brackets(H[:1], wages)
         assert 1 in j_idx
-        _complete(tables, wages, coefs, coarse[:, :1])
+        _complete(tables, wages, coefs, G_ends[:1], H_ends[:1])
         with pytest.raises(BracketingError, match="widen"):
-            _complete(tables, wages, coefs, coarse)
+            _complete(tables, wages, coefs, G_ends, H_ends)
 
     @pytest.mark.parametrize("reduction", ["cells", "best"])
     def test_overflowing_table_still_raises(self, reduction):
@@ -323,6 +326,128 @@ class TestTiles:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BracketingError, match="widen"):
                 value_tables([r])
+
+
+def raises(check, *args) -> bool:
+    """Whether check(*args) raises BracketingError."""
+    try:
+        check(*args)
+    except BracketingError:
+        return True
+    return False
+
+
+def with_kappa(s, kappa):
+    return s if kappa is None else dataclasses.replace(
+        s, demand=dataclasses.replace(s.demand, kappa=kappa))
+
+
+class TestTwoWeightCompleteness:
+    """The check at the least and the largest weight raises exactly when
+    the per-weight check does."""
+
+    @pytest.mark.parametrize("hour, cfg, kappa, fails", [
+        *[(h, SolverConfig(), None, False) for h in (4, 12, 19)],
+        # a window up to z = 5 holds no margin above the last wage
+        *[(h, SolverConfig(z_max=5.0, scan_points=512), None, True) for h in (4, 12, 19)],
+        *[(h, FAST_SOLVER, k, True) for h in (4, 19) for k in (709.0, 720.0, 740.0)],
+    ])
+    def test_tables(self, hour, cfg, kappa, fails):
+        # kappa 720 and 740 overflow exp (from ~709.8 on): 0*inf is NaN at
+        # weight 0 and -inf at a larger one; a wage grid without J > 0
+        # checks nothing
+        g = GridSpec()
+        tables = PeriodTables.of(with_kappa(period_for_hour(hour, 0.25), kappa), g.p_values(), cfg)
+        coefs = np.unique(0.25 * (1.0 - g.tau_values()))
+        assert coefs[0] == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            G, H = tables.block_ends()
+            verdicts = [raises(check, tables, wages, coefs, G, H)
+                        for wages in (g.j_values(), np.array([0.7, 1.4]), np.array([0.0]))
+                        for check in (_complete, complete_per_weight)]
+        assert verdicts[0::2] == verdicts[1::2]
+        assert verdicts[0] == fails and not verdicts[-1]
+
+    def test_failing_prices_are_scanned_in_full(self):
+        # price 0 passes at its block ends; price 1 fails there, but a dip
+        # inside its first block brackets J = 1; price 2 dips too, but at
+        # weight 1 its margin stays <= the last wage everywhere
+        n_z = 2 * _BLOCK + 1
+        H, G = np.full((3, n_z), 2.0), np.zeros((3, n_z))
+        H[0, -1] = H[1, 5] = H[2, 10] = 0.5
+        G[2] = 1.5
+        ends, wages = _block_points(n_z), np.array([0.0, 1.0])
+        for prices, coefs, fails in [([0], [0.0, 0.5, 1.0], False), ([0, 1], [0.0, 0.5, 1.0], False),
+                                     ([0, 1, 2], [0.0, 0.5, 1.0], True), ([2], [0.0, 0.5], False),
+                                     ([2], [0.5, 1.0], True)]:
+            gathered, G_p, H_p = [], G[prices], H[prices]
+
+            def kernel(i, j):
+                gathered.append(np.unique(i).tolist())
+                return G_p[i, j], H_p[i, j]
+
+            tables = SimpleNamespace(kernel=kernel, z=np.empty(n_z))
+            args = (tables, wages, np.array(coefs), G_p[:, ends], H_p[:, ends])
+            assert raises(_complete, *args) == fails
+            # one gather, of the prices that fail at their block ends
+            assert gathered == ([[i for i, p in enumerate(prices) if p]] if prices != [0] else [])
+            assert raises(complete_per_weight, *args) == fails
+
+
+class TestEnclosures:
+    """The (price x block end) enclosures and profit's envelope over a
+    table's line."""
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(), FAST_SOLVER], ids=["default", "fast"])
+    @pytest.mark.parametrize("beta", [0.2, 0.95])
+    @pytest.mark.parametrize("hour", [4, 12, 19, 22])
+    def test_fields_equal_the_per_tile_construction(self, hour, beta, cfg):
+        tables = PeriodTables.of(period_for_hour(hour, beta), GridSpec().p_values(), cfg)
+        G, H = tables.block_ends()
+        G += H
+        sums = G[:, :-1] + G[:, 1:]
+        for welfare in (False, True):
+            got, want = _Blocks.of(tables, sums, welfare), blocks_by_tile(tables, sums, welfare)
+            assert (got.welfare_hi is None) == (not welfare)
+            for name, a in want.items():
+                b = getattr(got, name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                else:
+                    assert a == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(hour=st.integers(1, 24), beta=st.sampled_from([0.2, 0.25, 0.95]) | st.floats(0.05, 1.0),
+           taus=st.just([1.0]) | st.lists(st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                          min_size=1, max_size=6, unique=True),
+           wages=st.lists(st.sampled_from([0.0, 0.15, 1.4]) | st.floats(0.0, 3.0),
+                          min_size=1, max_size=8, unique=True).map(sorted),
+           kappa=st.sampled_from([None, None, 720.0]))
+    def test_envelope_reaches_every_row_bound(self, hour, beta, taus, wages, kappa):
+        # on every tile the envelope is at least each row's exact bound, and
+        # NaN where that is NaN, so its candidates hold every needed tile
+        s = with_kappa(period_for_hour(hour, beta), kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = with_blocks(PeriodTables.of(s, COARSE.p_values(), SolverConfig(scan_points=512))).blocks
+            taus, wages = np.array(taus), np.array(wages)
+            coefs = s.supply.risk_beta * (1.0 - taus)   # as value_tables computes each row's weight
+            env = _envelope(B, wages, coefs, taus)
+            every = np.arange(B.bad.size)
+            for c, tau in zip(coefs, taus):
+                _, _, ub = _wage_ub(B, wages, c, tau, every, False)
+                assert np.all(np.isnan(env) | (env >= ub))
+
+    def test_profit_keeps_few_candidate_tiles(self, monkeypatch):
+        tables, setup = [], optimize.setup_group
+
+        def recording(*args):
+            tables.append(args[0])
+            return setup(*args)
+
+        monkeypatch.setattr(optimize, "setup_group", recording)
+        value_tables([TableRequest.of(period_for_hour(19, 0.25), Objective.PROFIT, reduction="best")])
+        (t,) = tables
+        assert 0 < np.count_nonzero(t.blocks.candidates[False]) < 1000
 
 
 def full_table_bad(tables):
@@ -404,7 +529,7 @@ class TestGatheredKernel:
 
 
 class TestOnePassEach:
-    """A "best" group evaluates its block ends, checks completeness and
+    """A "best" group evaluates its block ends, decides completeness and
     bounds every tile once per table in one setup call, before the split;
     no stream bounds every tile."""
 
@@ -427,7 +552,9 @@ class TestOnePassEach:
         spy(PeriodTables, "block_ends")
         spy(equilibrium, "_complete", lambda args, out: args[2].tolist())   # the weights checked
         spy(equilibrium, "_witness")
-        spy(equilibrium, "_relaxed_ub", lambda args, out: out.size == args[0].bad.size)
+        every = lambda args, out: out.size == args[0].bad.size   # noqa: E731
+        spy(equilibrium, "_relaxed_ub", every)
+        spy(equilibrium, "_envelope", every)
         spy(optimize, "solve_slices")
         reqs = [TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
                 for obj in Objective]
@@ -437,14 +564,16 @@ class TestOnePassEach:
         witness, split = names.index("_witness"), names.index("solve_slices")
         assert names.count("setup_group") == 1 and names.index("setup_group") == 0
         assert names.count("block_ends") == 1 and names.index("block_ends") < witness
-        checks = [(i, e) for i, e in enumerate(events) if e[0] == "_complete"]
-        assert all(i < witness and e[1] == threading.get_ident() for i, e in checks)
+        # one completeness decision, on the calling thread, over all the weights
+        ((i, check),) = [(i, e) for i, e in enumerate(events) if e[0] == "_complete"]
+        assert i < witness and check[1] == threading.get_ident()
         weights = np.unique(0.25 * (1.0 - GridSpec().tau_values()))
-        assert sorted(c for _, e in checks for c in e[2]) == weights.tolist()
-        relaxed = [i for i, n in enumerate(names) if n == "_relaxed_ub"]
+        assert check[2] == weights.tolist()
+        relaxed = [i for i, n in enumerate(names) if n in ("_relaxed_ub", "_envelope")]
         assert all(events[i][2] for i in relaxed)   # each bounds every tile
         assert names.count("solve_slices") == threads
         assert all(i < split for i in relaxed)
+        assert names.count("_relaxed_ub") == names.count("_envelope") == 1
         assert len(relaxed) == names.count("_witness") == len(reqs)
 
     @pytest.mark.parametrize("objs", [(Objective.PROFIT,), (Objective.WELFARE,), tuple(Objective)])
@@ -452,26 +581,24 @@ class TestOnePassEach:
         # a profit-only group bounds no welfare; a group with a welfare row
         # bounds every tile's welfare once, at the setup
         tables, welfare_bounds = [], []
-        solve, bounds = optimize.solve_slices, equilibrium._bounds
+        solve, welfare_ub = optimize.solve_slices, equilibrium._welfare_ub
 
         def recording_solve(*args):
             tables.append(args[0])
             return solve(*args)
 
-        def recording_bounds(s, p, ends, J, tau, welfare):
-            if welfare:
-                welfare_bounds.append(np.size(p))
-            return bounds(s, p, ends, J, tau, welfare)
+        def recording_welfare_ub(*args):
+            welfare_bounds.append(out := welfare_ub(*args))
+            return out
 
         monkeypatch.setattr(optimize, "solve_slices", recording_solve)
-        monkeypatch.setattr(equilibrium, "_bounds", recording_bounds)
+        monkeypatch.setattr(equilibrium, "_welfare_ub", recording_welfare_ub)
         value_tables([TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
                       for obj in objs])
         (B,) = {id(t.blocks): t.blocks for t in tables}.values()
         reads = Objective.WELFARE in objs
         assert (B.welfare_hi is not None) == reads
-        assert welfare_bounds.count(B.bad.size) == reads
-        assert bool(welfare_bounds) == reads
+        assert [b.size for b in welfare_bounds] == [B.bad.size] * reads
 
 
 def lex_winner(r, t):

@@ -325,15 +325,17 @@ class TestVectorizedKernelParity:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_completeness_verdict_is_the_bracket_verdict(self, data):
-        # on small random margin tables with NaN, +-inf and repeated values,
+        # on small random kernel tables with NaN, +-inf and repeated values,
         # the check on block ends and failing rows raises exactly when some
-        # (weight, price) row brackets no J > 0 wage, as _brackets finds them
+        # (weight, price) row brackets no J > 0 wage, as _brackets finds them;
+        # G = p*Q/L1 is >= 0 or NaN, as the kernel gives it
         n_w, n_p, n_z = (data.draw(st.integers(lo, hi)) for lo, hi in
                          ((1, 3), (1, 3), (2, 2 * _BLOCK + 3)))
         wage = st.sampled_from([0.0, 0.5, 1.0, 1.5])   # margins hit wages exactly
         value = st.sampled_from([np.nan, np.inf, -np.inf, 2.0]) | wage | st.floats(-1.0, 3.0)
-        H, G = (np.array(data.draw(st.lists(value, min_size=n_p * n_z, max_size=n_p * n_z)))
-                .reshape(n_p, n_z) for _ in range(2))
+        base = st.sampled_from([np.nan, np.inf, 2.0]) | wage | st.floats(0.0, 3.0)
+        H, G = (np.array(data.draw(st.lists(v, min_size=n_p * n_z, max_size=n_p * n_z)))
+                .reshape(n_p, n_z) for v in (value, base))
         coefs = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                                             min_size=n_w, max_size=n_w)))
         wages = np.sort(data.draw(st.lists(wage | st.floats(0.0, 2.0), min_size=1, max_size=4)))
@@ -346,12 +348,11 @@ class TestVectorizedKernelParity:
                 has[p_idx, j_idx] = True
                 missing |= not has[:, wages > 0.0].all()
             pts = _block_points(n_z)
-            ends = H[:, pts] - coefs[:, None, None] * G[:, pts]
             if missing:
                 with pytest.raises(BracketingError, match="widen"):
-                    _complete(tables, wages, coefs, ends)
+                    _complete(tables, wages, coefs, G[:, pts], H[:, pts])
             else:
-                _complete(tables, wages, coefs, ends)
+                _complete(tables, wages, coefs, G[:, pts], H[:, pts])
 
 
 class TestSelectEquilibrium:
