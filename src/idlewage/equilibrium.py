@@ -802,9 +802,7 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
         if b.size:
             J = j_values[j_idx[b]]
             lo, hi = _value_bounds(tables, p_idx[b], cell_idx[b], J, tau[r][owner], w)
-            f = floor[r]   # a -inf floor raises no threshold, so rows all at -inf gather none
-            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, f[owner]
-                                  if (f > -np.inf).any() else np.broadcast_to(-np.inf, owner.shape))
+            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, floor[r], owner)
             keep[b[keep_b]] = True
             sets[b[sets_b]] = True
     return keep, sets
@@ -878,11 +876,14 @@ def _bounds(s: PeriodScenario, p, ends, J, tau, welfare: bool):
     return lo, hi
 
 
-def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor: np.ndarray):
+def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor: np.ndarray,
+         owner: np.ndarray):
     """(keep, sets) for value enclosures [lo, hi] whose cells come in runs
-    of ascending cell id, J being each one's wage and floor a value below
-    which no root is needed: -inf for a table read for every cell, and
-    for one read for its best cell a value that the table attains.
+    of ascending cell id, J being each one's wage and floor[owner] a value
+    below which no root is needed: -inf for a table read for every cell,
+    and for one read for its best cell a value that the table attains.
+    floor holds one value per row and owner each enclosure's row, so a
+    floor is read once per cell.
 
     A cell's threshold is its largest lo, and at least 0 at J <= 0, where
     the shutdown equilibrium (value 0) stands, and at least its floor; a
@@ -892,7 +893,7 @@ def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor:
     is a threshold above those floors, and those are kept too.
     """
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    base = np.maximum(np.where(J[starts] > 0.0, -np.inf, 0.0), floor[starts])
+    base = np.maximum(np.where(J[starts] > 0.0, -np.inf, 0.0), floor[owner[starts]])
     thr = np.fmax(np.fmax.reduceat(lo, starts), base)
     widths = np.diff(starts, append=lo.size)
     above = np.repeat(thr > base, widths)

@@ -100,7 +100,7 @@ def test_cut_keeps_what_can_reach_the_threshold(cells):
     sizes = [len(pairs) for _, pairs in cells]
     cell = np.repeat(np.arange(len(cells)), sizes)
     J = np.repeat([1.0 if positive else 0.0 for positive, _ in cells], sizes)
-    keep, sets = _cut(lo, hi, cell, J, np.full(lo.size, -np.inf))
+    keep, sets = _cut(lo, hi, cell, J, np.full(len(cells), -np.inf), cell)
     i = 0
     for positive, pairs in cells:
         floor = -math.inf if positive else 0.0
@@ -116,7 +116,8 @@ def test_nan_bound_never_prunes_nor_raises_a_threshold():
     # goes; cell 1: every lo is NaN, so nothing sets a threshold and all stay
     lo = np.array([np.nan, 1.0, 3.0, np.nan, np.nan])
     hi = np.array([5.0, 2.0, 4.0, -10.0, np.nan])
-    keep, sets = _cut(lo, hi, np.array([0, 0, 0, 1, 1]), np.ones(5), np.full(5, -np.inf))
+    cell = np.array([0, 0, 0, 1, 1])
+    keep, sets = _cut(lo, hi, cell, np.ones(5), np.full(2, -np.inf), cell)
     assert keep.tolist() == [True, False, True, True, True]
     assert sets.tolist() == [False, False, True, False, False]
 
