@@ -28,6 +28,7 @@ agrees bitwise with the corresponding optimizer cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,7 +120,14 @@ class SolverConfig:
             raise ValueError("tolerances must be > 0")
 
     def z_grid(self) -> np.ndarray:
-        return np.geomspace(self.z_min, self.z_max, self.scan_points)
+        """The geometric pickup-time scan grid, computed once per config (read-only)."""
+        return self._z
+
+    @cached_property
+    def _z(self) -> np.ndarray:
+        z = np.geomspace(self.z_min, self.z_max, self.scan_points)
+        z.flags.writeable = False
+        return z
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -175,15 +183,15 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # from one evaluation of demand on the (price x block end) grid.  Such a
 # table never builds the full (price x z) scan table: the kernel is
 # evaluated at the block ends, once per group (setup_group), and at the
-# scanned tiles' points alone (PeriodTables.kernel).
+# scanned tiles' points alone, once per distinct tile a stream scans
+# (PeriodTables.kernel, _tile_kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
 _BLOCK = 16
-# Tiles refined to find a best table's witness value, and the share of
-# all tiles, 1/_WITNESS_SHARE, ranked for them.
+# Tiles ranked by a best table's bound over every tile, and (row, tile)
+# pairs refined among them, to find its witness value.
 _WITNESS_TILES = 32
-_WITNESS_SHARE = 32
 
 # Relative pad by which a bracket's value enclosure is widened on each
 # side, times the size of the value's terms: it covers the last-bit
@@ -543,9 +551,14 @@ def _scan(tables: PeriodTables, j_values, coefs):
 
 def _tile_scan(tables: PeriodTables, j_values, coefs, reads):
     """Per weight, as :func:`_scan` gives them, the bracket columns of the
-    tiles :func:`_needed` keeps."""
-    for t, tile in enumerate(_needed(tables, j_values, coefs, reads)):
-        yield range(t, t + 1), _tile_brackets(tables, j_values, coefs, np.full(tile.size, t), tile)
+    tiles :func:`_needed` keeps.  Every weight's tiles are found first, so
+    the kernel is evaluated once on each distinct tile, however many
+    weights scan it (:func:`_tile_kernel`)."""
+    need = list(_needed(tables, j_values, coefs, reads))
+    known = _tile_kernel(tables, np.unique(np.concatenate(need)))
+    for t, tile in enumerate(need):
+        yield range(t, t + 1), _tile_brackets(tables, j_values, coefs, np.full(tile.size, t), tile,
+                                              known)
 
 
 def _block_points(n_z: int) -> np.ndarray:
@@ -553,21 +566,30 @@ def _block_points(n_z: int) -> np.ndarray:
     return np.append(np.arange(0, n_z - 1, _BLOCK), n_z - 1)
 
 
-def _tile_brackets(tables: PeriodTables, j_values, coefs, t, tile) -> list:
+def _tile_kernel(tables: PeriodTables, tiles):
+    """(tiles, G, H): the kernel gathered on the scan points of tiles
+    (distinct, ascending) alone, one row of _BLOCK + 1 points per tile; a
+    short last block repeats its end point, which adds no count step."""
+    p, b = np.divmod(tiles, tables.blocks.n_b)
+    z_idx = np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1), tables.z.size - 1)
+    return (tiles, *tables.kernel(p[:, None], z_idx))
+
+
+def _tile_brackets(tables: PeriodTables, j_values, coefs, t, tile, known) -> list:
     """The bracket columns of the scan cells of tiles (t, tile), t ascending:
     the same brackets, in the same (t, j, p, z cell) order, as a full scan
-    of those weights has in these tiles.  The kernel is gathered on the
-    tiles' scan points only; a short last block repeats its end point,
-    which adds no count step."""
-    p, b = np.divmod(tile, tables.blocks.n_b)
-    W, H = tables.kernel(p[:, None], np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1),
-                                                tables.z.size - 1))
+    of those weights has in these tiles.  known is :func:`_tile_kernel` on
+    tiles that hold every one of tile; each (weight, tile) pair's margin
+    is built from its tile's row there."""
+    tiles, G, H = known
+    at = np.searchsorted(tiles, tile)
+    W = G[at]
     W *= coefs[t, None]   # H - coef*G with the full scan's operations, so the same bits
-    np.subtract(H, W, out=W)
-    del H
+    np.subtract(H[at], W, out=W)
     rows, cells, j_idx, s_lo = _brackets(W, j_values, t)
+    p, b = np.divmod(tile[rows], tables.blocks.n_b)
     t = t[rows]
-    return [t, p[rows], b[rows] * _BLOCK + cells, j_idx, s_lo, coefs[t]]
+    return [t, p, b * _BLOCK + cells, j_idx, s_lo, coefs[t]]
 
 
 def _needed(tables: PeriodTables, j_values, coefs, reads):
@@ -732,12 +754,13 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base):
     larger; and a mask of the tiles whose table bound reaches it.
 
     The tiles are ranked best first, as in branch and bound, with the
-    bounds of :func:`_needed`: the 1/_WITNESS_SHARE of tiles with the
-    largest table bound, one pass over every tile that bounds all the
-    rows' (weight, commission) pairs at once (welfare's
-    :func:`_relaxed_ub`, profit's :func:`_envelope`), then the
-    _WITNESS_TILES (row, tile) pairs among those with the largest bound
-    at the smallest wage their margin range holds.
+    bounds of :func:`_needed`, in two stages.  The table bound, one pass
+    over every tile that bounds all the rows' (weight, commission) pairs
+    at once (welfare's :func:`_relaxed_ub`, profit's :func:`_envelope`),
+    picks the _WITNESS_TILES tiles with the largest bound; the exact
+    :func:`_wage_ub` on every (row, tile) pair of those picks the
+    _WITNESS_TILES pairs with the largest bound at the smallest wage their
+    margin range holds, and those are refined.
     """
     k, tau, welfare = reads
     B, w, c = tables.blocks, bool(welfare[rows[0]]), coefs[k[rows]]
@@ -751,11 +774,11 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base):
         bound = _relaxed_ub(B, j_values, c.min(), c.max())
     else:
         bound = _envelope(B, j_values, c, tau[rows])
-    tile = best(bound, max(_WITNESS_TILES, B.bad.size // _WITNESS_SHARE))
+    tile = best(bound, _WITNESS_TILES)
     _, _, ub = _wage_ub(B, j_values, c[:, None], tau[rows, None], tile, w)
     ri, ti = np.divmod(best(ub, _WITNESS_TILES), tile.size)
     t, tile = np.unique(np.stack((k[rows[ri]], tile[ti])), axis=1)   # by weight, then tile
-    cols = _tile_brackets(tables, j_values, coefs, t, tile)
+    cols = _tile_brackets(tables, j_values, coefs, t, tile, _tile_kernel(tables, np.unique(tile)))
     t, p_idx, cell_idx, j_idx = cols[:4]
     ok = ~np.isnan(_refine(tables, j_values, cols))
     by_k = rows[np.argsort(k[rows])]   # a table's rows have distinct weights

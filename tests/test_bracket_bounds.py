@@ -17,6 +17,7 @@ from idlewage import GridSpec, Objective, SolverConfig, TableRequest, period_for
 from idlewage import equilibrium, optimize
 from idlewage.equilibrium import (
     _BLOCK,
+    _WITNESS_TILES,
     BracketingError,
     PeriodTables,
     _block_points,
@@ -258,10 +259,10 @@ class TestTiles:
             setups.append((*args, floor := setup(*args)))
             return floor
 
-        def recording(tables, j_values, coefs, t, tile):
+        def recording(tables, j_values, coefs, t, tile, known):
             if setups:   # a stream's scan, not a witness's
                 scanned.append((coefs[t], tile))
-            return brackets(tables, j_values, coefs, t, tile)
+            return brackets(tables, j_values, coefs, t, tile, known)
 
         monkeypatch.setattr(optimize, "setup_group", recording_setup)
         monkeypatch.setattr(equilibrium, "_tile_brackets", recording)
@@ -451,6 +452,76 @@ class TestEnclosures:
         assert 0 < np.count_nonzero(t.blocks.candidates[False]) < 1000
 
 
+class TestWitness:
+    @pytest.mark.parametrize("obj", list(Objective))
+    def test_exact_bound_runs_on_the_ranked_tiles_alone(self, monkeypatch, obj):
+        # the table bound ranks _WITNESS_TILES tiles, and the exact bound
+        # runs on every (row, tile) pair of those alone
+        inside, bounded = [], []
+        witness, wage_ub = equilibrium._witness, equilibrium._wage_ub
+
+        def in_witness(*args):
+            inside.append(True)
+            try:
+                return witness(*args)
+            finally:
+                inside.clear()
+
+        def recording(B, j_values, c, tau, tile, welfare):
+            if inside:
+                bounded.append(np.unique(tile).size)
+            return wage_ub(B, j_values, c, tau, tile, welfare)
+
+        monkeypatch.setattr(equilibrium, "_witness", in_witness)
+        monkeypatch.setattr(equilibrium, "_wage_ub", recording)
+        value_tables([TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")])
+        assert len(bounded) == 1
+        assert 0 < bounded[0] <= _WITNESS_TILES
+
+
+class TestTileKernel:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_streams_evaluate_each_scanned_tile_once(self, monkeypatch, threads):
+        # most welfare tiles are scanned at many weights; a stream evaluates
+        # the kernel once on each distinct tile it scans, _BLOCK + 1 points
+        # a tile, and the table keeps the bits of one that reads the full
+        # scan table
+        r = TableRequest.of(period_for_hour(19, 0.25), Objective.WELFARE, reduction="best")
+        with monkeypatch.context() as m:   # every gather reads a full table
+            m.setattr(optimize, "PeriodTables",
+                      SimpleNamespace(of=PeriodTables.build, build=PeriodTables.build))
+            want = value_tables([r], threads)[r]
+
+        setups, points, streams = [], [], {}   # streams: each stream's kernel, its tiles
+        setup, brackets = optimize.setup_group, equilibrium._tile_brackets
+        kernel = PeriodTables.kernel
+
+        def recording_setup(*args):
+            setups.append(floor := setup(*args))
+            return floor
+
+        def recording_brackets(tables, j_values, coefs, t, tile, known):
+            if setups:   # a stream's scan, not a witness's
+                streams.setdefault(id(known), (known, set()))[1].update(tile.tolist())
+            return brackets(tables, j_values, coefs, t, tile, known)
+
+        def recording_kernel(tables, p_idx, z_idx):   # the scan's gathers, not the bisection's
+            if setups:
+                points.append(math.prod(np.broadcast_shapes(np.shape(p_idx), np.shape(z_idx))))
+            return kernel(tables, p_idx, z_idx)
+
+        monkeypatch.setattr(optimize, "setup_group", recording_setup)
+        monkeypatch.setattr(equilibrium, "_tile_brackets", recording_brackets)
+        monkeypatch.setattr(PeriodTables, "kernel", recording_kernel)
+        got = value_tables([r], threads)[r]
+        assert len(streams) == threads
+        distinct = sum(len(tiles) for _, tiles in streams.values())
+        assert distinct > 0
+        assert sum(points) == distinct * (_BLOCK + 1)
+        for a, b in zip((want.values, want.p_idx, want.z), (got.values, got.p_idx, got.z)):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def full_table_bad(tables):
     """The tiles whose block holds a non-finite G or H, by a sum over each
     block's every point of the full scan table, plus the enclosure pieces."""
@@ -607,14 +678,21 @@ def lex_winner(r, t):
     return _lex_first(-t.values, p[t.p_idx], j, tau[:, None])
 
 
+AGREEMENT_CASES = [
+    *[pytest.param(obj, *case, id=f"{name}-{obj}") for name, *case in [
+        ("default-19", 19, 0.25, GridSpec(), SolverConfig()),
+        ("default-4", 4, 0.2, GridSpec(), SolverConfig()),
+        ("coarse-19", 19, 0.25, COARSE, FAST_SOLVER),
+        ("coarse-12", 12, 0.95, COARSE, FAST_SOLVER),
+    ] for obj in Objective],
+    # welfare tables whose witness depends on how many tiles are ranked
+    *[pytest.param(Objective.WELFARE, h, 0.25, GridSpec(), SolverConfig(),
+                   id=f"default-{h}-{Objective.WELFARE}") for h in (18, 20)],
+]
+
+
 class TestBestReduction:
-    @pytest.mark.parametrize("obj", list(Objective))
-    @pytest.mark.parametrize("hour, beta, grid, cfg", [
-        (19, 0.25, GridSpec(), SolverConfig()),
-        (4, 0.2, GridSpec(), SolverConfig()),
-        (19, 0.25, COARSE, FAST_SOLVER),
-        (12, 0.95, COARSE, FAST_SOLVER),
-    ], ids=["default-19", "default-4", "coarse-19", "coarse-12"])
+    @pytest.mark.parametrize("obj, hour, beta, grid, cfg", AGREEMENT_CASES)
     def test_best_table_agrees_with_cells_table(self, obj, hour, beta, grid, cfg):
         cells = TableRequest.of(period_for_hour(hour, beta), obj, grid, cfg)
         best = dataclasses.replace(cells, reduction="best")

@@ -105,6 +105,23 @@ class TestResidual:
             residual(H19, PolicyPoint(1.0, 0.5, 0.5), -0.1)
 
 
+class TestScanGrid:
+    @pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(z_min=1e-3, z_max=5.0,
+                                                                  scan_points=512)])
+    def test_grid_is_computed_once_and_read_only(self, cfg):
+        z = cfg.z_grid()
+        want = np.geomspace(cfg.z_min, cfg.z_max, cfg.scan_points)
+        assert z.dtype == want.dtype and z.tobytes() == want.tobytes()
+        assert cfg.z_grid() is z
+        assert PeriodTables.of(H19, np.array([1.0]), cfg).z is z
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 1.0
+        # the cache is no field: equal configs stay equal and hash alike
+        other = dataclasses.replace(cfg)
+        assert other == cfg and hash(other) == hash(cfg)
+        assert other.z_grid() is not z and other.z_grid().tobytes() == want.tobytes()
+
+
 class TestFindEquilibria:
     def test_zero_policy_collapses_to_shutdown(self):
         eqs = find_equilibria(H19, PolicyPoint(0.0, 0.0, 0.5))
