@@ -175,23 +175,33 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # price's block of _BLOCK scan cells at one weight.  A floor, a value the
 # table attains, comes first; an enclosure of W on each block gives the
 # wages a tile can bracket, and only the tiles whose value bound at those
-# wages reaches the floor are scanned finely: one pass per table at the
-# group's setup bounds every tile over all the table's rows (welfare's
-# relaxed bound, profit's envelope along the line c = beta*(1 - tau)),
-# then one exact pass per weight bounds only the tiles those keep.  The
-# setup decides completeness from two weights and builds the enclosures
-# from one evaluation of demand on the (price x block end) grid.  Such a
-# table never builds the full (price x z) scan table: the kernel is
-# evaluated at the block ends, once per group (setup_group), and at the
-# scanned tiles' points alone, once per distinct tile a stream scans
-# (PeriodTables.kernel, _tile_kernel).
+# wages reaches the floor are scanned finely.  The group's setup bounds
+# by branch and bound over two levels: a super tile is one price's run
+# of _SUPER scan cells, and one pass per table bounds every super tile
+# over all the table's rows (welfare's relaxed bound, profit's envelope
+# along the line c = beta*(1 - tau)), padded to reach each tile's bound
+# inside it.  The witness expands the super tiles best first; the tile
+# enclosures are then built, with the same table bound, only inside the
+# super tiles whose bound reaches a witness, and one exact pass per
+# weight bounds only the tiles those keep.  The setup decides
+# completeness from two weights at the super tiles' ends.  Such a table
+# never builds the full (price x z) scan table: the kernel is evaluated
+# at the super tiles' ends, once per group (setup_group), at the ends of
+# the tiles it expands, and at the scanned tiles' points alone, once per
+# distinct tile a stream scans (PeriodTables.kernel, _tile_kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
 _BLOCK = 16
-# Tiles ranked by a best table's bound over every tile, and (row, tile)
-# pairs refined among them, to find its witness value.
+# Scan cells per super tile, a run of 16 blocks: the coarse level that a
+# best table's setup bounds before it builds any tile's enclosure.
+_SUPER = 16 * _BLOCK
+# Tiles ranked by a best table's bound, and (row, tile) pairs refined
+# among them, to find its witness value.
 _WITNESS_TILES = 32
+# Super tiles a witness expands first, those of the largest bounds, before
+# every other one that can beat the tiles they hold.
+_RANKED_SUPERS = 8
 
 # Relative pad by which a bracket's value enclosure is widened on each
 # side, times the size of the value's terms: it covers the last-bit
@@ -241,7 +251,7 @@ class PeriodTables:
     z: np.ndarray        # (n_z,) geometric pickup-time grid
     G: np.ndarray | None = None   # (n_p, n_z) untaxed earnings base p*Q/L1, when built
     H: np.ndarray | None = None   # (n_p, n_z) supply margin c*(L1/A)**(1/eps), when built
-    blocks: _Blocks | None = None   # the tile enclosures, once setup_group sets them
+    blocks: _Blocks | None = None   # the enclosures of the tiles setup_group expands
 
     @staticmethod
     def of(s: PeriodScenario, p: np.ndarray, cfg: SolverConfig) -> "PeriodTables":
@@ -270,19 +280,22 @@ class PeriodTables:
         _, G, H = _kernel(self.scenario, self.p[p_idx], self.z[z_idx])
         return G, H
 
-    def block_ends(self):
-        """(G, H) at every price's block ends, the points of :func:`_block_points`."""
-        return self.kernel(np.arange(self.p.size)[:, None], _block_points(self.z.size))
+    def super_ends(self):
+        """(G, H) at every price's super-tile ends, the points of
+        :func:`_block_points` at width _SUPER."""
+        return self.kernel(np.arange(self.p.size)[:, None], _block_points(self.z.size, _SUPER))
 
 
 @dataclass
 class _Blocks:
-    """Weight-free pieces of the enclosures of every (price, z-block) tile,
-    flattened price-major: tile = p_idx * n_b + block.  The n_b blocks
-    end at the scan points of :func:`_block_points`."""
+    """Weight-free pieces of the enclosures of some (price, z-block) tiles,
+    each block width scan cells wide: tile = p_idx * n_b + block, the n_b
+    blocks of a price ending at the scan points of :func:`_block_points`.
+    The table bounds read pad: _BOUND_PAD on tiles, more on super tiles."""
 
     n_b: int
-    prices: np.ndarray       # the price grid; a tile's price is prices[tile // n_b]
+    tile: np.ndarray         # the tiles, flat and ascending; fields hold one entry per tile
+    p: np.ndarray            # each tile's price
     Q_a: np.ndarray          # the largest throughput and the labour range of _cell_ends
     L_min: np.ndarray
     L_max: np.ndarray
@@ -292,33 +305,28 @@ class _Blocks:
     G_hi: np.ndarray
     welfare_hi: np.ndarray | None   # the block's welfare upper bound (J- and tau-free), if read
     bad: np.ndarray          # the block holds a non-finite G or H
+    pad: float = _BOUND_PAD
     # per objective (welfare or not), a mask of the tiles whose table
     # bound reaches the witness of one of its tables (setup_group)
     candidates: dict = field(default_factory=dict)
 
     @staticmethod
-    def of(tables: PeriodTables, sums: np.ndarray, welfare: bool) -> "_Blocks":
-        """The pieces on tables' grids, welfare's bound only if welfare;
-        sums: each tile's G + H at its two block ends.
+    def of(tables: PeriodTables, width: int, tile: np.ndarray, sums: np.ndarray, welfare: bool,
+           pad: float = _BOUND_PAD) -> "_Blocks":
+        """The pieces of the blocks tile (flat, ascending) of width scan
+        cells on tables' grids, welfare's bound only if welfare; sums:
+        each tile's G + H at its two block ends (:func:`_end_sums`).
 
         Each piece is :func:`_cell_ends`' (and :func:`_bounds`') formula
-        with the same operations on the same values, so the same bits;
-        demand is evaluated once on the (price x block end) grid, where a
-        block's Q_a and Q_b are neighbours.  Fields are (price, block)
-        tables, flattened."""
-        s = tables.scenario
-        z, p = tables.z[_block_points(tables.z.size)], tables.p[:, None]
-        Q = demand(s.demand, p, z)
-        Q_a, Q_b = Q[:, :-1], Q[:, 1:]   # Q(z_lo) >= Q >= Q(z_hi) on a block
-        iz = idle_from_time(s.pickup, z)
-        L_min = iz[1:] + (s.trip_time + z[:-1]) * Q_b
-        L_max = iz[:-1] + (s.trip_time + z[1:]) * Q_a
-        del iz
+        with the same operations on the same values, so the same bits
+        for every set of tiles."""
+        s, pts = tables.scenario, _block_points(tables.z.size, width)
+        p_idx, b = np.divmod(tile, pts.size - 1)
+        p = tables.p[p_idx]
+        z_lo, _, Q_a, Q_b, L_min, L_max = _cell_ends(s, tables.z[pts], p, b)
         G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
-        welfare_hi = _welfare_ub(s, p, z[:-1], Q_a, L_min, L_max).ravel() if welfare else None
-        Q_a = Q_a.ravel()   # a copy: Q and its views go
-        del Q, Q_b
-        L_min, L_max, G_lo, G_hi = L_min.ravel(), L_max.ravel(), G_lo.ravel(), G_hi.ravel()
+        del Q_b
+        welfare_hi = _welfare_ub(s, p, z_lo, Q_a, L_min, L_max, pad) if welfare else None
         H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
         # G or H is non-finite inside a block only if it is at the block's
         # ends or a piece is: the kernel's exp(kappa + beta_T*z) and I(z)
@@ -327,21 +335,51 @@ class _Blocks:
         # <= G_hi and H(L1) <= H_hi.  A sum is finite only if each term is
         # (an overflowing sum of finite terms marks a block too, which only
         # scans more).
-        bad = ~np.isfinite(sums.ravel() + H_lo + H_hi + G_lo + G_hi)
-        return _Blocks(z.size - 1, tables.p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
-                       welfare_hi, bad)
+        bad = ~np.isfinite(sums + H_lo + H_hi + G_lo + G_hi)
+        return _Blocks(pts.size - 1, tile, p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
+                       welfare_hi, bad, pad)
 
 
-def _welfare_ub(s: PeriodScenario, p, z_lo, Q_a, L_min, L_max):
+def _end_sums(G, H) -> np.ndarray:
+    """Each block's G + H at its two ends, flat, from G and H at the
+    consecutive ends of blocks along the last axis."""
+    G = G + H
+    return (G[..., :-1] + G[..., 1:]).ravel()
+
+
+def _supers(tables: PeriodTables, G, H, welfare: bool) -> _Blocks:
+    """The enclosures of every super tile, from G and H at every price's
+    super-tile ends.  Padded twice over, a super tile's table bound
+    covers the last-bit wobble of its own and of each of its tiles'
+    bounds, and so reaches each of them: its pieces enclose theirs."""
+    sums = _end_sums(G, H)
+    return _Blocks.of(tables, _SUPER, np.arange(sums.size), sums, welfare, 2.0 * _BOUND_PAD)
+
+
+def _expand(tables: PeriodTables, supers: np.ndarray, welfare: bool) -> _Blocks:
+    """The enclosures of the tiles inside the super tiles supers (flat
+    (price, super tile) indices, ascending), from the kernel gathered at
+    those tiles' ends alone."""
+    pts, per = _block_points(tables.z.size), _SUPER // _BLOCK
+    n_b = pts.size - 1
+    p_idx, first = np.divmod(supers, _n_blocks(tables.z.size, _SUPER))
+    b = (first * per)[:, None] + np.arange(per)
+    tile = (p_idx[:, None] * n_b + b)[b < n_b]   # a short last super tile holds fewer
+    p_idx, b = np.divmod(tile, n_b)
+    G, H = tables.kernel(p_idx[:, None], np.stack((pts[b], pts[b + 1]), axis=1))
+    return _Blocks.of(tables, _BLOCK, tile, _end_sums(G, H), welfare)
+
+
+def _welfare_ub(s: PeriodScenario, p, z_lo, Q_a, L_min, L_max, pad_by: float):
     """Welfare's upper bound S(p, z_lo) + p*Q_a - C(L_min) on blocks with
-    these ends (:func:`_cell_ends`), padded and computed as :func:`_bounds`
-    computes its hi."""
+    these ends (:func:`_cell_ends`), computed as :func:`_bounds` computes
+    its hi and padded by pad_by times the size of its terms."""
     hi = surplus(s.demand, p, z_lo)
     hi += p * Q_a
     pad = social_cost(s.supply, L_max)
     pad += hi
     hi -= social_cost(s.supply, L_min)
-    pad *= _BOUND_PAD
+    pad *= pad_by
     hi += pad
     return hi
 
@@ -433,29 +471,38 @@ def setup_group(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarra
     brackets each J > 0 at every weight of coefs (:func:`_complete`,
     decided at the least and the largest weight).  best lists each
     table's rows when the group's tables are read only for their best
-    cell, else is empty and every floor is -inf.  With best,
-    tables.blocks is set, the tile enclosures, and a row's floor is the
-    least witness (:func:`_witness`) of the tables that read it: a value
-    the table provably attains, so no root below it can win.  The check
-    and the enclosures read one evaluation of the block ends, dropped
-    once read.
+    cell, else is empty and every floor is -inf.  With best, a row's
+    floor is the least witness (:func:`_witness`) of the tables that read
+    it: a value the table provably attains, so no root below it can win.
+    The check and the super tiles' enclosures read one evaluation of the
+    kernel at the super tiles' ends.  Each table's bound over every super
+    tile ranks the tiles for its witness (:func:`_ranked`); tables.blocks
+    is then set to the enclosures of the tiles inside the super tiles
+    whose bound reaches a witness, and B.candidates to the tiles among
+    them whose table bound does: the tiles the bound over every tile
+    keeps, since a super tile's bound reaches each of its tiles'.
     """
-    G, H = tables.block_ends()
+    G, H = tables.super_ends()
     _complete(tables, j_values, coefs, G, H)
     welfare = reads[2]
     floor = np.full(welfare.size, np.inf if best else -np.inf)
     if best:
-        G += H
-        del H
-        sums = G[:, :-1] + G[:, 1:]
-        del G
-        B = tables.blocks = _Blocks.of(tables, sums, welfare.any())
+        S = _supers(tables, G, H, welfare.any())
+        del G, H
         base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
+        found = []   # per table: its rows, its witness, the super tiles whose bound reaches it
         for rows in best:
             rows = np.unique(rows)
-            w = bool(welfare[rows[0]])
-            value, kept = _witness(tables, j_values, coefs, reads, rows, base)
+            bound = _table_bound(S, j_values, coefs, reads, rows)
+            value = _witness(tables, j_values, coefs, reads, rows, base,
+                             *_ranked(tables, j_values, coefs, reads, rows, bound))
             floor[rows] = np.minimum(floor[rows], value)
+            found.append((rows, value, ~(bound < value)))
+        reach = np.logical_or.reduce([f[2] for f in found])
+        B = tables.blocks = _expand(tables, np.flatnonzero(reach), welfare.any())
+        for rows, value, _ in found:
+            kept = ~(_table_bound(B, j_values, coefs, reads, rows) < value)
+            w = bool(welfare[rows[0]])
             B.candidates[w] = B.candidates.get(w, False) | kept
     return floor
 
@@ -561,16 +608,22 @@ def _tile_scan(tables: PeriodTables, j_values, coefs, reads):
                                               known)
 
 
-def _block_points(n_z: int) -> np.ndarray:
-    """The scan-point index of each block end: every _BLOCK-th point and the last."""
-    return np.append(np.arange(0, n_z - 1, _BLOCK), n_z - 1)
+def _block_points(n_z: int, width: int = _BLOCK) -> np.ndarray:
+    """The scan-point index of each end of a block of width scan cells:
+    every width-th point and the last."""
+    return np.append(np.arange(0, n_z - 1, width), n_z - 1)
+
+
+def _n_blocks(n_z: int, width: int = _BLOCK) -> int:
+    """The blocks of width scan cells per price, a last one shorter."""
+    return -(-(n_z - 1) // width)
 
 
 def _tile_kernel(tables: PeriodTables, tiles):
     """(tiles, G, H): the kernel gathered on the scan points of tiles
     (distinct, ascending) alone, one row of _BLOCK + 1 points per tile; a
     short last block repeats its end point, which adds no count step."""
-    p, b = np.divmod(tiles, tables.blocks.n_b)
+    p, b = np.divmod(tiles, _n_blocks(tables.z.size))
     z_idx = np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1), tables.z.size - 1)
     return (tiles, *tables.kernel(p[:, None], z_idx))
 
@@ -587,7 +640,7 @@ def _tile_brackets(tables: PeriodTables, j_values, coefs, t, tile, known) -> lis
     W *= coefs[t, None]   # H - coef*G with the full scan's operations, so the same bits
     np.subtract(H[at], W, out=W)
     rows, cells, j_idx, s_lo = _brackets(W, j_values, t)
-    p, b = np.divmod(tile[rows], tables.blocks.n_b)
+    p, b = np.divmod(tile[rows], _n_blocks(tables.z.size))
     t = t[rows]
     return [t, p, b * _BLOCK + cells, j_idx, s_lo, coefs[t]]
 
@@ -599,27 +652,38 @@ def _needed(tables: PeriodTables, j_values, coefs, reads):
     A tile can bracket only the wages J_a..J_b-1 in its margin enclosure.
     It is needed when it holds one and a row's value upper bound at J_a
     (:func:`_wage_ub`) reaches the row's floor.  Each weight's exact pass
-    runs on its objectives' candidate tiles alone, those that a table's
-    bound over every tile keeps at the setup (:func:`_witness`): a row's
+    runs on its objectives' candidate tiles alone, those whose table
+    bound reaches a witness at the setup (:func:`setup_group`): a row's
     floor is the witness of a table that reads it, whose bound reaches the
     row's exact one, so they hold every needed tile.  A NaN bound is kept.
     """
     k, tau, welfare, floor = reads
     B = tables.blocks
-    # (objective, its rows, its candidate tiles)
+    # (objective, its rows, its candidate tiles' positions in B)
     passes = [(w, np.flatnonzero(welfare == w), np.flatnonzero(m)) for w, m in B.candidates.items()]
     for t in range(coefs.size):
-        need = np.zeros(B.bad.size, dtype=bool)
-        for w, r, tile in passes:
+        need = np.zeros(B.tile.size, dtype=bool)
+        for w, r, at in passes:
             r = r[k[r] == t]
             if r.size:
-                a, b, ub = _wage_ub(B, j_values, coefs[k[r], None], tau[r, None], tile, w)
-                need[tile[((a < b) & ~(ub < floor[r, None])).any(axis=0)]] = True
-        yield np.flatnonzero(need)
+                a, b, ub = _wage_ub(B, j_values, coefs[k[r], None], tau[r, None], at, w)
+                need[at[((a < b) & ~(ub < floor[r, None])).any(axis=0)]] = True
+        yield B.tile[need]
+
+
+def _table_bound(B: "_Blocks", j_values, coefs, reads, rows):
+    """The bound on every tile of B over the rows of one table (reads as
+    in :func:`setup_group`): welfare's :func:`_relaxed_ub`, profit's
+    :func:`_envelope`."""
+    k, tau, welfare = reads
+    c = coefs[k[rows]]
+    if welfare[rows[0]]:
+        return _relaxed_ub(B, j_values, c.min(), c.max())
+    return _envelope(B, j_values, c, tau[rows])
 
 
 def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi):
-    """Welfare's upper bound on every tile for every weight in [c_lo,
+    """Welfare's upper bound on every tile of B for every weight in [c_lo,
     c_hi]: the tile's J- and tau-free bound, -inf where the margin range
     at those weights misses [J_0, J_last]."""
     w_lo, w_hi = _margin_range(B, c_lo, c_hi, slice(None))
@@ -627,7 +691,7 @@ def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi):
 
 
 def _envelope(B: "_Blocks", j_values, c, tau):
-    """Profit's upper bound on every tile for the rows (weights c,
+    """Profit's upper bound on every tile of B for the rows (weights c,
     commissions tau) of one table, at least each row's :func:`_wage_ub`.
 
     A row's wage J_a is at least J_0 and its margin range's lower end, so
@@ -638,13 +702,15 @@ def _envelope(B: "_Blocks", j_values, c, tau):
     margin's lower end by beta*G_hi*dtau, so the wage bill by at most
     beta*G_hi*L_min*dtau = beta*pQ_a*dtau, and beta <= 1.  So f at the row
     of the largest commission, which has the least weight, bounds every
-    row's.  The pads of :func:`_margin_range`
-    and :func:`_value_ub` are added twice over, at the table's largest
-    terms, which also covers the rows' last-bit distance from the line.
+    row's.  The pads of :func:`_margin_range` and :func:`_value_ub`
+    (B.pad) are added twice over, at the table's largest terms, which
+    also covers the rows' last-bit distance from the line.  The margin's
+    is taken at L_max, so every term of the pad grows as the pieces widen
+    and a super tile's pad reaches its tiles'.
     """
     J_0, J_last = j_values[0], j_values[-1]
     t_hi, c_lo, c_hi = tau.max(), c.min(), c.max()
-    A = np.multiply(B.prices[:, None], B.Q_a.reshape(-1, B.n_b)).reshape(-1)   # p*Q_a
+    A = np.multiply(B.p, B.Q_a)   # p*Q_a
     w = np.multiply(B.G_hi, c_lo)   # J_0 or the margin's lower end, times L_min
     np.subtract(B.H_lo, w, out=w)
     w[B.bad] = -np.inf
@@ -654,11 +720,11 @@ def _envelope(B: "_Blocks", j_values, c, tau):
     ub -= w
     np.multiply(B.G_hi, c_hi, out=w)   # the pad, in place: a fresh array costs more than an op
     w += B.H_hi
-    w *= B.L_min
+    w *= B.L_max
     A *= t_hi
     w += A
     w += np.multiply(B.L_max, J_last, out=A)
-    w *= 2.0 * _BOUND_PAD
+    w *= 2.0 * B.pad
     ub += w
     return ub
 
@@ -674,9 +740,9 @@ def _wage_ub(B: "_Blocks", j_values, c, tau, tile, welfare: bool):
 
 
 def _margin_range(B: "_Blocks", c_lo, c_hi, tile):
-    """(w_lo, w_hi) enclosing the margin H - c*G on tiles for every weight
-    c in [c_lo, c_hi], padded as the value bounds are; (-inf, inf) on a
-    block with a non-finite G or H.
+    """(w_lo, w_hi) enclosing the margin H - c*G on tiles (positions in B)
+    for every weight c in [c_lo, c_hi], padded by B.pad times its terms;
+    (-inf, inf) on a block with a non-finite G or H.
 
     On a block H rises with L, so H lies in [H(L_min), H(L_max)], and G =
     pQ/L in [pQ_b/L_max, pQ_a/L_min]; c >= 0.
@@ -684,7 +750,7 @@ def _margin_range(B: "_Blocks", c_lo, c_hi, tile):
     pad = c_hi * B.G_hi[tile]   # c_hi*G first: three arrays, each op as before
     w_lo = B.H_lo[tile] - pad
     pad += B.H_hi[tile]
-    pad *= _BOUND_PAD
+    pad *= B.pad
     w_lo -= pad
     w_hi = c_lo * B.G_lo[tile]
     np.subtract(B.H_hi[tile], w_hi, out=w_hi)
@@ -696,12 +762,12 @@ def _margin_range(B: "_Blocks", c_lo, c_hi, tile):
 
 
 def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
-    """Upper bound on the value of a root in tiles at wage J >= 0, padded
-    as :func:`_bounds` pads: welfare's (J-free), else profit
-    tau*p*Q_a - J*L_min, which falls in J."""
+    """Upper bound on the value of a root in tiles (positions in B) at
+    wage J >= 0, padded as :func:`_bounds` pads: welfare's (J-free), else
+    profit tau*p*Q_a - J*L_min, which falls in J."""
     if welfare:
         return B.welfare_hi[tile]
-    ub = tau * B.prices[tile // B.n_b]
+    ub = tau * B.p[tile]
     ub *= B.Q_a[tile]
     pad = J * B.L_max[tile]
     pad += ub
@@ -714,7 +780,8 @@ def _value_ub(B: "_Blocks", tile, J, tau, welfare: bool):
 def _complete(tables: PeriodTables, j_values, coefs, G, H) -> None:
     """BracketingError unless every (weight, price) row of the scan table
     brackets each J > 0 at every weight of coefs (all >= 0); G and H are
-    the kernel at every price's block ends, (price, point).
+    the kernel at some scan points of every price, (price, point): the
+    super tiles' ends in :func:`setup_group`.
 
     The brackets of a row span the counts between its least and largest
     margin, so a row brackets each J > 0 exactly when some margin is <=
@@ -724,9 +791,9 @@ def _complete(tables: PeriodTables, j_values, coefs, G, H) -> None:
     every larger one, and a W above the last wage at the largest weight
     stays so at every smaller one, as does a NaN there (it is NaN or
     +inf at a smaller c).  So the row minimum at the least weight and the
-    row maximum at the largest decide every weight.  The block ends are
-    scan points, so a price that passes there passes; one that does not
-    is checked on its full scan row, gathered from the tables.
+    row maximum at the largest decide every weight.  The points are scan
+    points, so a price that passes there passes; one that does not is
+    checked on its full scan row, gathered from the tables.
     """
     pos = np.flatnonzero(j_values > 0.0)
     if not pos.size:
@@ -747,45 +814,67 @@ def _complete(tables: PeriodTables, j_values, coefs, G, H) -> None:
             )
 
 
-def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base):
-    """(value, kept): a value that some cell of the rows (one table's)
-    attains, base or the largest value lower bound of the roots refined in
-    the tiles of the rows' largest value upper bounds, whichever is
-    larger; and a mask of the tiles whose table bound reaches it.
+def _best(ub, m: int):
+    """The flat indices, ascending, of the m largest of ub (NaN ranks
+    above every number, as argpartition ranks it), less those not above
+    -inf.  Ascending, what is done with them depends on which they are
+    alone, not on the order argpartition leaves them in."""
+    ub = ub.reshape(-1)
+    top = np.argpartition(ub, -m)[-m:] if m < ub.size else np.arange(ub.size)
+    return np.sort(top[ub[top] > -np.inf])   # drops NaN too
 
-    The tiles are ranked best first, as in branch and bound, with the
-    bounds of :func:`_needed`, in two stages.  The table bound, one pass
-    over every tile that bounds all the rows' (weight, commission) pairs
-    at once (welfare's :func:`_relaxed_ub`, profit's :func:`_envelope`),
-    picks the _WITNESS_TILES tiles with the largest bound; the exact
-    :func:`_wage_ub` on every (row, tile) pair of those picks the
-    _WITNESS_TILES pairs with the largest bound at the smallest wage their
-    margin range holds, and those are refined.
+
+def _ranked(tables: PeriodTables, j_values, coefs, reads, rows, bound):
+    """(B, tile): the enclosures of the tiles inside some super tiles, and
+    the positions in B of the _WITNESS_TILES tiles with the largest table
+    bound (:func:`_table_bound`) of the rows (one table's), as a ranking
+    of every tile picks them but for exact ties.
+
+    bound is the table bound of every super tile, which reaches each of
+    its tiles' (or is NaN).  Super tiles expand best first, as in branch
+    and bound: the few with the largest bound, then every one whose bound
+    exceeds the _WITNESS_TILES-th largest tile bound found, until no
+    other one does.  That tile bound only rises as super tiles are added,
+    so two rounds do it.
+    """
+    w = bool(reads[2][rows[0]])
+    key = np.where(np.isnan(bound), np.inf, bound)   # NaN first, as _best ranks it
+    n = min(_RANKED_SUPERS, key.size)
+    supers = np.sort(np.argpartition(key, -n)[-n:])
+    while True:
+        B = _expand(tables, supers, w)
+        ub = _table_bound(B, j_values, coefs, reads, rows)
+        k, m = np.where(np.isnan(ub), np.inf, ub), _WITNESS_TILES
+        least = np.partition(k, -m)[-m] if k.size >= m else -np.inf   # the m-th largest
+        more = np.flatnonzero(key > least)   # holds supers when no larger
+        if more.size <= supers.size:
+            return B, _best(ub, _WITNESS_TILES)
+        supers = more
+
+
+def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base, B: _Blocks, tile):
+    """A value that some cell of the rows (one table's) attains: base or
+    the largest value lower bound of the roots refined in the tiles of the
+    rows' largest value upper bounds, whichever is larger.
+
+    tile holds the positions in B of the tiles with the largest table
+    bound (:func:`_ranked`); the exact :func:`_wage_ub` on every (row,
+    tile) pair of those picks the _WITNESS_TILES pairs with the largest
+    bound at the smallest wage their margin range holds, and those are
+    refined.
     """
     k, tau, welfare = reads
-    B, w, c = tables.blocks, bool(welfare[rows[0]]), coefs[k[rows]]
-
-    def best(ub, m):
-        ub = ub.reshape(-1)
-        top = np.argpartition(ub, -m)[-m:] if m < ub.size else np.arange(ub.size)
-        return top[ub[top] > -np.inf]   # drops NaN too
-
-    if w:
-        bound = _relaxed_ub(B, j_values, c.min(), c.max())
-    else:
-        bound = _envelope(B, j_values, c, tau[rows])
-    tile = best(bound, _WITNESS_TILES)
+    w, c = bool(welfare[rows[0]]), coefs[k[rows]]
     _, _, ub = _wage_ub(B, j_values, c[:, None], tau[rows, None], tile, w)
-    ri, ti = np.divmod(best(ub, _WITNESS_TILES), tile.size)
-    t, tile = np.unique(np.stack((k[rows[ri]], tile[ti])), axis=1)   # by weight, then tile
+    ri, ti = np.divmod(_best(ub, _WITNESS_TILES), tile.size)
+    t, tile = np.unique(np.stack((k[rows[ri]], B.tile[tile[ti]])), axis=1)   # by weight, then tile
     cols = _tile_brackets(tables, j_values, coefs, t, tile, _tile_kernel(tables, np.unique(tile)))
     t, p_idx, cell_idx, j_idx = cols[:4]
     ok = ~np.isnan(_refine(tables, j_values, cols))
     by_k = rows[np.argsort(k[rows])]   # a table's rows have distinct weights
     r = by_k[np.searchsorted(k[by_k], t[ok])]
     lo, _ = _value_bounds(tables, p_idx[ok], cell_idx[ok], j_values[j_idx[ok]], tau[r], w)
-    value = max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
-    return value, ~(bound < value)
+    return max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
 
 
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:

@@ -28,6 +28,7 @@ from idlewage import (
     supply,
 )
 from idlewage.equilibrium import (
+    _BOUND_PAD,
     BracketingError,
     _block_points,
     _bounds,
@@ -145,23 +146,25 @@ def complete_per_weight(tables, j_values: np.ndarray, coefs, G, H) -> None:
                 raise BracketingError("a row brackets no J > 0 at weight %r" % coef)
 
 
-def blocks_by_tile(tables, sums: np.ndarray, welfare: bool) -> dict:
-    """The fields of the tile enclosures, each tile's built on its own:
-    its block's ends from _cell_ends at the tile's price, and welfare's
-    upper bound from _bounds; sums is each tile's G + H at its two block
-    ends, as the solver passes it."""
-    s, n_p = tables.scenario, tables.p.size
+def blocks_by_tile(tables, tile: np.ndarray, welfare: bool) -> dict:
+    """The fields of the enclosures of tiles (flat (price, block) indices,
+    ascending), each tile's built on its own: its block's ends from
+    _cell_ends at the tile's price, welfare's upper bound from _bounds,
+    and G + H read from the kernel at its two block ends."""
+    s = tables.scenario
     pts = _block_points(tables.z.size)
-    p_idx, b = np.divmod(np.arange(n_p * (pts.size - 1)), pts.size - 1)
+    p_idx, b = np.divmod(tile, pts.size - 1)
     p = tables.p[p_idx]
     ends = _cell_ends(s, tables.z[pts], p, b)
     welfare_hi = _bounds(s, p, ends, 0.0, 0.0, True)[1] if welfare else None
     _, _, Q_a, Q_b, L_min, L_max = ends
     G_hi, G_lo = p * Q_a / L_min, p * Q_b / L_max
     H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
-    bad = ~np.isfinite(sums.ravel() + H_lo + H_hi + G_lo + G_hi)
-    return dict(n_b=pts.size - 1, prices=tables.p, Q_a=Q_a, L_min=L_min, L_max=L_max,
-                H_lo=H_lo, H_hi=H_hi, G_lo=G_lo, G_hi=G_hi, welfare_hi=welfare_hi, bad=bad)
+    (G_a, H_a), (G_b, H_b) = tables.kernel(p_idx, pts[b]), tables.kernel(p_idx, pts[b + 1])
+    bad = ~np.isfinite((G_a + H_a) + (G_b + H_b) + H_lo + H_hi + G_lo + G_hi)
+    return dict(n_b=pts.size - 1, tile=tile, p=p, Q_a=Q_a, L_min=L_min, L_max=L_max,
+                H_lo=H_lo, H_hi=H_hi, G_lo=G_lo, G_hi=G_hi, welfare_hi=welfare_hi, bad=bad,
+                pad=_BOUND_PAD)
 
 
 def dense_scan_equilibria(s: PeriodScenario, pol: PolicyPoint, n: int = 10**6):

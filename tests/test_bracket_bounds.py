@@ -17,19 +17,27 @@ from idlewage import GridSpec, Objective, SolverConfig, TableRequest, period_for
 from idlewage import equilibrium, optimize
 from idlewage.equilibrium import (
     _BLOCK,
+    _SUPER,
     _WITNESS_TILES,
     BracketingError,
     PeriodTables,
+    _best,
     _block_points,
     _Blocks,
     _brackets,
     _complete,
     _cut,
     _envelope,
+    _expand,
+    _n_blocks,
     _needed,
     _refine,
+    _relaxed_ub,
+    _supers,
+    _table_bound,
     _value_bounds,
     _wage_ub,
+    _witness,
     equilibrium_components,
     setup_group,
     solve_slices,
@@ -198,28 +206,36 @@ class TestLostThreshold:
         assert lost == []
 
 
+def n_supers(tables) -> int:
+    """The super tiles of tables' grids."""
+    return tables.p.size * _n_blocks(tables.z.size, _SUPER)
+
+
+def every_tile(tables):
+    """The enclosures of every tile of tables' grids, welfare's bound too."""
+    return _expand(tables, np.arange(n_supers(tables)), True)
+
+
 def with_blocks(tables):
-    """tables with its tile enclosures set, as a "best" group of a profit
-    and a welfare table sets them; the wage list holds no J > 0, so no
-    completeness is checked."""
-    rows = (np.zeros(2, dtype=int), np.ones(2), np.array([False, True]))
-    setup_group(tables, np.zeros(1), np.zeros(1), rows, [np.array([0]), np.array([1])])
+    """tables with the enclosures of every tile set."""
+    tables.blocks = every_tile(tables)
     return tables
 
 
-def default_group(hour, beta):
-    """A default-grid period's tables, set up as a "best" group of a profit
-    and a welfare table, its wages, weights, its (objective, commission)
-    rows (k, tau, welfare) and their floors."""
+def best_group(hour, beta, cfg=SolverConfig(), objs=tuple(Objective), build=False):
+    """A default-grid period's tables (the full scan table too if build),
+    set up as a "best" group of one table per objective of objs, its
+    wages, weights, its (objective, commission) rows (k, tau, welfare),
+    each table's rows and their floors."""
     g, s = GridSpec(), period_for_hour(hour, beta)
-    tables = PeriodTables.build(s, g.p_values(), SolverConfig())
+    tables = (PeriodTables.build if build else PeriodTables.of)(s, g.p_values(), cfg)
     taus = g.tau_values()
     coefs = beta * (1.0 - taus[::-1])   # ascending, as value_tables orders them
-    k = np.tile(np.arange(taus.size)[::-1], 2)
-    rows = (k, np.tile(taus, 2), np.repeat([False, True], taus.size))
-    floor = setup_group(tables, g.j_values(), coefs, rows,
-                        [np.flatnonzero(~rows[2]), np.flatnonzero(rows[2])])
-    return tables, g.j_values(), coefs, rows, floor
+    k = np.tile(np.arange(taus.size)[::-1], len(objs))
+    rows = (k, np.tile(taus, len(objs)), np.repeat([o is Objective.WELFARE for o in objs], taus.size))
+    best = np.split(np.arange(k.size), len(objs))
+    floor = setup_group(tables, g.j_values(), coefs, rows, best)
+    return tables, g.j_values(), coefs, rows, best, floor
 
 
 class TestTiles:
@@ -227,9 +243,9 @@ class TestTiles:
     def test_brackets_reaching_the_floor_lie_in_needed_tiles(self, hour, beta):
         # every bracket whose value bound reaches its best table's floor
         # lies in a tile the tile test scans, and few tiles are scanned
-        tables, wages, coefs, rows, floor = default_group(hour, beta)
+        tables, wages, coefs, rows, _, floor = best_group(hour, beta, build=True)
         k, tau, welfare = rows
-        need = np.zeros((coefs.size, tables.blocks.bad.size), dtype=bool)
+        need = np.zeros((coefs.size, tables.p.size * tables.blocks.n_b), dtype=bool)
         for t, tile in enumerate(_needed(tables, wages, coefs, (*rows, floor))):
             need[t, tile] = True
         kept = 0
@@ -249,9 +265,10 @@ class TestTiles:
     ], ids=["19-0.25", "4-0.2", "12-0.95", "19-0.25+0.5-threads1", "19-0.25+0.5-threads2"])
     def test_relaxed_pass_only_filters(self, monkeypatch, hour, betas, threads):
         # the tiles the streams scan are exactly those the exact test keeps
-        # on every (row, tile) pair, with no relaxed pass before it; at
-        # betas 0.25 and 0.5 two tables per objective share their tau = 1
-        # row (weight 0), whose floor is the lesser of two witnesses
+        # on every (row, tile) pair of the whole grid, with no relaxed pass
+        # or super tile before it; at betas 0.25 and 0.5 two tables per
+        # objective share their tau = 1 row (weight 0), whose floor is the
+        # lesser of two witnesses
         setups, scanned = [], []
         setup, brackets = optimize.setup_group, equilibrium._tile_brackets
 
@@ -272,10 +289,11 @@ class TestTiles:
         shared = np.flatnonzero(coefs[k] == 0.0)   # each objective's tau = 1 row
         assert shared.size == len(Objective)
         assert all(sum(r in rows for rows in best) == len(betas) for r in shared)
-        every = np.arange(tables.blocks.bad.size)
+        B = every_tile(tables)
+        every = np.arange(B.tile.size)
         want = np.zeros((coefs.size, every.size), dtype=bool)
         for r in range(k.size):
-            a, b, ub = _wage_ub(tables.blocks, wages, coefs[k[r]], tau[r], every, welfare[r])
+            a, b, ub = _wage_ub(B, wages, coefs[k[r]], tau[r], every, welfare[r])
             want[k[r]] |= (a < b) & ~(ub < floor[r])
         got = np.zeros_like(want)
         for c, tile in scanned:
@@ -363,7 +381,7 @@ class TestTwoWeightCompleteness:
         coefs = np.unique(0.25 * (1.0 - g.tau_values()))
         assert coefs[0] == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            G, H = tables.block_ends()
+            G, H = tables.super_ends()
             verdicts = [raises(check, tables, wages, coefs, G, H)
                         for wages in (g.j_values(), np.array([0.7, 1.4]), np.array([0.0]))
                         for check in (_complete, complete_per_weight)]
@@ -397,26 +415,52 @@ class TestTwoWeightCompleteness:
 
 
 class TestEnclosures:
-    """The (price x block end) enclosures and profit's envelope over a
-    table's line."""
+    """The enclosures of the tiles a setup builds, profit's envelope over
+    a table's line, and the super tiles' bounds over their tiles."""
 
     @pytest.mark.parametrize("cfg", [SolverConfig(), FAST_SOLVER], ids=["default", "fast"])
     @pytest.mark.parametrize("beta", [0.2, 0.95])
     @pytest.mark.parametrize("hour", [4, 12, 19, 22])
     def test_fields_equal_the_per_tile_construction(self, hour, beta, cfg):
-        tables = PeriodTables.of(period_for_hour(hour, beta), GridSpec().p_values(), cfg)
-        G, H = tables.block_ends()
-        G += H
-        sums = G[:, :-1] + G[:, 1:]
-        for welfare in (False, True):
-            got, want = _Blocks.of(tables, sums, welfare), blocks_by_tile(tables, sums, welfare)
+        # on the tiles a setup builds, with and without a welfare table
+        for objs in ((Objective.PROFIT,), tuple(Objective)):
+            tables = best_group(hour, beta, cfg, objs)[0]
+            got, welfare = tables.blocks, Objective.WELFARE in objs
             assert (got.welfare_hi is None) == (not welfare)
+            assert 0 < got.tile.size < tables.p.size * got.n_b
+            want = blocks_by_tile(tables, got.tile, welfare)
             for name, a in want.items():
                 b = getattr(got, name)
                 if isinstance(a, np.ndarray):
                     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                 else:
                     assert a == b
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(), FAST_SOLVER], ids=["default", "fast"])
+    @pytest.mark.parametrize("beta", [0.2, 0.95])
+    @pytest.mark.parametrize("hour", [4, 12, 19, 22])
+    def test_masks_and_floors_equal_the_all_tile_construction(self, hour, beta, cfg):
+        # a witness ranked over every tile's table bound, with every tile's
+        # enclosures built on its own, gives the setup's floors, and its
+        # candidates are the setup's, though the setup builds few tiles
+        tables, wages, coefs, rows, best, floor = best_group(hour, beta, cfg)
+        B = tables.blocks
+        every = _Blocks(**blocks_by_tile(tables, np.arange(tables.p.size * B.n_b), True))
+        base = 0.0 if (wages <= 0.0).any() else -np.inf
+        want_floor, want = np.full(floor.size, np.inf), {}
+        for r in best:
+            bound = _table_bound(every, wages, coefs, rows, r)
+            value = _witness(tables, wages, coefs, rows, r, base, every, _best(bound, _WITNESS_TILES))
+            want_floor[r] = np.minimum(want_floor[r], value)
+            w = bool(rows[2][r[0]])
+            want[w] = want.get(w, False) | ~(bound < value)
+        assert floor.tobytes() == want_floor.tobytes()
+        assert sorted(B.candidates) == sorted(want) == [False, True]
+        for w, m in want.items():
+            got = np.zeros(m.size, dtype=bool)
+            got[B.tile[B.candidates[w]]] = True
+            assert m.any() and np.array_equal(got, m)
+        assert B.tile.size < every.tile.size
 
     @settings(max_examples=60, deadline=None)
     @given(hour=st.integers(1, 24), beta=st.sampled_from([0.2, 0.25, 0.95]) | st.floats(0.05, 1.0),
@@ -439,6 +483,32 @@ class TestEnclosures:
                 _, _, ub = _wage_ub(B, wages, c, tau, every, False)
                 assert np.all(np.isnan(env) | (env >= ub))
 
+    @settings(max_examples=60, deadline=None)
+    @given(hour=st.integers(1, 24), beta=st.sampled_from([0.2, 0.25, 0.95]) | st.floats(0.05, 1.0),
+           taus=st.just([1.0]) | st.lists(st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                          min_size=1, max_size=6, unique=True),
+           wages=st.lists(st.sampled_from([0.0, 0.15, 1.4]) | st.floats(0.0, 3.0),
+                          min_size=1, max_size=8, unique=True).map(sorted),
+           kappa=st.sampled_from([None, None, 720.0]), scan_points=st.sampled_from([512, 600]))
+    def test_super_tile_bound_reaches_its_tiles(self, hour, beta, taus, wages, kappa, scan_points):
+        # each super tile's table bound, profit's envelope and welfare's
+        # relaxed bound, is at least every bound of the tiles it covers, or
+        # NaN where one of those is NaN, so the tiles a witness keeps lie
+        # in the super tiles it keeps; at 600 scan points a price's last
+        # super tile is short
+        s = with_kappa(period_for_hour(hour, beta), kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = PeriodTables.of(s, COARSE.p_values(), SolverConfig(scan_points=scan_points))
+            S, B = _supers(tables, *tables.super_ends(), True), every_tile(tables)
+            p_idx, b = np.divmod(B.tile, B.n_b)
+            owner = p_idx * S.n_b + b // (_SUPER // _BLOCK)   # each tile's super tile
+            taus, wages = np.array(taus), np.array(wages)
+            coefs = s.supply.risk_beta * (1.0 - taus)   # as value_tables computes each row's weight
+            for bound in (lambda X: _envelope(X, wages, coefs, taus),
+                          lambda X: _relaxed_ub(X, wages, coefs.min(), coefs.max())):
+                sup, tile = bound(S)[owner], bound(B)
+                assert np.all(np.isnan(sup) | (sup >= tile))
+
     def test_profit_keeps_few_candidate_tiles(self, monkeypatch):
         tables, setup = [], optimize.setup_group
 
@@ -450,6 +520,7 @@ class TestEnclosures:
         value_tables([TableRequest.of(period_for_hour(19, 0.25), Objective.PROFIT, reduction="best")])
         (t,) = tables
         assert 0 < np.count_nonzero(t.blocks.candidates[False]) < 1000
+        assert t.blocks.tile.size < t.p.size * t.blocks.n_b / 4   # few tiles are built
 
 
 class TestWitness:
@@ -522,10 +593,11 @@ class TestTileKernel:
             assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def full_table_bad(tables):
-    """The tiles whose block holds a non-finite G or H, by a sum over each
-    block's every point of the full scan table, plus the enclosure pieces."""
-    pts, B = _block_points(tables.z.size), with_blocks(tables).blocks
+def full_table_bad(tables, B, width):
+    """B's blocks of width scan cells (every one of tables' grids) that
+    hold a non-finite G or H, by a sum over each block's every point of
+    the full scan table, plus B's enclosure pieces."""
+    pts = _block_points(tables.z.size, width)
     ends = tables.G[:, pts[1:]] + tables.H[:, pts[1:]]
     for a in (tables.G, tables.H):
         ends += np.add.reduceat(a, pts[:-1], axis=1)
@@ -539,18 +611,20 @@ class TestGatheredKernel:
     @pytest.mark.parametrize("kappa", [None, 709.0, 710.0, 720.0, 740.0])
     @pytest.mark.parametrize("hour", [4, 19])
     def test_block_ends_mark_every_non_finite_block(self, hour, kappa, scan_points):
-        # exp(kappa + beta_T*z) overflows from kappa ~709.8 on; the blocks
-        # marked from their ends and enclosure pieces cover those a sum over
-        # every point of the full table marks
+        # exp(kappa + beta_T*z) overflows from kappa ~709.8 on; the tiles
+        # and the super tiles marked from their ends and enclosure pieces
+        # cover those a sum over every point of the full table marks
         s = period_for_hour(hour)
         if kappa is not None:
             s = dataclasses.replace(s, demand=dataclasses.replace(s.demand, kappa=kappa))
         p, cfg = GridSpec().p_values(), SolverConfig(scan_points=scan_points)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = full_table_bad(PeriodTables.build(s, p, cfg))
-            got = with_blocks(PeriodTables.of(s, p, cfg)).blocks.bad
-        assert not np.any(want & ~got)
-        assert want.any() == (kappa is not None and kappa >= 710.0)
+            full, lean = PeriodTables.build(s, p, cfg), PeriodTables.of(s, p, cfg)
+            for B, width in ((every_tile(lean), _BLOCK),
+                             (_supers(lean, *lean.super_ends(), False), _SUPER)):
+                want = full_table_bad(full, B, width)
+                assert not np.any(want & ~B.bad)
+                assert want.any() == (kappa is not None and kappa >= 710.0)
 
     @pytest.mark.parametrize("hour", [4, 19])
     def test_gathered_kernel_equals_the_full_table(self, hour):
@@ -601,9 +675,9 @@ class TestGatheredKernel:
 
 
 class TestOnePassEach:
-    """A "best" group evaluates its block ends, decides completeness and
-    bounds every tile once per table in one setup call, before the split;
-    no stream bounds every tile."""
+    """A "best" group evaluates its super tiles' ends, decides
+    completeness and bounds every super tile once per table in one setup
+    call, before the split; no bound and no enclosure spans every tile."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_passes_per_group_and_per_stream(self, monkeypatch, threads):
@@ -621,37 +695,46 @@ class TestOnePassEach:
             monkeypatch.setattr(owner, name, spying)
 
         spy(optimize, "setup_group")
-        spy(PeriodTables, "block_ends")
+        spy(PeriodTables, "super_ends")
         spy(equilibrium, "_complete", lambda args, out: args[2].tolist())   # the weights checked
         spy(equilibrium, "_witness")
-        every = lambda args, out: out.size == args[0].bad.size   # noqa: E731
-        spy(equilibrium, "_relaxed_ub", every)
-        spy(equilibrium, "_envelope", every)
+        size = lambda args, out: out.size   # noqa: E731
+        spy(equilibrium, "_relaxed_ub", size)
+        spy(equilibrium, "_envelope", size)
+        spy(equilibrium, "_expand", lambda args, out: out.tile.size)   # the tiles built
         spy(optimize, "solve_slices")
         reqs = [TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
                 for obj in Objective]
         value_tables(reqs, threads)
+        g = GridSpec()
+        supers = g.p_values().size * 16   # 4096 scan points: 16 super tiles of 256 cells a price
+        tiles = g.p_values().size * 256
 
         names = [e[0] for e in events]
         witness, split = names.index("_witness"), names.index("solve_slices")
         assert names.count("setup_group") == 1 and names.index("setup_group") == 0
-        assert names.count("block_ends") == 1 and names.index("block_ends") < witness
+        assert names.count("super_ends") == 1 and names.index("super_ends") < witness
         # one completeness decision, on the calling thread, over all the weights
         ((i, check),) = [(i, e) for i, e in enumerate(events) if e[0] == "_complete"]
         assert i < witness and check[1] == threading.get_ident()
         weights = np.unique(0.25 * (1.0 - GridSpec().tau_values()))
         assert check[2] == weights.tolist()
-        relaxed = [i for i, n in enumerate(names) if n in ("_relaxed_ub", "_envelope")]
-        assert all(events[i][2] for i in relaxed)   # each bounds every tile
+        bounds = [i for i, n in enumerate(names) if n in ("_relaxed_ub", "_envelope")]
+        built = [events[i][2] for i, n in enumerate(names) if n == "_expand"]
         assert names.count("solve_slices") == threads
-        assert all(i < split for i in relaxed)
-        assert names.count("_relaxed_ub") == names.count("_envelope") == 1
-        assert len(relaxed) == names.count("_witness") == len(reqs)
+        assert all(i < split for i in bounds) and names.index("_expand") < split
+        # one pass per table bounds every super tile; the others bound the
+        # tiles expanded, and neither spans every tile
+        every = [i for i in bounds if events[i][2] == supers]
+        assert [names[i] for i in every] == ["_envelope", "_relaxed_ub"]
+        assert len(every) == names.count("_witness") == len(reqs)
+        assert max(events[i][2] for i in bounds) < tiles and 0 < max(built) < tiles / 4
 
     @pytest.mark.parametrize("objs", [(Objective.PROFIT,), (Objective.WELFARE,), tuple(Objective)])
     def test_welfare_bound_only_for_a_welfare_row(self, monkeypatch, objs):
         # a profit-only group bounds no welfare; a group with a welfare row
-        # bounds every tile's welfare once, at the setup
+        # bounds every super tile's welfare once, at the setup, and then
+        # that of the tiles it expands alone
         tables, welfare_bounds = [], []
         solve, welfare_ub = optimize.solve_slices, equilibrium._welfare_ub
 
@@ -670,7 +753,11 @@ class TestOnePassEach:
         (B,) = {id(t.blocks): t.blocks for t in tables}.values()
         reads = Objective.WELFARE in objs
         assert (B.welfare_hi is not None) == reads
-        assert [b.size for b in welfare_bounds] == [B.bad.size] * reads
+        supers, tiles = GridSpec().p_values().size * 16, GridSpec().p_values().size * 256
+        sizes = [b.size for b in welfare_bounds]
+        assert [s for s in sizes if s == supers] == [supers] * reads
+        assert (B.welfare_hi.size == B.tile.size if reads else not sizes)
+        assert all(s < tiles for s in sizes)
 
 
 def lex_winner(r, t):
