@@ -27,7 +27,7 @@ agrees bitwise with the corresponding optimizer cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -175,20 +175,21 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # price's block of _BLOCK scan cells at one weight.  A floor, a value the
 # table attains, comes first; an enclosure of W on each block gives the
 # wages a tile can bracket, and only the tiles whose value bound at those
-# wages reaches the floor are scanned finely.  The group's setup bounds
+# wages reaches the floor are scanned finely.  Such a table is a group
+# of its own, set up once and scanned in one stream.  Its setup bounds
 # by branch and bound over two levels: a super tile is one price's run
-# of _SUPER scan cells, and one pass per table bounds every super tile
-# over all the table's rows (welfare's relaxed bound, profit's envelope
-# along the line c = beta*(1 - tau)), padded to reach each tile's bound
-# inside it.  The witness expands the super tiles best first; the tile
-# enclosures are then built, with the same table bound, only inside the
-# super tiles whose bound reaches a witness, and one exact pass per
-# weight bounds only the tiles those keep.  The setup decides
-# completeness from two weights at the super tiles' ends.  Such a table
-# never builds the full (price x z) scan table: the kernel is evaluated
-# at the super tiles' ends, once per group (setup_group), at the ends of
-# the tiles it expands, and at the scanned tiles' points alone, once per
-# distinct tile a stream scans (PeriodTables.kernel, _tile_kernel).
+# of _SUPER scan cells, and one pass bounds every super tile over all
+# the table's rows (welfare's relaxed bound, profit's envelope along the
+# line c = beta*(1 - tau)), padded to reach each tile's bound inside it.
+# The witness expands the super tiles best first; the tile enclosures
+# are then built, with the same table bound, only inside the super tiles
+# whose bound reaches the witness, and one exact pass per weight bounds
+# only the tiles those keep.  The setup decides completeness from two
+# weights at the super tiles' ends.  Such a table never builds the full
+# (price x z) scan table: the kernel is evaluated at the super tiles'
+# ends, once (setup_group), at the ends of the tiles it expands, and at
+# the scanned tiles' points alone, once per distinct tile
+# (PeriodTables.kernel, _tile_kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
@@ -290,10 +291,10 @@ class PeriodTables:
 class _Blocks:
     """Weight-free pieces of the enclosures of some (price, z-block) tiles,
     each block width scan cells wide: tile = p_idx * n_b + block, the n_b
-    blocks of a price ending at the scan points of :func:`_block_points`.
+    blocks of a price (:func:`_n_blocks`) ending at the scan points of
+    :func:`_block_points`.
     The table bounds read pad: _BOUND_PAD on tiles, more on super tiles."""
 
-    n_b: int
     tile: np.ndarray         # the tiles, flat and ascending; fields hold one entry per tile
     p: np.ndarray            # each tile's price
     Q_a: np.ndarray          # the largest throughput and the labour range of _cell_ends
@@ -306,9 +307,8 @@ class _Blocks:
     welfare_hi: np.ndarray | None   # the block's welfare upper bound (J- and tau-free), if read
     bad: np.ndarray          # the block holds a non-finite G or H
     pad: float = _BOUND_PAD
-    # per objective (welfare or not), a mask of the tiles whose table
-    # bound reaches the witness of one of its tables (setup_group)
-    candidates: dict = field(default_factory=dict)
+    # the tiles whose table bound reaches the table's witness (setup_group)
+    candidates: np.ndarray | None = None
 
     @staticmethod
     def of(tables: PeriodTables, width: int, tile: np.ndarray, sums: np.ndarray, welfare: bool,
@@ -336,7 +336,7 @@ class _Blocks:
         # (an overflowing sum of finite terms marks a block too, which only
         # scans more).
         bad = ~np.isfinite(sums + H_lo + H_hi + G_lo + G_hi)
-        return _Blocks(pts.size - 1, tile, p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
+        return _Blocks(tile, p, Q_a, L_min, L_max, H_lo, H_hi, G_lo, G_hi,
                        welfare_hi, bad, pad)
 
 
@@ -462,49 +462,39 @@ def _stack(parts: list) -> list:
     return cols
 
 
-def setup_group(tables: PeriodTables, j_values, coefs, reads, best) -> np.ndarray:
-    """Each floor over the value-table rows of reads = (k, tau, welfare),
-    as in :func:`solve_slices`, from one setup per group of weights,
-    before they split, so the tiles scanned do not depend on the split.
+def setup_group(tables: PeriodTables, j_values, coefs, reads, best: bool) -> float:
+    """The floor of the group's value-table rows reads = (k, tau, welfare),
+    as in :func:`solve_slices`, from one setup per group, before its
+    weights stream, so the tiles scanned do not depend on the threads.
 
     BracketingError unless every (weight, price) row of the scan table
     brackets each J > 0 at every weight of coefs (:func:`_complete`,
-    decided at the least and the largest weight).  best lists each
-    table's rows when the group's tables are read only for their best
-    cell, else is empty and every floor is -inf.  With best, a row's
-    floor is the least witness (:func:`_witness`) of the tables that read
-    it: a value the table provably attains, so no root below it can win.
-    The check and the super tiles' enclosures read one evaluation of the
-    kernel at the super tiles' ends.  Each table's bound over every super
-    tile ranks the tiles for its witness (:func:`_ranked`); tables.blocks
-    is then set to the enclosures of the tiles inside the super tiles
-    whose bound reaches a witness, and B.candidates to the tiles among
-    them whose table bound does: the tiles the bound over every tile
-    keeps, since a super tile's bound reaches each of its tiles'.
+    decided at the least and the largest weight).  best says the rows are
+    one table's, read only for its best cell; then the floor is its
+    witness (:func:`_witness`), a value the table provably attains, so no
+    root below it can win, and else -inf.  The check and the super tiles'
+    enclosures read one evaluation of the kernel at the super tiles' ends.
+    The table's bound over every super tile ranks the tiles for its
+    witness (:func:`_ranked`); tables.blocks is then set to the
+    enclosures of the tiles inside the super tiles whose bound reaches the
+    witness, and B.candidates to the tiles among them whose table bound
+    does: the tiles the bound over every tile keeps, since a super tile's
+    bound reaches each of its tiles'.
     """
     G, H = tables.super_ends()
     _complete(tables, j_values, coefs, G, H)
-    welfare = reads[2]
-    floor = np.full(welfare.size, np.inf if best else -np.inf)
-    if best:
-        S = _supers(tables, G, H, welfare.any())
-        del G, H
-        base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
-        found = []   # per table: its rows, its witness, the super tiles whose bound reaches it
-        for rows in best:
-            rows = np.unique(rows)
-            bound = _table_bound(S, j_values, coefs, reads, rows)
-            value = _witness(tables, j_values, coefs, reads, rows, base,
-                             *_ranked(tables, j_values, coefs, reads, rows, bound))
-            floor[rows] = np.minimum(floor[rows], value)
-            found.append((rows, value, ~(bound < value)))
-        reach = np.logical_or.reduce([f[2] for f in found])
-        B = tables.blocks = _expand(tables, np.flatnonzero(reach), welfare.any())
-        for rows, value, _ in found:
-            kept = ~(_table_bound(B, j_values, coefs, reads, rows) < value)
-            w = bool(welfare[rows[0]])
-            B.candidates[w] = B.candidates.get(w, False) | kept
-    return floor
+    if not best:
+        return -np.inf
+    welfare = bool(reads[2][0])
+    S = _supers(tables, G, H, welfare)
+    del G, H
+    base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
+    bound = _table_bound(S, j_values, coefs, reads)
+    value = _witness(tables, j_values, coefs, reads, base,
+                     *_ranked(tables, j_values, coefs, reads, bound))
+    B = tables.blocks = _expand(tables, np.flatnonzero(~(bound < value)), welfare)
+    B.candidates = ~(_table_bound(B, j_values, coefs, reads) < value)
+    return value
 
 
 def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
@@ -516,14 +506,14 @@ def solve_slices(tables: PeriodTables, j_values: np.ndarray, coefs, reads=None):
     scan cell brackets exactly the (ascending) wages its count steps over.
 
     With reads None every bracket is refined, so every root is found.
-    Otherwise reads holds four arrays over the value-table rows that read
-    the roots: k, each row's index into coefs; tau, its commission;
-    welfare, whether it scores welfare (else profit); floor, each row's
-    floor from :func:`setup_group`, -inf for a row read for every cell.
-    Then, on tables that :func:`setup_group` has checked, only the
-    brackets whose root may win or tie a row's (tau, J) cell and reach
-    its floor are refined (:func:`_prune`), and on tables it has bounded
-    by tiles only the tiles that can reach a row's floor are scanned
+    Otherwise reads holds three arrays over the value-table rows that
+    read the roots, and their floor: k, each row's index into coefs; tau,
+    its commission; welfare, whether it scores welfare (else profit);
+    floor, the value :func:`setup_group` returned, -inf for rows read for
+    every cell.  Then, on tables that :func:`setup_group` has checked,
+    only the brackets whose root may win or tie a row's (tau, J) cell and
+    reach the floor are refined (:func:`_prune`), and on a table it has
+    bounded by tiles only the tiles that can reach the floor are scanned
     (:func:`_needed`).  Should a bracket that set a cell's threshold give
     no root, its weight is solved again with every bracket refined.
 
@@ -651,35 +641,31 @@ def _needed(tables: PeriodTables, j_values, coefs, reads):
 
     A tile can bracket only the wages J_a..J_b-1 in its margin enclosure.
     It is needed when it holds one and a row's value upper bound at J_a
-    (:func:`_wage_ub`) reaches the row's floor.  Each weight's exact pass
-    runs on its objectives' candidate tiles alone, those whose table
-    bound reaches a witness at the setup (:func:`setup_group`): a row's
-    floor is the witness of a table that reads it, whose bound reaches the
-    row's exact one, so they hold every needed tile.  A NaN bound is kept.
+    (:func:`_wage_ub`) reaches the floor.  The rows are one table's, and
+    each weight's exact pass runs on the candidate tiles alone, those
+    whose table bound reaches the witness at the setup
+    (:func:`setup_group`): the floor is that witness, and the table bound
+    reaches each row's exact one, so they hold every needed tile.  A NaN
+    bound is kept.
     """
     k, tau, welfare, floor = reads
-    B = tables.blocks
-    # (objective, its rows, its candidate tiles' positions in B)
-    passes = [(w, np.flatnonzero(welfare == w), np.flatnonzero(m)) for w, m in B.candidates.items()]
+    B, w = tables.blocks, bool(welfare[0])
+    at = np.flatnonzero(B.candidates)   # the candidate tiles' positions in B
     for t in range(coefs.size):
-        need = np.zeros(B.tile.size, dtype=bool)
-        for w, r, at in passes:
-            r = r[k[r] == t]
-            if r.size:
-                a, b, ub = _wage_ub(B, j_values, coefs[k[r], None], tau[r, None], at, w)
-                need[at[((a < b) & ~(ub < floor[r, None])).any(axis=0)]] = True
-        yield B.tile[need]
+        r = np.flatnonzero(k == t)
+        a, b, ub = _wage_ub(B, j_values, coefs[k[r], None], tau[r, None], at, w)
+        yield B.tile[at[((a < b) & ~(ub < floor)).any(axis=0)]]
 
 
-def _table_bound(B: "_Blocks", j_values, coefs, reads, rows):
-    """The bound on every tile of B over the rows of one table (reads as
-    in :func:`setup_group`): welfare's :func:`_relaxed_ub`, profit's
+def _table_bound(B: "_Blocks", j_values, coefs, reads):
+    """The bound on every tile of B over the rows of reads, one table's
+    (as in :func:`setup_group`): welfare's :func:`_relaxed_ub`, profit's
     :func:`_envelope`."""
     k, tau, welfare = reads
-    c = coefs[k[rows]]
-    if welfare[rows[0]]:
+    c = coefs[k]
+    if welfare[0]:
         return _relaxed_ub(B, j_values, c.min(), c.max())
-    return _envelope(B, j_values, c, tau[rows])
+    return _envelope(B, j_values, c, tau)
 
 
 def _relaxed_ub(B: "_Blocks", j_values, c_lo, c_hi):
@@ -824,11 +810,11 @@ def _best(ub, m: int):
     return np.sort(top[ub[top] > -np.inf])   # drops NaN too
 
 
-def _ranked(tables: PeriodTables, j_values, coefs, reads, rows, bound):
+def _ranked(tables: PeriodTables, j_values, coefs, reads, bound):
     """(B, tile): the enclosures of the tiles inside some super tiles, and
     the positions in B of the _WITNESS_TILES tiles with the largest table
-    bound (:func:`_table_bound`) of the rows (one table's), as a ranking
-    of every tile picks them but for exact ties.
+    bound (:func:`_table_bound`) of the rows of reads (one table's), as a
+    ranking of every tile picks them but for exact ties.
 
     bound is the table bound of every super tile, which reaches each of
     its tiles' (or is NaN).  Super tiles expand best first, as in branch
@@ -837,13 +823,13 @@ def _ranked(tables: PeriodTables, j_values, coefs, reads, rows, bound):
     other one does.  That tile bound only rises as super tiles are added,
     so two rounds do it.
     """
-    w = bool(reads[2][rows[0]])
+    w = bool(reads[2][0])
     key = np.where(np.isnan(bound), np.inf, bound)   # NaN first, as _best ranks it
     n = min(_RANKED_SUPERS, key.size)
     supers = np.sort(np.argpartition(key, -n)[-n:])
     while True:
         B = _expand(tables, supers, w)
-        ub = _table_bound(B, j_values, coefs, reads, rows)
+        ub = _table_bound(B, j_values, coefs, reads)
         k, m = np.where(np.isnan(ub), np.inf, ub), _WITNESS_TILES
         least = np.partition(k, -m)[-m] if k.size >= m else -np.inf   # the m-th largest
         more = np.flatnonzero(key > least)   # holds supers when no larger
@@ -852,10 +838,10 @@ def _ranked(tables: PeriodTables, j_values, coefs, reads, rows, bound):
         supers = more
 
 
-def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base, B: _Blocks, tile):
-    """A value that some cell of the rows (one table's) attains: base or
-    the largest value lower bound of the roots refined in the tiles of the
-    rows' largest value upper bounds, whichever is larger.
+def _witness(tables: PeriodTables, j_values, coefs, reads, base, B: _Blocks, tile):
+    """A value that some cell of the rows of reads (one table's) attains:
+    base or the largest value lower bound of the roots refined in the
+    tiles of the rows' largest value upper bounds, whichever is larger.
 
     tile holds the positions in B of the tiles with the largest table
     bound (:func:`_ranked`); the exact :func:`_wage_ub` on every (row,
@@ -864,14 +850,14 @@ def _witness(tables: PeriodTables, j_values, coefs, reads, rows, base, B: _Block
     refined.
     """
     k, tau, welfare = reads
-    w, c = bool(welfare[rows[0]]), coefs[k[rows]]
-    _, _, ub = _wage_ub(B, j_values, c[:, None], tau[rows, None], tile, w)
+    w = bool(welfare[0])
+    _, _, ub = _wage_ub(B, j_values, coefs[k, None], tau[:, None], tile, w)
     ri, ti = np.divmod(_best(ub, _WITNESS_TILES), tile.size)
-    t, tile = np.unique(np.stack((k[rows[ri]], B.tile[tile[ti]])), axis=1)   # by weight, then tile
+    t, tile = np.unique(np.stack((k[ri], B.tile[tile[ti]])), axis=1)   # by weight, then tile
     cols = _tile_brackets(tables, j_values, coefs, t, tile, _tile_kernel(tables, np.unique(tile)))
     t, p_idx, cell_idx, j_idx = cols[:4]
     ok = ~np.isnan(_refine(tables, j_values, cols))
-    by_k = rows[np.argsort(k[rows])]   # a table's rows have distinct weights
+    by_k = np.argsort(k)   # a table's rows have distinct weights
     r = by_k[np.searchsorted(k[by_k], t[ok])]
     lo, _ = _value_bounds(tables, p_idx[ok], cell_idx[ok], j_values[j_idx[ok]], tau[r], w)
     return max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
@@ -902,7 +888,7 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
     cols holds the brackets of the weights in range weights, as in
     :func:`_refine`; reads is as in :func:`solve_slices`.  Each objective's
     rows are bounded in one pass by :func:`_value_bounds`, and
-    :func:`_cut` keeps what can reach the best, above each row's floor.
+    :func:`_cut` keeps what can reach the best, above the floor.
     """
     t_idx, p_idx, cell_idx, j_idx = cols[0], cols[1], cols[2], cols[3]
     k, tau, welfare, floor = reads
@@ -914,7 +900,7 @@ def _prune(tables: PeriodTables, j_values, cols: list, weights: range, reads):
         if b.size:
             J = j_values[j_idx[b]]
             lo, hi = _value_bounds(tables, p_idx[b], cell_idx[b], J, tau[r][owner], w)
-            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, floor[r], owner)
+            keep_b, sets_b = _cut(lo, hi, owner * j_values.size + j_idx[b], J, floor)
             keep[b[keep_b]] = True
             sets[b[sets_b]] = True
     return keep, sets
@@ -988,24 +974,21 @@ def _bounds(s: PeriodScenario, p, ends, J, tau, welfare: bool):
     return lo, hi
 
 
-def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor: np.ndarray,
-         owner: np.ndarray):
+def _cut(lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, J: np.ndarray, floor: float):
     """(keep, sets) for value enclosures [lo, hi] whose cells come in runs
-    of ascending cell id, J being each one's wage and floor[owner] a value
-    below which no root is needed: -inf for a table read for every cell,
-    and for one read for its best cell a value that the table attains.
-    floor holds one value per row and owner each enclosure's row, so a
-    floor is read once per cell.
+    of ascending cell id, J being each one's wage and floor a value below
+    which no root is needed: -inf for tables read for every cell, and for
+    one read for its best cell a value that the table attains.
 
     A cell's threshold is its largest lo, and at least 0 at J <= 0, where
-    the shutdown equilibrium (value 0) stands, and at least its floor; a
+    the shutdown equilibrium (value 0) stands, and at least floor; a
     NaN lo is skipped, so it never raises a threshold.  An enclosure is
     kept unless its hi falls below the threshold (a NaN hi is kept), so a
     root that can win or tie is kept.  sets marks the enclosures whose lo
     is a threshold above those floors, and those are kept too.
     """
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    base = np.maximum(np.where(J[starts] > 0.0, -np.inf, 0.0), floor[owner[starts]])
+    base = np.maximum(np.where(J[starts] > 0.0, -np.inf, 0.0), floor)
     thr = np.fmax(np.fmax.reduceat(lo, starts), base)
     widths = np.diff(starts, append=lo.size)
     above = np.repeat(thr > base, widths)

@@ -20,9 +20,11 @@ Tables come from one planner, :func:`value_tables`.  A
 that share a slice key (the period without its risk weight, the price and
 wage grids, the solver config) share one set of scan grids, each distinct
 earnings weight beta * (1 - tau) among them is refined once, and each
-distinct (objective, weight, commission) row is reduced once.  One rule
-splits the work: the groups, largest first, deal out the threads, and a
-group cuts its weights into one contiguous part per thread it holds.
+distinct (objective, weight, commission) row is reduced once; a table
+read only for its best cell is a group of its own unless a table read in
+full shares its key.  One rule splits the work: the groups, largest
+first, deal out the threads, and a group read in full cuts its weights
+into one contiguous part per thread it holds.
 Regimes take an optional mapping from requests to tables, so a caller can
 plan several regimes' tables in one call.  Results are deterministic for
 any degree of parallelism (slices are pure and independent; reduction
@@ -287,8 +289,10 @@ class TableRequest:
     holds its best value.  ``"best"``: only the table's best cell and the
     cells at or above some value the table provably attains are computed,
     so its lexicographic winner is the ``"cells"`` table's; every other
-    cell's value is NaN.  Computed beside a ``"cells"`` request of the same
-    slices, a ``"best"`` table is computed in every cell.
+    cell's value is NaN.  A ``"best"`` table is computed on its own, in one
+    stream, so it does not depend on the other requests or the threads;
+    beside a ``"cells"`` request of the same slices it is computed in
+    every cell.
     """
 
     period: PeriodScenario
@@ -391,8 +395,7 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
     u, row = np.unique(np.stack((objs, w, taus.view(np.int64)), 1), axis=0, return_inverse=True)
     objs, w, taus = u[:, 0], u[:, 1], u[:, 2].view(float)
     welfare = objs == list(Objective).index(Objective.WELFARE)
-    rows_of = np.split(row, np.cumsum(n)[:-1])   # each request's rows
-    floor = setup_group(tables, wages, coefs, (w, taus, welfare), rows_of if best else [])
+    floor = setup_group(tables, wages, coefs, (w, taus, welfare), best)
     # unfilled; the group's chunks fill every row
     values, p_idx, z = (np.empty((len(u), wages.size), d) for d in (float, np.intp, float))
 
@@ -400,7 +403,7 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
         k = w - part[0]   # each row's index into the part's weights
         ours = (k >= 0) & (k < part.size)
         # only brackets that can win are refined, and with tile enclosures only such tiles scanned
-        reads = k[ours], taus[ours], welfare[ours], floor[ours]
+        reads = k[ours], taus[ours], welfare[ours], floor
         for rows, roots in solve_slices(tables, wages, coefs[part], reads):
             for o, obj in enumerate(Objective):
                 mine = np.flatnonzero((objs == o) & (k >= rows.start) & (k < rows.stop))
@@ -409,43 +412,49 @@ def _group_tables(key, requests, taus, coefs, w, threads: int) -> dict[TableRequ
                         tables, wages, taus[mine], _roots_of(roots, rows, k[mine]), obj)
             del roots   # before the next chunk refines
 
-    _parallel_map(stream, np.array_split(np.arange(coefs.size), min(threads, coefs.size)), threads)
-    # a row read only for best cells is exact at or above its floor, and a
-    # J > 0 cell without a root was never reached: neither is computed
-    floor = floor[:, None]
-    values[(values < floor) | (np.isnan(z) & (wages > 0.0) & (floor > -np.inf))] = np.nan
+    # a "best" group's streams would scan the same tiles and hold the GIL
+    # in small NumPy calls, so it runs as one
+    parts = 1 if best else min(threads, coefs.size)
+    _parallel_map(stream, np.array_split(np.arange(coefs.size), parts), threads)
+    # a table read only for its best cell is exact at or above its floor,
+    # and a J > 0 cell without a root was never reached: neither is computed
+    if floor > -np.inf:
+        values[(values < floor) | (np.isnan(z) & (wages > 0.0))] = np.nan
+    rows_of = np.split(row, np.cumsum(n)[:-1])   # each request's rows
     return {r: ValueTable(values[i], p_idx[i], z[i]) for r, i in zip(requests, rows_of)}
 
 
 def value_tables(requests, threads: int = 1) -> dict[TableRequest, ValueTable]:
     """The value table of every request, each distinct slice refined once.
 
-    Requests group by :meth:`TableRequest.slice_key`.  A group with a
-    ``"cells"`` request builds one full scan table; a group of ``"best"``
-    requests only gathers the scan kernel at the points it reads.  Each
-    group's setup (:func:`setup_group`) checks once that every cell with
-    J > 0 brackets at every price and gives each row its floor; then the
-    group cuts its distinct weights beta * (1 - tau), compared as exact
-    floats, into one contiguous part per thread it holds; each part
-    streams through :func:`solve_slices`.  A group keeps
-    one table of its distinct (objective, weight, commission) rows: each
-    chunk's roots are reduced once per objective into the rows they serve,
-    then dropped, and a request's table is a copy of its rows.  A group
-    with a ``"cells"`` request computes every cell; in a group of
-    ``"best"`` requests only, each row is computed at or above the least
-    floor of the requests that read it (see :func:`setup_group`), and NaN
-    elsewhere.  Groups run largest first; with n groups and n < threads,
-    group i holds threads // n + (i < threads % n) threads, else one: at
-    most threads streams at once.
+    Requests group by :meth:`TableRequest.slice_key`, with one exception:
+    a ``"best"`` request that no ``"cells"`` request shares its key with
+    is a group of its own.  A group with a ``"cells"`` request builds one
+    full scan table and computes every cell; a ``"best"`` group only
+    gathers the scan kernel at the points it reads.  Each group's setup
+    (:func:`setup_group`) checks once that every cell with J > 0 brackets
+    at every price and gives the group its floor: a ``"best"`` table's is
+    a value it attains, and it is computed at or above it, NaN elsewhere.
+    A ``"cells"`` group then cuts its distinct weights beta * (1 - tau),
+    compared as exact floats, into one contiguous part per thread it
+    holds, and a ``"best"`` group keeps them in one; each part streams
+    through :func:`solve_slices`.  A group keeps one table of its
+    distinct (objective, weight, commission) rows: each chunk's roots are
+    reduced once per objective into the rows they serve, then dropped,
+    and a request's table is a copy of its rows.  Groups run largest
+    first; with n groups and n < threads, group i holds threads // n +
+    (i < threads % n) threads, else one: at most threads streams at once.
     """
     by_key: dict[tuple, list[TableRequest]] = {}
     for r in dict.fromkeys(requests):
         by_key.setdefault(r.slice_key(), []).append(r)
     groups = []
     for key, reqs in by_key.items():
-        taus = np.concatenate([r.taus for r in reqs])
-        betas = np.repeat([r.period.supply.risk_beta for r in reqs], [len(r.taus) for r in reqs])
-        groups.append((key, reqs, taus, *np.unique(betas * (1.0 - taus), return_inverse=True)))
+        full = any(r.reduction == "cells" for r in reqs)
+        for part in [reqs] if full else [[r] for r in reqs]:
+            taus = np.concatenate([r.taus for r in part])
+            betas = np.repeat([r.period.supply.risk_beta for r in part], [len(r.taus) for r in part])
+            groups.append((key, part, taus, *np.unique(betas * (1.0 - taus), return_inverse=True)))
     # largest first, by the (weight, price, wage) cells a group refines
     groups.sort(key=lambda g: g[3].size * len(g[0][1]) * len(g[0][2]), reverse=True)
     n = len(groups)

@@ -162,7 +162,7 @@ def blocks_by_tile(tables, tile: np.ndarray, welfare: bool) -> dict:
     H_lo, H_hi = _supply_margin(s.supply, L_min), _supply_margin(s.supply, L_max)
     (G_a, H_a), (G_b, H_b) = tables.kernel(p_idx, pts[b]), tables.kernel(p_idx, pts[b + 1])
     bad = ~np.isfinite((G_a + H_a) + (G_b + H_b) + H_lo + H_hi + G_lo + G_hi)
-    return dict(n_b=pts.size - 1, tile=tile, p=p, Q_a=Q_a, L_min=L_min, L_max=L_max,
+    return dict(tile=tile, p=p, Q_a=Q_a, L_min=L_min, L_max=L_max,
                 H_lo=H_lo, H_hi=H_hi, G_lo=G_lo, G_hi=G_hi, welfare_hi=welfare_hi, bad=bad,
                 pad=_BOUND_PAD)
 

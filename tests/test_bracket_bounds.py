@@ -109,7 +109,7 @@ def test_cut_keeps_what_can_reach_the_threshold(cells):
     sizes = [len(pairs) for _, pairs in cells]
     cell = np.repeat(np.arange(len(cells)), sizes)
     J = np.repeat([1.0 if positive else 0.0 for positive, _ in cells], sizes)
-    keep, sets = _cut(lo, hi, cell, J, np.full(len(cells), -np.inf), cell)
+    keep, sets = _cut(lo, hi, cell, J, -np.inf)
     i = 0
     for positive, pairs in cells:
         floor = -math.inf if positive else 0.0
@@ -126,7 +126,7 @@ def test_nan_bound_never_prunes_nor_raises_a_threshold():
     lo = np.array([np.nan, 1.0, 3.0, np.nan, np.nan])
     hi = np.array([5.0, 2.0, 4.0, -10.0, np.nan])
     cell = np.array([0, 0, 0, 1, 1])
-    keep, sets = _cut(lo, hi, cell, np.ones(5), np.full(2, -np.inf), cell)
+    keep, sets = _cut(lo, hi, cell, np.ones(5), -np.inf)
     assert keep.tolist() == [True, False, True, True, True]
     assert sets.tolist() == [False, False, True, False, False]
 
@@ -222,39 +222,38 @@ def with_blocks(tables):
     return tables
 
 
-def best_group(hour, beta, cfg=SolverConfig(), objs=tuple(Objective), build=False):
+def best_group(hour, beta, obj, cfg=SolverConfig(), build=False):
     """A default-grid period's tables (the full scan table too if build),
-    set up as a "best" group of one table per objective of objs, its
-    wages, weights, its (objective, commission) rows (k, tau, welfare),
-    each table's rows and their floors."""
+    set up as the "best" group of its obj table, its wages, weights, its
+    commission rows (k, tau, welfare) and its floor."""
     g, s = GridSpec(), period_for_hour(hour, beta)
     tables = (PeriodTables.build if build else PeriodTables.of)(s, g.p_values(), cfg)
     taus = g.tau_values()
     coefs = beta * (1.0 - taus[::-1])   # ascending, as value_tables orders them
-    k = np.tile(np.arange(taus.size)[::-1], len(objs))
-    rows = (k, np.tile(taus, len(objs)), np.repeat([o is Objective.WELFARE for o in objs], taus.size))
-    best = np.split(np.arange(k.size), len(objs))
-    floor = setup_group(tables, g.j_values(), coefs, rows, best)
-    return tables, g.j_values(), coefs, rows, best, floor
+    rows = (np.arange(taus.size)[::-1], taus, np.full(taus.size, obj is Objective.WELFARE))
+    floor = setup_group(tables, g.j_values(), coefs, rows, True)
+    return tables, g.j_values(), coefs, rows, floor
 
 
 class TestTiles:
+    @pytest.mark.parametrize("obj", list(Objective))
     @pytest.mark.parametrize("hour, beta", [(19, 0.25), (4, 0.2), (12, 0.95)])
-    def test_brackets_reaching_the_floor_lie_in_needed_tiles(self, hour, beta):
+    def test_brackets_reaching_the_floor_lie_in_needed_tiles(self, hour, beta, obj):
         # every bracket whose value bound reaches its best table's floor
         # lies in a tile the tile test scans, and few tiles are scanned
-        tables, wages, coefs, rows, _, floor = best_group(hour, beta, build=True)
+        tables, wages, coefs, rows, floor = best_group(hour, beta, obj, build=True)
         k, tau, welfare = rows
-        need = np.zeros((coefs.size, tables.p.size * tables.blocks.n_b), dtype=bool)
+        n_b = _n_blocks(tables.z.size)
+        need = np.zeros((coefs.size, tables.p.size * n_b), dtype=bool)
         for t, tile in enumerate(_needed(tables, wages, coefs, (*rows, floor))):
             need[t, tile] = True
+        assert floor > 0.0
         kept = 0
         for r in range(k.size):
-            assert floor[r] > 0.0
             p_idx, cell_idx, j_idx, _ = _brackets(tables.H - coefs[k[r]] * tables.G, wages)
             _, hi = _value_bounds(tables, p_idx, cell_idx, wages[j_idx], tau[r], welfare[r])
-            keep = ~(hi < floor[r])
-            assert need[k[r], p_idx[keep] * tables.blocks.n_b + cell_idx[keep] // _BLOCK].all()
+            keep = ~(hi < floor)
+            assert need[k[r], p_idx[keep] * n_b + cell_idx[keep] // _BLOCK].all()
             kept += keep.sum()
         assert 0 < need.mean() < 0.01
         assert kept > 0
@@ -264,42 +263,41 @@ class TestTiles:
         (19, (0.25, 0.5), 1), (19, (0.25, 0.5), 2),
     ], ids=["19-0.25", "4-0.2", "12-0.95", "19-0.25+0.5-threads1", "19-0.25+0.5-threads2"])
     def test_relaxed_pass_only_filters(self, monkeypatch, hour, betas, threads):
-        # the tiles the streams scan are exactly those the exact test keeps
-        # on every (row, tile) pair of the whole grid, with no relaxed pass
-        # or super tile before it; at betas 0.25 and 0.5 two tables per
-        # objective share their tau = 1 row (weight 0), whose floor is the
-        # lesser of two witnesses
-        setups, scanned = [], []
+        # the tiles each table's stream scans are exactly those the exact
+        # test keeps on every (row, tile) pair of the whole grid, with no
+        # relaxed pass or super tile before it; at betas 0.25 and 0.5 the
+        # tables of one objective share their tau = 1 row (weight 0), and
+        # each is still a group of its own
+        setups, scanned = {}, {}
         setup, brackets = optimize.setup_group, equilibrium._tile_brackets
 
         def recording_setup(*args):
-            setups.append((*args, floor := setup(*args)))
+            setups[id(args[0])] = (*args, floor := setup(*args))
             return floor
 
         def recording(tables, j_values, coefs, t, tile, known):
-            if setups:   # a stream's scan, not a witness's
-                scanned.append((coefs[t], tile))
+            if id(tables) in setups:   # a stream's scan, not a witness's
+                scanned.setdefault(id(tables), []).append((coefs[t], tile))
             return brackets(tables, j_values, coefs, t, tile, known)
 
         monkeypatch.setattr(optimize, "setup_group", recording_setup)
         monkeypatch.setattr(equilibrium, "_tile_brackets", recording)
         value_tables([TableRequest.of(period_for_hour(hour, b), obj, reduction="best")
                       for b in betas for obj in Objective], threads)
-        ((tables, wages, coefs, (k, tau, welfare), best, floor),) = setups
-        shared = np.flatnonzero(coefs[k] == 0.0)   # each objective's tau = 1 row
-        assert shared.size == len(Objective)
-        assert all(sum(r in rows for rows in best) == len(betas) for r in shared)
-        B = every_tile(tables)
-        every = np.arange(B.tile.size)
-        want = np.zeros((coefs.size, every.size), dtype=bool)
-        for r in range(k.size):
-            a, b, ub = _wage_ub(B, wages, coefs[k[r]], tau[r], every, welfare[r])
-            want[k[r]] |= (a < b) & ~(ub < floor[r])
-        got = np.zeros_like(want)
-        for c, tile in scanned:
-            got[np.searchsorted(coefs, c), tile] = True
-        assert want.any()
-        assert np.array_equal(got, want)
+        assert len(setups) == len(betas) * len(Objective)
+        for key, (tables, wages, coefs, (k, tau, welfare), best, floor) in setups.items():
+            assert best and coefs[k].min() == 0.0   # each table's tau = 1 row
+            B = every_tile(tables)
+            every = np.arange(B.tile.size)
+            want = np.zeros((coefs.size, every.size), dtype=bool)
+            for r in range(k.size):
+                a, b, ub = _wage_ub(B, wages, coefs[k[r]], tau[r], every, welfare[r])
+                want[k[r]] |= (a < b) & ~(ub < floor)
+            got = np.zeros_like(want)
+            for c, tile in scanned[key]:
+                got[np.searchsorted(coefs, c), tile] = True
+            assert want.any()
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("welfare", [False, True])
     @pytest.mark.parametrize("hour, beta, cfg", [(19, 0.25, SolverConfig()), (4, 0.2, FAST_SOLVER)])
@@ -314,7 +312,7 @@ class TestTiles:
             coef = beta * (1.0 - tau)
             p_idx, cell_idx, j_idx, _ = _brackets(tables.H - coef * tables.G, wages)
             _, hi = _value_bounds(tables, p_idx, cell_idx, wages[j_idx], tau, welfare)
-            tile = p_idx * tables.blocks.n_b + cell_idx // _BLOCK
+            tile = p_idx * _n_blocks(tables.z.size) + cell_idx // _BLOCK
             a, b, ub = _wage_ub(tables.blocks, wages, coef, tau, tile, welfare)
             assert np.all((a <= j_idx) & (j_idx < b))
             assert not np.any(ub < hi)
@@ -422,12 +420,12 @@ class TestEnclosures:
     @pytest.mark.parametrize("beta", [0.2, 0.95])
     @pytest.mark.parametrize("hour", [4, 12, 19, 22])
     def test_fields_equal_the_per_tile_construction(self, hour, beta, cfg):
-        # on the tiles a setup builds, with and without a welfare table
-        for objs in ((Objective.PROFIT,), tuple(Objective)):
-            tables = best_group(hour, beta, cfg, objs)[0]
-            got, welfare = tables.blocks, Objective.WELFARE in objs
+        # on the tiles a setup builds, of a profit and of a welfare table
+        for obj in Objective:
+            tables = best_group(hour, beta, obj, cfg)[0]
+            got, welfare = tables.blocks, obj is Objective.WELFARE
             assert (got.welfare_hi is None) == (not welfare)
-            assert 0 < got.tile.size < tables.p.size * got.n_b
+            assert 0 < got.tile.size < tables.p.size * _n_blocks(tables.z.size)
             want = blocks_by_tile(tables, got.tile, welfare)
             for name, a in want.items():
                 b = getattr(got, name)
@@ -441,26 +439,22 @@ class TestEnclosures:
     @pytest.mark.parametrize("hour", [4, 12, 19, 22])
     def test_masks_and_floors_equal_the_all_tile_construction(self, hour, beta, cfg):
         # a witness ranked over every tile's table bound, with every tile's
-        # enclosures built on its own, gives the setup's floors, and its
+        # enclosures built on its own, gives the setup's floor, and its
         # candidates are the setup's, though the setup builds few tiles
-        tables, wages, coefs, rows, best, floor = best_group(hour, beta, cfg)
-        B = tables.blocks
-        every = _Blocks(**blocks_by_tile(tables, np.arange(tables.p.size * B.n_b), True))
-        base = 0.0 if (wages <= 0.0).any() else -np.inf
-        want_floor, want = np.full(floor.size, np.inf), {}
-        for r in best:
-            bound = _table_bound(every, wages, coefs, rows, r)
-            value = _witness(tables, wages, coefs, rows, r, base, every, _best(bound, _WITNESS_TILES))
-            want_floor[r] = np.minimum(want_floor[r], value)
-            w = bool(rows[2][r[0]])
-            want[w] = want.get(w, False) | ~(bound < value)
-        assert floor.tobytes() == want_floor.tobytes()
-        assert sorted(B.candidates) == sorted(want) == [False, True]
-        for w, m in want.items():
-            got = np.zeros(m.size, dtype=bool)
-            got[B.tile[B.candidates[w]]] = True
-            assert m.any() and np.array_equal(got, m)
-        assert B.tile.size < every.tile.size
+        for obj in Objective:
+            tables, wages, coefs, rows, floor = best_group(hour, beta, obj, cfg)
+            B = tables.blocks
+            every = _Blocks(**blocks_by_tile(tables, np.arange(tables.p.size * _n_blocks(tables.z.size)),
+                                             True))
+            base = 0.0 if (wages <= 0.0).any() else -np.inf
+            bound = _table_bound(every, wages, coefs, rows)
+            value = _witness(tables, wages, coefs, rows, base, every, _best(bound, _WITNESS_TILES))
+            assert np.float64(floor).tobytes() == np.float64(value).tobytes()
+            want = ~(bound < value)
+            got = np.zeros(want.size, dtype=bool)
+            got[B.tile[B.candidates]] = True
+            assert want.any() and np.array_equal(got, want)
+            assert B.tile.size < every.tile.size
 
     @settings(max_examples=60, deadline=None)
     @given(hour=st.integers(1, 24), beta=st.sampled_from([0.2, 0.25, 0.95]) | st.floats(0.05, 1.0),
@@ -500,8 +494,8 @@ class TestEnclosures:
         with np.errstate(over="ignore", invalid="ignore"):
             tables = PeriodTables.of(s, COARSE.p_values(), SolverConfig(scan_points=scan_points))
             S, B = _supers(tables, *tables.super_ends(), True), every_tile(tables)
-            p_idx, b = np.divmod(B.tile, B.n_b)
-            owner = p_idx * S.n_b + b // (_SUPER // _BLOCK)   # each tile's super tile
+            p_idx, b = np.divmod(B.tile, _n_blocks(tables.z.size))
+            owner = p_idx * _n_blocks(tables.z.size, _SUPER) + b // (_SUPER // _BLOCK)   # its super tile
             taus, wages = np.array(taus), np.array(wages)
             coefs = s.supply.risk_beta * (1.0 - taus)   # as value_tables computes each row's weight
             for bound in (lambda X: _envelope(X, wages, coefs, taus),
@@ -519,8 +513,8 @@ class TestEnclosures:
         monkeypatch.setattr(optimize, "setup_group", recording)
         value_tables([TableRequest.of(period_for_hour(19, 0.25), Objective.PROFIT, reduction="best")])
         (t,) = tables
-        assert 0 < np.count_nonzero(t.blocks.candidates[False]) < 1000
-        assert t.blocks.tile.size < t.p.size * t.blocks.n_b / 4   # few tiles are built
+        assert 0 < np.count_nonzero(t.blocks.candidates) < 1000
+        assert t.blocks.tile.size < t.p.size * _n_blocks(t.z.size) / 4   # few tiles are built
 
 
 class TestWitness:
@@ -553,10 +547,10 @@ class TestWitness:
 class TestTileKernel:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_streams_evaluate_each_scanned_tile_once(self, monkeypatch, threads):
-        # most welfare tiles are scanned at many weights; a stream evaluates
-        # the kernel once on each distinct tile it scans, _BLOCK + 1 points
-        # a tile, and the table keeps the bits of one that reads the full
-        # scan table
+        # most welfare tiles are scanned at many weights; the group's one
+        # stream evaluates the kernel once on each distinct tile it scans,
+        # _BLOCK + 1 points a tile, and the table keeps the bits of one
+        # that reads the full scan table
         r = TableRequest.of(period_for_hour(19, 0.25), Objective.WELFARE, reduction="best")
         with monkeypatch.context() as m:   # every gather reads a full table
             m.setattr(optimize, "PeriodTables",
@@ -585,7 +579,7 @@ class TestTileKernel:
         monkeypatch.setattr(equilibrium, "_tile_brackets", recording_brackets)
         monkeypatch.setattr(PeriodTables, "kernel", recording_kernel)
         got = value_tables([r], threads)[r]
-        assert len(streams) == threads
+        assert len(streams) == 1
         distinct = sum(len(tiles) for _, tiles in streams.values())
         assert distinct > 0
         assert sum(points) == distinct * (_BLOCK + 1)
@@ -631,7 +625,7 @@ class TestGatheredKernel:
         s, p, cfg = period_for_hour(hour), GridSpec().p_values(), SolverConfig()
         full, lean = PeriodTables.build(s, p, cfg), PeriodTables.of(s, p, cfg)
         rng = np.random.default_rng(hour)
-        n_b = with_blocks(lean).blocks.n_b
+        n_b = _n_blocks(lean.z.size)
         tile = rng.integers(0, p.size * n_b, 5000)
         p_idx, b = np.divmod(tile, n_b)
         z_idx = np.minimum(b[:, None] * _BLOCK + np.arange(_BLOCK + 1), cfg.scan_points - 1)
@@ -676,12 +670,29 @@ class TestGatheredKernel:
 
 class TestOnePassEach:
     """A "best" group evaluates its super tiles' ends, decides
-    completeness and bounds every super tile once per table in one setup
-    call, before the split; no bound and no enclosure spans every tile."""
+    completeness and bounds every super tile once in one setup call,
+    then scans in one stream at any thread count; no bound and no
+    enclosure spans every tile."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_passes_per_group_and_per_stream(self, monkeypatch, threads):
-        events = []   # [name, thread, note on the call], in the order the calls start
+    @pytest.mark.parametrize("obj", list(Objective))
+    def test_passes_per_group_and_per_stream(self, monkeypatch, obj):
+        r = TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
+        scanned = {}   # threads: the kernel points the stream evaluates
+        for threads in (1, 2):
+            with monkeypatch.context() as m:
+                events = self.spied_events(m, r, threads)
+            self.check_setup(events, "_relaxed_ub" if obj is Objective.WELFARE else "_envelope")
+            names = [e[0] for e in events]
+            assert names.count("solve_slices") == 1
+            split = names.index("solve_slices")
+            scanned[threads] = sum(e[2] for e in events[split:] if e[0] == "_tile_kernel")
+        assert scanned[1] > 0 and scanned[2] == scanned[1]
+
+    @staticmethod
+    def spied_events(m, r, threads):
+        """[name, thread, note on the call] of each spied call while r's
+        table is computed on threads, in the order the calls start."""
+        events = []
 
         def spy(owner, name, note=lambda args, out: None):
             fn = getattr(owner, name)
@@ -692,7 +703,7 @@ class TestOnePassEach:
                 event[2] = note(args, out)
                 return out
 
-            monkeypatch.setattr(owner, name, spying)
+            m.setattr(owner, name, spying)
 
         spy(optimize, "setup_group")
         spy(PeriodTables, "super_ends")
@@ -702,37 +713,38 @@ class TestOnePassEach:
         spy(equilibrium, "_relaxed_ub", size)
         spy(equilibrium, "_envelope", size)
         spy(equilibrium, "_expand", lambda args, out: out.tile.size)   # the tiles built
+        spy(equilibrium, "_tile_kernel", lambda args, out: out[1].size)   # the points evaluated
         spy(optimize, "solve_slices")
-        reqs = [TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
-                for obj in Objective]
-        value_tables(reqs, threads)
-        g = GridSpec()
+        value_tables([r], threads)
+        return events
+
+    @staticmethod
+    def check_setup(events, bound):
+        """The setup's passes, bound being the table's bound."""
+        names, g = [e[0] for e in events], GridSpec()
         supers = g.p_values().size * 16   # 4096 scan points: 16 super tiles of 256 cells a price
         tiles = g.p_values().size * 256
-
-        names = [e[0] for e in events]
         witness, split = names.index("_witness"), names.index("solve_slices")
         assert names.count("setup_group") == 1 and names.index("setup_group") == 0
         assert names.count("super_ends") == 1 and names.index("super_ends") < witness
         # one completeness decision, on the calling thread, over all the weights
         ((i, check),) = [(i, e) for i, e in enumerate(events) if e[0] == "_complete"]
         assert i < witness and check[1] == threading.get_ident()
-        weights = np.unique(0.25 * (1.0 - GridSpec().tau_values()))
+        weights = np.unique(0.25 * (1.0 - g.tau_values()))
         assert check[2] == weights.tolist()
         bounds = [i for i, n in enumerate(names) if n in ("_relaxed_ub", "_envelope")]
         built = [events[i][2] for i, n in enumerate(names) if n == "_expand"]
-        assert names.count("solve_slices") == threads
         assert all(i < split for i in bounds) and names.index("_expand") < split
-        # one pass per table bounds every super tile; the others bound the
-        # tiles expanded, and neither spans every tile
+        # one pass bounds every super tile; the others bound the tiles
+        # expanded, and neither spans every tile
         every = [i for i in bounds if events[i][2] == supers]
-        assert [names[i] for i in every] == ["_envelope", "_relaxed_ub"]
-        assert len(every) == names.count("_witness") == len(reqs)
+        assert [names[i] for i in every] == [bound]
+        assert names.count("_witness") == 1
         assert max(events[i][2] for i in bounds) < tiles and 0 < max(built) < tiles / 4
 
     @pytest.mark.parametrize("objs", [(Objective.PROFIT,), (Objective.WELFARE,), tuple(Objective)])
     def test_welfare_bound_only_for_a_welfare_row(self, monkeypatch, objs):
-        # a profit-only group bounds no welfare; a group with a welfare row
+        # a profit table's group bounds no welfare; a welfare table's group
         # bounds every super tile's welfare once, at the setup, and then
         # that of the tiles it expands alone
         tables, welfare_bounds = [], []
@@ -750,13 +762,16 @@ class TestOnePassEach:
         monkeypatch.setattr(equilibrium, "_welfare_ub", recording_welfare_ub)
         value_tables([TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")
                       for obj in objs])
-        (B,) = {id(t.blocks): t.blocks for t in tables}.values()
+        blocks = list({id(t.blocks): t.blocks for t in tables}.values())
+        assert len(blocks) == len(objs)   # one group per table
         reads = Objective.WELFARE in objs
-        assert (B.welfare_hi is not None) == reads
+        assert sorted(B.welfare_hi is not None for B in blocks) == sorted(
+            o is Objective.WELFARE for o in objs)
         supers, tiles = GridSpec().p_values().size * 16, GridSpec().p_values().size * 256
         sizes = [b.size for b in welfare_bounds]
         assert [s for s in sizes if s == supers] == [supers] * reads
-        assert (B.welfare_hi.size == B.tile.size if reads else not sizes)
+        assert all(B.welfare_hi.size == B.tile.size for B in blocks if B.welfare_hi is not None)
+        assert reads or not sizes
         assert all(s < tiles for s in sizes)
 
 
@@ -808,17 +823,25 @@ class TestBestReduction:
         for a, b in zip((got[cells].values, got[cells].z), (got[best].values, got[best].z)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
-    def test_shared_rows_take_the_lowest_floor(self):
-        # two best tables of one period at betas 0.25 and 0.5 share their
-        # tau = 1 row (weight 0); each keeps the winner it has alone
-        reqs = [TableRequest.of(period_for_hour(19, b), obj, COARSE, FAST_SOLVER,
-                                reduction="best") for b in (0.25, 0.5) for obj in Objective]
-        together = value_tables(reqs, threads=2)
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("pair", [
+        ((0.25, Objective.PROFIT), (0.25, Objective.WELFARE)),
+        ((0.25, Objective.PROFIT), (0.5, Objective.PROFIT)),
+        ((0.25, Objective.WELFARE), (0.5, Objective.WELFARE)),
+    ], ids=["both-objectives", "profit-0.25+0.5", "welfare-0.25+0.5"])
+    def test_best_tables_of_one_slice_key_are_computed_alone(self, pair, threads):
+        # two best tables of one slice key, at betas 0.25 and 0.5 sharing
+        # their tau = 1 row (weight 0): each is the table computed alone,
+        # every bit and NaN of it
+        reqs = [TableRequest.of(period_for_hour(19, b), obj, reduction="best") for b, obj in pair]
+        assert len({r.slice_key() for r in reqs}) == 1
+        together = value_tables(reqs, threads)
         for r in reqs:
-            alone = value_tables([r])[r]
-            i = lex_winner(r, alone)
-            assert lex_winner(r, together[r]) == i
-            assert together[r].values.flat[i] == alone.values.flat[i]
+            a, b = value_tables([r])[r], together[r]
+            assert np.isnan(a.values).any()
+            assert np.array_equal(np.isnan(a.values), np.isnan(b.values))
+            for x, y in ((a.values, b.values), (a.p_idx, b.p_idx), (a.z, b.z)):
+                assert x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
 
     @pytest.mark.parametrize("wages", [[0.0, 0.7], [0.7, 1.4]])
     def test_floor_is_a_value_the_table_attains(self, wages):
@@ -831,7 +854,6 @@ class TestBestReduction:
         taus = COARSE.tau_values()
         coefs = s.supply.risk_beta * (1.0 - taus[::-1])
         rows = (np.arange(taus.size)[::-1], taus, np.zeros(taus.size, dtype=bool))
-        floor = setup_group(tables, np.array(wages), coefs, rows, [np.arange(taus.size)])
-        assert np.all(floor == floor[0])
-        assert floor[0] <= np.nanmax(value_tables([r])[r].values)
-        assert floor[0] >= 0.0 if wages[0] == 0.0 else np.isfinite(floor[0])
+        floor = setup_group(tables, np.array(wages), coefs, rows, True)
+        assert floor <= np.nanmax(value_tables([r])[r].values)
+        assert floor >= 0.0 if wages[0] == 0.0 else np.isfinite(floor)
