@@ -181,15 +181,15 @@ def residual(s: PeriodScenario, pol: PolicyPoint, z):
 # of _SUPER scan cells, and one pass bounds every super tile over all
 # the table's rows (welfare's relaxed bound, profit's envelope along the
 # line c = beta*(1 - tau)), padded to reach each tile's bound inside it.
-# The witness expands the super tiles best first; the tile enclosures
-# are then built, with the same table bound, only inside the super tiles
-# whose bound reaches the witness, and one exact pass per weight bounds
-# only the tiles those keep.  The setup decides completeness from two
-# weights at the super tiles' ends.  Such a table never builds the full
-# (price x z) scan table: the kernel is evaluated at the super tiles'
-# ends, once (setup_group), at the ends of the tiles it expands, and at
-# the scanned tiles' points alone, once per distinct tile
-# (PeriodTables.kernel, _tile_kernel).
+# The witness comes from the tiles of the few super tiles of largest
+# bound; the tile enclosures are then built, with the same table bound,
+# only inside the super tiles whose bound reaches the witness, and one
+# exact pass per weight bounds only the tiles those keep.  The setup
+# decides completeness from two weights at the super tiles' ends.  Such
+# a table never builds the full (price x z) scan table: the kernel is
+# evaluated at the super tiles' ends, once (setup_group), at the ends of
+# the tiles it expands, and at the scanned tiles' points alone, once per
+# distinct tile (PeriodTables.kernel, _tile_kernel).
 
 _MAX_BISECT_ITER = 160
 _MAX_BATCH = 2**14
@@ -197,11 +197,11 @@ _BLOCK = 16
 # Scan cells per super tile, a run of 16 blocks: the coarse level that a
 # best table's setup bounds before it builds any tile's enclosure.
 _SUPER = 16 * _BLOCK
-# Tiles ranked by a best table's bound, and (row, tile) pairs refined
-# among them, to find its witness value.
+# (row, tile) pairs a best table's witness refines: those of the largest
+# exact bound among the tiles of its ranked super tiles.
 _WITNESS_TILES = 32
-# Super tiles a witness expands first, those of the largest bounds, before
-# every other one that can beat the tiles they hold.
+# Super tiles whose tiles a best table's witness ranks: those of the
+# largest table bounds.
 _RANKED_SUPERS = 8
 
 # Relative pad by which a bracket's value enclosure is widened on each
@@ -474,12 +474,15 @@ def setup_group(tables: PeriodTables, j_values, coefs, reads, best: bool) -> flo
     witness (:func:`_witness`), a value the table provably attains, so no
     root below it can win, and else -inf.  The check and the super tiles'
     enclosures read one evaluation of the kernel at the super tiles' ends.
-    The table's bound over every super tile ranks the tiles for its
-    witness (:func:`_ranked`); tables.blocks is then set to the
-    enclosures of the tiles inside the super tiles whose bound reaches the
-    witness, and B.candidates to the tiles among them whose table bound
-    does: the tiles the bound over every tile keeps, since a super tile's
-    bound reaches each of its tiles'.
+    The witness is taken from the tiles of the _RANKED_SUPERS super tiles
+    with the largest table bound over every super tile (NaN first);
+    tables.blocks is then set to the enclosures of the tiles inside the
+    super tiles whose bound reaches the witness, and B.candidates to the
+    tiles among them whose table bound does: the tiles the bound over
+    every tile keeps, since a super tile's bound reaches each of its
+    tiles'.  Should those first tiles give no root (a wage grid without
+    J = 0 can miss them all), the witness is taken again from the
+    _WITNESS_TILES tiles of tables.blocks with the largest table bound.
     """
     G, H = tables.super_ends()
     _complete(tables, j_values, coefs, G, H)
@@ -490,10 +493,16 @@ def setup_group(tables: PeriodTables, j_values, coefs, reads, best: bool) -> flo
     del G, H
     base = 0.0 if (j_values <= 0.0).any() else -np.inf   # the shutdown's value
     bound = _table_bound(S, j_values, coefs, reads)
-    value = _witness(tables, j_values, coefs, reads, base,
-                     *_ranked(tables, j_values, coefs, reads, bound))
-    B = tables.blocks = _expand(tables, np.flatnonzero(~(bound < value)), welfare)
-    B.candidates = ~(_table_bound(B, j_values, coefs, reads) < value)
+    key = np.where(np.isnan(bound), np.inf, bound)   # NaN first, as _best ranks it
+    n = min(_RANKED_SUPERS, key.size)
+    top = np.sort(np.argpartition(key, -n)[-n:])
+    found = _witness(tables, j_values, coefs, reads, _expand(tables, top, welfare))
+    B = tables.blocks = _expand(tables, np.flatnonzero(~(bound < max(base, found))), welfare)
+    ub = _table_bound(B, j_values, coefs, reads)
+    if found == -np.inf:   # no root in their tiles
+        found = _witness(tables, j_values, coefs, reads, B, _best(ub, _WITNESS_TILES))
+    value = max(base, found)
+    B.candidates = ~(ub < value)
     return value
 
 
@@ -803,64 +812,37 @@ def _complete(tables: PeriodTables, j_values, coefs, G, H) -> None:
 def _best(ub, m: int):
     """The flat indices, ascending, of the m largest of ub (NaN ranks
     above every number, as argpartition ranks it), less those not above
-    -inf.  Ascending, what is done with them depends on which they are
-    alone, not on the order argpartition leaves them in."""
+    -inf: the (row, tile) pairs a witness refines.  Ascending, what is
+    done with them depends on which they are alone, not on the order
+    argpartition leaves them in."""
     ub = ub.reshape(-1)
     top = np.argpartition(ub, -m)[-m:] if m < ub.size else np.arange(ub.size)
     return np.sort(top[ub[top] > -np.inf])   # drops NaN too
 
 
-def _ranked(tables: PeriodTables, j_values, coefs, reads, bound):
-    """(B, tile): the enclosures of the tiles inside some super tiles, and
-    the positions in B of the _WITNESS_TILES tiles with the largest table
-    bound (:func:`_table_bound`) of the rows of reads (one table's), as a
-    ranking of every tile picks them but for exact ties.
-
-    bound is the table bound of every super tile, which reaches each of
-    its tiles' (or is NaN).  Super tiles expand best first, as in branch
-    and bound: the few with the largest bound, then every one whose bound
-    exceeds the _WITNESS_TILES-th largest tile bound found, until no
-    other one does.  That tile bound only rises as super tiles are added,
-    so two rounds do it.
-    """
-    w = bool(reads[2][0])
-    key = np.where(np.isnan(bound), np.inf, bound)   # NaN first, as _best ranks it
-    n = min(_RANKED_SUPERS, key.size)
-    supers = np.sort(np.argpartition(key, -n)[-n:])
-    while True:
-        B = _expand(tables, supers, w)
-        ub = _table_bound(B, j_values, coefs, reads)
-        k, m = np.where(np.isnan(ub), np.inf, ub), _WITNESS_TILES
-        least = np.partition(k, -m)[-m] if k.size >= m else -np.inf   # the m-th largest
-        more = np.flatnonzero(key > least)   # holds supers when no larger
-        if more.size <= supers.size:
-            return B, _best(ub, _WITNESS_TILES)
-        supers = more
-
-
-def _witness(tables: PeriodTables, j_values, coefs, reads, base, B: _Blocks, tile):
+def _witness(tables: PeriodTables, j_values, coefs, reads, B: _Blocks, tile=slice(None)):
     """A value that some cell of the rows of reads (one table's) attains:
-    base or the largest value lower bound of the roots refined in the
-    tiles of the rows' largest value upper bounds, whichever is larger.
+    the largest value lower bound of the roots refined in the tiles of the
+    rows' largest value upper bounds, or -inf if none is refined.
 
-    tile holds the positions in B of the tiles with the largest table
-    bound (:func:`_ranked`); the exact :func:`_wage_ub` on every (row,
-    tile) pair of those picks the _WITNESS_TILES pairs with the largest
-    bound at the smallest wage their margin range holds, and those are
-    refined.
+    The exact :func:`_wage_ub` on every (row, tile) pair of the tiles at
+    positions tile in B (all of them by default) picks the _WITNESS_TILES
+    pairs with the largest bound at the smallest wage their margin range
+    holds, and those are refined.  Any value the table attains is a valid
+    floor, so those need not be the table's best tiles.
     """
     k, tau, welfare = reads
     w = bool(welfare[0])
     _, _, ub = _wage_ub(B, j_values, coefs[k, None], tau[:, None], tile, w)
-    ri, ti = np.divmod(_best(ub, _WITNESS_TILES), tile.size)
-    t, tile = np.unique(np.stack((k[ri], B.tile[tile[ti]])), axis=1)   # by weight, then tile
+    ri, ti = np.divmod(_best(ub, _WITNESS_TILES), ub.shape[1])
+    t, tile = np.unique(np.stack((k[ri], B.tile[tile][ti])), axis=1)   # by weight, then tile
     cols = _tile_brackets(tables, j_values, coefs, t, tile, _tile_kernel(tables, np.unique(tile)))
     t, p_idx, cell_idx, j_idx = cols[:4]
     ok = ~np.isnan(_refine(tables, j_values, cols))
     by_k = np.argsort(k)   # a table's rows have distinct weights
     r = by_k[np.searchsorted(k[by_k], t[ok])]
     lo, _ = _value_bounds(tables, p_idx[ok], cell_idx[ok], j_values[j_idx[ok]], tau[r], w)
-    return max(base, float(np.fmax.reduce(lo, initial=-np.inf)))
+    return float(np.fmax.reduce(lo, initial=-np.inf))
 
 
 def _solve_in_full(tables: PeriodTables, j_values, coefs, roots: RootSet, lost) -> RootSet:

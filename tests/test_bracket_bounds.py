@@ -10,18 +10,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from idlewage import GridSpec, Objective, SolverConfig, TableRequest, period_for_hour, value_tables
 from idlewage import equilibrium, optimize
 from idlewage.equilibrium import (
     _BLOCK,
+    _RANKED_SUPERS,
     _SUPER,
     _WITNESS_TILES,
     BracketingError,
     PeriodTables,
-    _best,
     _block_points,
     _Blocks,
     _brackets,
@@ -209,6 +209,14 @@ class TestLostThreshold:
 def n_supers(tables) -> int:
     """The super tiles of tables' grids."""
     return tables.p.size * _n_blocks(tables.z.size, _SUPER)
+
+
+def tiles_of(tables, supers):
+    """The tiles inside super tiles supers (flat, ascending), ascending."""
+    n_b, per = _n_blocks(tables.z.size), _SUPER // _BLOCK
+    p_idx, q = np.divmod(supers, _n_blocks(tables.z.size, _SUPER))
+    b = (q * per)[:, None] + np.arange(per)
+    return (p_idx[:, None] * n_b + b)[b < n_b]
 
 
 def every_tile(tables):
@@ -438,19 +446,25 @@ class TestEnclosures:
     @pytest.mark.parametrize("beta", [0.2, 0.95])
     @pytest.mark.parametrize("hour", [4, 12, 19, 22])
     def test_masks_and_floors_equal_the_all_tile_construction(self, hour, beta, cfg):
-        # a witness ranked over every tile's table bound, with every tile's
-        # enclosures built on its own, gives the setup's floor, and its
-        # candidates are the setup's, though the setup builds few tiles
+        # a witness over the tiles of the _RANKED_SUPERS super tiles of
+        # largest table bound, those tiles' enclosures built each on its
+        # own, gives the setup's floor, and its candidates are those of
+        # every tile's table bound, though the setup builds few tiles
         for obj in Objective:
             tables, wages, coefs, rows, floor = best_group(hour, beta, obj, cfg)
             B = tables.blocks
+            key = _table_bound(_supers(tables, *tables.super_ends(), True), wages, coefs, rows)
+            key[np.isnan(key)] = np.inf
+            top = np.argpartition(key, -_RANKED_SUPERS)[-_RANKED_SUPERS:]
+            assert key[top].min() >= np.delete(key, top).max()   # the largest, NaN first
+            ranked = _Blocks(**blocks_by_tile(tables, tiles_of(tables, np.sort(top)), True))
+            assert ranked.tile.size == _RANKED_SUPERS * _SUPER // _BLOCK
+            base = 0.0 if (wages <= 0.0).any() else -np.inf
+            value = max(base, _witness(tables, wages, coefs, rows, ranked))
+            assert np.float64(floor).tobytes() == np.float64(value).tobytes()
             every = _Blocks(**blocks_by_tile(tables, np.arange(tables.p.size * _n_blocks(tables.z.size)),
                                              True))
-            base = 0.0 if (wages <= 0.0).any() else -np.inf
-            bound = _table_bound(every, wages, coefs, rows)
-            value = _witness(tables, wages, coefs, rows, base, every, _best(bound, _WITNESS_TILES))
-            assert np.float64(floor).tobytes() == np.float64(value).tobytes()
-            want = ~(bound < value)
+            want = ~(_table_bound(every, wages, coefs, rows) < value)
             got = np.zeros(want.size, dtype=bool)
             got[B.tile[B.candidates]] = True
             assert want.any() and np.array_equal(got, want)
@@ -520,8 +534,8 @@ class TestEnclosures:
 class TestWitness:
     @pytest.mark.parametrize("obj", list(Objective))
     def test_exact_bound_runs_on_the_ranked_tiles_alone(self, monkeypatch, obj):
-        # the table bound ranks _WITNESS_TILES tiles, and the exact bound
-        # runs on every (row, tile) pair of those alone
+        # the witness ranks the tiles of _RANKED_SUPERS super tiles: the
+        # exact bound runs once, on those tiles alone
         inside, bounded = [], []
         witness, wage_ub = equilibrium._witness, equilibrium._wage_ub
 
@@ -534,14 +548,41 @@ class TestWitness:
 
         def recording(B, j_values, c, tau, tile, welfare):
             if inside:
-                bounded.append(np.unique(tile).size)
+                bounded.append(B.tile[tile].size)
             return wage_ub(B, j_values, c, tau, tile, welfare)
 
         monkeypatch.setattr(equilibrium, "_witness", in_witness)
         monkeypatch.setattr(equilibrium, "_wage_ub", recording)
         value_tables([TableRequest.of(period_for_hour(19, 0.25), obj, reduction="best")])
         assert len(bounded) == 1
-        assert 0 < bounded[0] <= _WITNESS_TILES
+        assert 0 < bounded[0] <= _RANKED_SUPERS * _SUPER // _BLOCK
+
+    @pytest.mark.parametrize("hour, beta, obj, wages, twice", [
+        (19, 0.25, Objective.PROFIT, [0.7, 1.4], False),
+        (12, 0.95, Objective.PROFIT, [0.7, 1.4], False),
+        (1, 0.2, Objective.WELFARE, [0.15], True),
+        (18, 0.25, Objective.WELFARE, [0.15], True),
+    ], ids=["19-profit", "12-profit", "1-welfare-again", "18-welfare-again"])
+    def test_a_floor_without_zero_is_finite(self, monkeypatch, hour, beta, obj, wages, twice):
+        # without J = 0 no shutdown value backs the floor, so the witness
+        # must find a root, else every tile is a candidate.  Where the
+        # tiles of the first super tiles give none, it ranks again the
+        # tiles of largest table bound among those finally built
+        calls, witness = [], equilibrium._witness
+
+        def recording(*args):
+            ranked = args[4].tile.size if len(args) == 5 else args[5].size
+            calls.append((ranked, out := witness(*args)))
+            return out
+
+        monkeypatch.setattr(equilibrium, "_witness", recording)
+        r = TableRequest.of(period_for_hour(hour, beta), obj, COARSE, FAST_SOLVER, j_values=wages,
+                            reduction="best")
+        value_tables([r])
+        ranked, found = zip(*calls)
+        assert len(calls) == 1 + twice and ranked[0] == _RANKED_SUPERS * _SUPER // _BLOCK
+        assert found[:-1] == (-np.inf,) * twice and np.isfinite(found[-1])
+        assert not twice or 0 < ranked[1] <= _WITNESS_TILES
 
 
 class TestTileKernel:
@@ -712,9 +753,9 @@ class TestOnePassEach:
         size = lambda args, out: out.size   # noqa: E731
         spy(equilibrium, "_relaxed_ub", size)
         spy(equilibrium, "_envelope", size)
-        spy(equilibrium, "_expand", lambda args, out: out.tile.size)   # the tiles built
+        spy(equilibrium, "_expand", lambda args, out: (args[1].size, out))   # supers, tiles built
         spy(equilibrium, "_tile_kernel", lambda args, out: out[1].size)   # the points evaluated
-        spy(optimize, "solve_slices")
+        spy(optimize, "solve_slices", lambda args, out: args[0].blocks)
         value_tables([r], threads)
         return events
 
@@ -733,8 +774,15 @@ class TestOnePassEach:
         weights = np.unique(0.25 * (1.0 - g.tau_values()))
         assert check[2] == weights.tolist()
         bounds = [i for i, n in enumerate(names) if n in ("_relaxed_ub", "_envelope")]
-        built = [events[i][2] for i, n in enumerate(names) if n == "_expand"]
-        assert all(i < split for i in bounds) and names.index("_expand") < split
+        assert all(i < split for i in bounds)
+        # two expansions: the witness's ranked super tiles, then the final
+        # set, which the stream scans
+        expands = [i for i, n in enumerate(names) if n == "_expand"]
+        assert len(expands) == 2
+        first, last = expands
+        assert first < witness < last < split
+        assert events[first][2][0] == _RANKED_SUPERS and events[last][2][1] is events[split][2]
+        built = [events[i][2][1].tile.size for i in expands]
         # one pass bounds every super tile; the others bound the tiles
         # expanded, and neither spans every tile
         every = [i for i in bounds if events[i][2] == supers]
@@ -843,17 +891,50 @@ class TestBestReduction:
             for x, y in ((a.values, b.values), (a.p_idx, b.p_idx), (a.z, b.z)):
                 assert x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
 
-    @pytest.mark.parametrize("wages", [[0.0, 0.7], [0.7, 1.4]])
-    def test_floor_is_a_value_the_table_attains(self, wages):
-        # the floor is at least 0 exactly when the wage grid holds J = 0 (the
-        # shutdown's value) and never above the best cell
-        s = period_for_hour(19)
-        r = TableRequest.of(s, Objective.PROFIT, COARSE, FAST_SOLVER, j_values=wages,
-                            reduction="best")
-        tables = PeriodTables.build(s, COARSE.p_values(), FAST_SOLVER)
-        taus = COARSE.tau_values()
-        coefs = s.supply.risk_beta * (1.0 - taus[::-1])
-        rows = (np.arange(taus.size)[::-1], taus, np.zeros(taus.size, dtype=bool))
-        floor = setup_group(tables, np.array(wages), coefs, rows, True)
-        assert floor <= np.nanmax(value_tables([r])[r].values)
-        assert floor >= 0.0 if wages[0] == 0.0 else np.isfinite(floor)
+    @settings(max_examples=30, deadline=None)
+    @given(hour=st.integers(1, 24), beta=st.sampled_from([0.2, 0.25, 0.95]) | st.floats(0.05, 1.0),
+           obj=st.sampled_from(list(Objective)),
+           wages=st.lists(st.sampled_from([0.15, 0.7, 1.4]) | st.floats(0.05, 3.0),
+                          max_size=6, unique=True),
+           kappa=st.sampled_from([None, 720.0]))
+    @example(hour=19, beta=0.25, obj=Objective.PROFIT, wages=[0.7, 1.4], kappa=None)
+    @example(hour=1, beta=0.2, obj=Objective.WELFARE, wages=[0.15], kappa=None)
+    @pytest.mark.parametrize("zero", [True, False], ids=["with-0", "without-0"])
+    def test_floor_is_a_value_the_table_attains(self, zero, hour, beta, obj, wages, kappa):
+        # the floor is at most the cells table's best value, and at least 0
+        # (the shutdown's value) when the wages hold J = 0; the best table's
+        # winner has every bit of the cells table's.  Without J = 0 the
+        # witness can miss every root (TestWitness pins finite cases).
+        # kappa = 720 overflows exp: a table with some J > 0 then raises,
+        # and so does its best one
+        assume(zero or wages)
+        wages = sorted([0.0] * zero + wages)
+        cells = TableRequest.of(with_kappa(period_for_hour(hour, beta), kappa), obj, COARSE,
+                                FAST_SOLVER, j_values=wages)
+        best = dataclasses.replace(cells, reduction="best")
+        floors, setup = [], optimize.setup_group
+
+        def recording(*args):
+            floors.append(out := setup(*args))
+            return out
+
+        def table(r):
+            try:
+                return value_tables([r])[r]
+            except BracketingError:
+                return None
+
+        with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as m:
+            want = table(cells)
+            m.setattr(optimize, "setup_group", recording)
+            got = table(best)
+        assert (want is None) == (got is None) == (kappa is not None and wages[-1] > 0.0)
+        if want is None:
+            return
+        (floor,) = floors
+        assert floor <= np.nanmax(want.values)
+        assert not zero or floor >= 0.0
+        i = lex_winner(cells, want)
+        assert lex_winner(best, got) == i
+        for a, b in zip((want.values, want.p_idx, want.z), (got.values, got.p_idx, got.z)):
+            assert np.array_equal(a.flat[i:i + 1].view(np.int64), b.flat[i:i + 1].view(np.int64))
